@@ -48,6 +48,14 @@ fn bench_knn() {
             tree.query(&q, 10)
         });
     }
+    // A whole-set enemy table: 889 self-excluded row queries over a
+    // 1489×192 set, the shape of pixel-space EOS on the CIFAR-10 analogue.
+    let data = normal(&[1489, 192], 0.0, 1.0, &mut rng);
+    let brute = BruteForceKnn::new(&data, Metric::Euclidean);
+    let rows: Vec<usize> = (0..889).collect();
+    bench("neighbors/query_rows_batch-k10/brute/d192", 10, || {
+        brute.query_rows_batch(&rows, 10)
+    });
 }
 
 fn bench_gap() {

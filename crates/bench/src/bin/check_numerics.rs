@@ -1,7 +1,8 @@
 //! Numerical correctness gate: gradchecks every `Layer` implementation and
 //! every loss in the workspace, spot-checks the gap/metric formulas against
-//! hand-computed values, and pins a golden-determinism digest of a tiny
-//! end-to-end training step across thread counts and kernel dispatch paths.
+//! hand-computed values, and pins golden-determinism digests of a tiny
+//! end-to-end training step and of EOS's whole-set kNN step across thread
+//! counts and kernel dispatch paths.
 //!
 //! Step sizes follow the f32 central-difference error model (truncation
 //! `O(h²)` plus cancellation `O(ε/h)`, minimised near `h ≈ 1e-2` for
@@ -13,13 +14,15 @@
 //! comparison still runs, so `scripts/verify.sh` gets the full gate.
 
 use eos_bench::JsonRecord;
-use eos_core::{generalization_gap, ConfusionMatrix};
+use eos_core::{generalization_gap, ConfusionMatrix, Eos};
 use eos_gan::{bce_with_logits, mse_loss_and_grad, ConvexMix};
+use eos_neighbors::{AutoIndex, Metric};
 use eos_nn::{
     gradcheck_fn, gradcheck_layer, gradcheck_loss, Architecture, AsymmetricLoss, BasicBlock,
     BatchNorm1d, BatchNorm2d, Conv2d, ConvNet, CrossEntropyLoss, Dropout, FocalLoss, GlobalAvgPool,
     Layer, LdamLoss, LeakyRelu, Linear, Loss, MaxPool2d, Relu, Sgd, Sigmoid, Tanh,
 };
+use eos_resample::{balance_with, indices_by_class};
 use eos_tensor::{normal, par, set_force_scalar_kernel, Conv2dGeometry, Rng64, Tensor};
 
 /// Gradcheck threshold: every analytic/numeric comparison in the gate must
@@ -445,8 +448,44 @@ fn train_digest(threads: usize, force_scalar: bool) -> u64 {
     digest
 }
 
+/// Digest of EOS's whole-set kNN step on a fixed 192-d, three-class set:
+/// folds the index and distance bits of every hit in the K = 10
+/// neighbourhoods its enemy table is built from, then the bits of the
+/// balanced output.
+fn knn_digest(threads: usize, force_scalar: bool) -> u64 {
+    par::set_num_threads(threads);
+    set_force_scalar_kernel(force_scalar);
+    let mut rng = Rng64::new(35);
+    let x = normal(&[301, 192], 0.0, 1.0, &mut rng);
+    let y: Vec<usize> = (0..301).map(|i| [0, 0, 0, 0, 1, 1, 2][i % 7]).collect();
+    let index = AutoIndex::new(&x, Metric::Euclidean);
+    let mut digest = 0xcbf29ce484222325u64;
+    let mut fold = |v: u64| {
+        digest ^= v;
+        digest = digest.wrapping_mul(0x100000001b3);
+    };
+    for rows in &indices_by_class(&y, 3)[1..] {
+        for hits in index.query_rows_batch(rows, 10) {
+            for h in hits {
+                fold(h.index as u64);
+                fold(h.distance.to_bits() as u64);
+            }
+        }
+    }
+    let (bx, by) = balance_with(&Eos::new(10), &x, &y, 3, &mut Rng64::new(36));
+    fold(bx.bits_digest());
+    by.iter().for_each(|&c| fold(c as u64));
+    digest
+}
+
+/// The kNN digest of the brute-force kernel the seed shipped (a per-row
+/// scan summing `Metric::distance`); the blocked kernel must reproduce it
+/// bit for bit.
+const KNN_GOLDEN: u64 = 0xeb70_b4c3_e165_cb53;
+
 /// Golden determinism: the training digest must be identical across thread
-/// counts and across the AVX2/scalar kernel dispatch.
+/// counts and across the AVX2/scalar kernel dispatch, and the kNN digest
+/// must also match its pinned value.
 fn check_determinism(gate: &mut Gate) {
     println!("golden determinism:");
     let ambient = par::num_threads();
@@ -465,9 +504,22 @@ fn check_determinism(gate: &mut Gate) {
         "digest stable scalar kernel",
         golden == train_digest(4, true),
     );
+    let knn = knn_digest(1, false);
+    gate.claim("knn digest matches golden", knn == KNN_GOLDEN);
+    for threads in [2usize, 4, 8] {
+        gate.claim(
+            &format!("knn digest stable at t={threads}"),
+            knn == knn_digest(threads, false),
+        );
+    }
+    gate.claim(
+        "knn digest stable scalar kernel",
+        knn == knn_digest(4, true),
+    );
     set_force_scalar_kernel(false);
     par::set_num_threads(ambient);
     println!("  golden digest {golden:#018x}");
+    println!("  knn digest    {knn:#018x}");
 }
 
 fn main() {

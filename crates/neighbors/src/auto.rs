@@ -1,9 +1,9 @@
 //! Dimension-based index selection.
 
 use crate::{BruteForceKnn, KdTree, Metric, Neighbor, NnIndex};
-use eos_tensor::Tensor;
+use eos_tensor::{wide_kernel_enabled, Tensor};
 
-/// Largest point dimensionality at which the KD-tree beats the vectorised
+/// Largest point dimensionality at which the KD-tree beats the blocked
 /// linear scan. Above this, branch-and-bound pruning degenerates (curse of
 /// dimensionality) and the brute-force index is used instead.
 pub const TREE_MAX_DIM: usize = 16;
@@ -37,11 +37,24 @@ impl AutoIndex {
     }
 
     /// Counts `n` resolved queries against whichever backend this index
-    /// routes to, so traces show how the dimensionality split behaves.
+    /// routes to, so traces show how the dimensionality split behaves. A
+    /// brute-force call also records its candidate distances and which
+    /// distance kernel it dispatches to — once per call, never per tile.
     fn trace_queries(&self, n: usize) {
+        if !eos_trace::enabled() {
+            return;
+        }
         match self {
             AutoIndex::Tree(_) => eos_trace::count!("neighbors.tree_queries", n as u64),
-            AutoIndex::Brute(_) => eos_trace::count!("neighbors.brute_queries", n as u64),
+            AutoIndex::Brute(b) => {
+                eos_trace::count!("neighbors.brute_queries", n as u64);
+                eos_trace::count!("neighbors.distances", (n * b.len()) as u64);
+                if wide_kernel_enabled() {
+                    eos_trace::count!("neighbors.dispatch.wide", 1);
+                } else {
+                    eos_trace::count!("neighbors.dispatch.scalar", 1);
+                }
+            }
         }
     }
 

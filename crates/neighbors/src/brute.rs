@@ -3,12 +3,32 @@
 use crate::{Metric, Neighbor, NnIndex};
 use eos_tensor::{par, Tensor};
 
-/// Exact k-NN by linear scan with a bounded max-heap.
+/// Queries per block: one lane of the transposed query panel each.
+const LANES: usize = 8;
+
+/// Indexed rows per micro-tile: each tile keeps `TILE × lanes`
+/// independent accumulators in flight.
+const TILE: usize = 4;
+
+/// One query of a block: the point, and the indexed row to leave out of
+/// its neighbourhood (the query row itself for [`NnIndex::query_row`]).
+type Query<'a> = (&'a [f32], Option<usize>);
+
+/// Exact k-NN by a query-blocked linear scan with a bounded sorted list.
+///
+/// Queries are processed in blocks of up to eight, transposed into a
+/// `[d][lanes]` panel, and the indexed rows are walked in micro-tiles of
+/// four, so every coordinate load feeds many independent accumulators
+/// instead of one dependent add chain per candidate. Each accumulator
+/// still sums its coordinate terms in order from the first coordinate,
+/// with a separate multiply and add, and takes the square root last: every
+/// distance is bit-identical to [`Metric::distance`] (see DESIGN.md,
+/// "Brute-force kNN kernel").
 ///
 /// At the embedding sizes the framework works with (≤ a few thousand
-/// 64-dimensional points) a vectorised linear scan is consistently faster
-/// than tree traversal; the KD-tree exists for the low-dimensional cases
-/// (pixel prototypes, t-SNE outputs).
+/// 64-dimensional points) this scan is consistently faster than tree
+/// traversal; the KD-tree exists for the low-dimensional cases (pixel
+/// prototypes, t-SNE outputs).
 pub struct BruteForceKnn {
     data: Tensor,
     metric: Metric,
@@ -24,66 +44,201 @@ impl BruteForceKnn {
         }
     }
 
-    fn scan(&self, point: &[f32], k: usize, exclude: Option<usize>) -> Vec<Neighbor> {
-        assert_eq!(point.len(), self.data.dim(1), "query dimension mismatch");
-        if k == 0 {
-            return Vec::new();
+    /// The `k` nearest indexed rows of each query, in query order. The
+    /// blocks fan out across the worker pool; every query's result depends
+    /// only on that query, so the output is the same at any thread count
+    /// and for any grouping of queries into blocks.
+    fn scan<'q>(
+        &self,
+        n: usize,
+        query: impl Fn(usize) -> Query<'q> + Sync,
+        k: usize,
+    ) -> Vec<Vec<Neighbor>> {
+        let blocks = par::par_map_range(n.div_ceil(LANES), |b| {
+            let block: Vec<Query<'q>> = (b * LANES..n.min(b * LANES + LANES)).map(&query).collect();
+            self.scan_block(&block, k)
+        });
+        blocks.into_iter().flatten().collect()
+    }
+
+    /// Runs one block of at most [`LANES`] queries; a lone query gets a
+    /// one-lane panel rather than seven lanes of padding.
+    fn scan_block(&self, block: &[Query<'_>], k: usize) -> Vec<Vec<Neighbor>> {
+        let d = self.data.dim(1);
+        for (point, _) in block {
+            assert_eq!(point.len(), d, "query dimension mismatch");
         }
-        // Bounded selection: keep the k best seen so far in a small vec
-        // (k is tens-to-hundreds; insertion into a sorted vec is cheap and
-        // cache-friendly).
-        let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        for i in 0..self.data.dim(0) {
-            if exclude == Some(i) {
-                continue;
+        if k == 0 {
+            return vec![Vec::new(); block.len()];
+        }
+        match block.len() {
+            1 => self.scan_lanes::<1>(block, k),
+            _ => self.scan_lanes::<LANES>(block, k),
+        }
+    }
+
+    /// The blocked kernel: transposes the block into an `L`-lane panel
+    /// (unused lanes stay zero and are never read back), computes
+    /// distances a [`TILE`] of indexed rows at a time, and offers them to
+    /// each query's bounded list in ascending row order.
+    fn scan_lanes<const L: usize>(&self, block: &[Query<'_>], k: usize) -> Vec<Vec<Neighbor>> {
+        let d = self.data.dim(1);
+        let mut panel = vec![0.0f32; d * L];
+        for (lane, (point, _)) in block.iter().enumerate() {
+            for (j, &v) in point.iter().enumerate() {
+                panel[j * L + lane] = v;
             }
-            let d = self.metric.distance(point, self.data.row_slice(i));
-            if best.len() == k && d >= best[k - 1].distance {
-                continue;
+        }
+        let mut best: Vec<Vec<Neighbor>> =
+            block.iter().map(|_| Vec::with_capacity(k + 1)).collect();
+        let mut offer_tile = |first: usize, dist: &[[f32; L]]| {
+            for (c, lanes) in dist.iter().enumerate() {
+                for ((list, &(_, exclude)), &distance) in best.iter_mut().zip(block).zip(lanes) {
+                    if exclude != Some(first + c) {
+                        offer(list, k, first + c, distance);
+                    }
+                }
             }
-            let pos = best.partition_point(|n| n.distance < d || (n.distance == d && n.index < i));
-            best.insert(
-                pos,
-                Neighbor {
-                    index: i,
-                    distance: d,
-                },
-            );
-            if best.len() > k {
-                best.pop();
-            }
+        };
+        let n = self.data.dim(0);
+        let tiled = n - n % TILE;
+        let metric = self.metric;
+        for first in (0..tiled).step_by(TILE) {
+            let rows: [&[f32]; TILE] = std::array::from_fn(|c| self.data.row_slice(first + c));
+            offer_tile(first, &tile_distances(metric, &panel, rows));
+        }
+        for row in tiled..n {
+            let rows = [self.data.row_slice(row)];
+            offer_tile(row, &tile_distances(metric, &panel, rows));
         }
         best
     }
 
     /// [`NnIndex::query`] for every row of a `(q, d)` query matrix, with
-    /// the scans fanned out across the worker pool. Each query's result is
-    /// computed exactly as in the serial path, so the output is identical
-    /// to a query-at-a-time loop at any thread count.
+    /// the query blocks fanned out across the worker pool. The output is
+    /// identical to a query-at-a-time loop at any thread count.
     pub fn query_batch(&self, queries: &Tensor, k: usize) -> Vec<Vec<Neighbor>> {
         assert_eq!(queries.rank(), 2, "batch query expects a (q, d) matrix");
-        par::par_map_range(queries.dim(0), |i| self.scan(queries.row_slice(i), k, None))
+        self.scan(queries.dim(0), |i| (queries.row_slice(i), None), k)
     }
 
-    /// [`NnIndex::query_row`] for many indexed rows at once, fanned out
-    /// across the worker pool; bit-identical to the serial loop.
+    /// [`NnIndex::query_row`] for many indexed rows at once, with the
+    /// query blocks fanned out across the worker pool; identical to the
+    /// serial loop.
     pub fn query_rows_batch(&self, rows: &[usize], k: usize) -> Vec<Vec<Neighbor>> {
         let n = self.data.dim(0);
         assert!(rows.iter().all(|&r| r < n), "row out of range");
-        par::par_map(rows, |_, &row| {
-            self.scan(self.data.row_slice(row), k, Some(row))
-        })
+        self.scan(
+            rows.len(),
+            |i| (self.data.row_slice(rows[i]), Some(rows[i])),
+            k,
+        )
     }
+}
+
+/// Offers candidate `index` at `distance` to a bounded list sorted by
+/// `(distance, index)`. Candidates must arrive in ascending `index` order:
+/// a candidate tying the current worst is then always the later row and
+/// is rejected without a search.
+#[inline]
+fn offer(best: &mut Vec<Neighbor>, k: usize, index: usize, distance: f32) {
+    if best.len() == k && distance >= best[k - 1].distance {
+        return;
+    }
+    let pos = best
+        .partition_point(|n| n.distance < distance || (n.distance == distance && n.index < index));
+    best.insert(pos, Neighbor { index, distance });
+    if best.len() > k {
+        best.pop();
+    }
+}
+
+/// [`distances`] on the widest bit-identical kernel the CPU supports
+/// (see [`eos_tensor::wide_kernel_enabled`]).
+#[inline(always)]
+fn tile_distances<const L: usize, const C: usize>(
+    metric: Metric,
+    panel: &[f32],
+    rows: [&[f32]; C],
+) -> [[f32; L]; C] {
+    #[cfg(target_arch = "x86_64")]
+    if eos_tensor::wide_kernel_enabled() {
+        // SAFETY: `wide_kernel_enabled` just checked for avx2 at runtime.
+        return unsafe { distances_avx2(metric, panel, rows) };
+    }
+    distances(metric, panel, rows)
+}
+
+/// [`distances`] compiled with AVX2 enabled, so an eight-lane panel row is
+/// one vector register. Only `avx2` is enabled — never `fma` — so each
+/// lane still performs separate `sub`, `mul` and `add` in the portable
+/// order, and the wide kernel is bit-identical to the portable one.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn distances_avx2<const L: usize, const C: usize>(
+    metric: Metric,
+    panel: &[f32],
+    rows: [&[f32]; C],
+) -> [[f32; L]; C] {
+    distances(metric, panel, rows)
+}
+
+/// Distances from each of the `L` panel lanes to each of the `C` rows,
+/// `[row][lane]`, each bit-identical to [`Metric::distance`].
+#[inline(always)]
+fn distances<const L: usize, const C: usize>(
+    metric: Metric,
+    panel: &[f32],
+    rows: [&[f32]; C],
+) -> [[f32; L]; C] {
+    match metric {
+        Metric::Euclidean => {
+            let mut acc = accumulate(panel, rows, |t| t * t);
+            for v in acc.iter_mut().flatten() {
+                *v = v.sqrt();
+            }
+            acc
+        }
+        Metric::Manhattan => accumulate(panel, rows, f32::abs),
+    }
+}
+
+/// Sums `term(query - row)` over the coordinates, one accumulator per
+/// `(row, lane)`, each in coordinate order from `-0.0` — the start value
+/// and order of `Iterator::sum` — with a plain add (Rust never contracts
+/// it into an FMA).
+#[inline(always)]
+fn accumulate<const L: usize, const C: usize>(
+    panel: &[f32],
+    rows: [&[f32]; C],
+    term: impl Fn(f32) -> f32,
+) -> [[f32; L]; C] {
+    let mut acc = [[-0.0f32; L]; C];
+    let d = panel.len() / L;
+    let rows: [&[f32]; C] = std::array::from_fn(|c| &rows[c][..d]);
+    for j in 0..d {
+        let q: &[f32; L] = panel[j * L..j * L + L]
+            .try_into()
+            .expect("a panel row holds L lanes");
+        for c in 0..C {
+            let x = rows[c][j];
+            for l in 0..L {
+                acc[c][l] += term(q[l] - x);
+            }
+        }
+    }
+    acc
 }
 
 impl NnIndex for BruteForceKnn {
     fn query(&self, point: &[f32], k: usize) -> Vec<Neighbor> {
-        self.scan(point, k, None)
+        self.scan_block(&[(point, None)], k).swap_remove(0)
     }
 
     fn query_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
         assert!(row < self.data.dim(0), "row out of range");
-        self.scan(self.data.row_slice(row), k, Some(row))
+        let query = (self.data.row_slice(row), Some(row));
+        self.scan_block(&[query], k).swap_remove(0)
     }
 
     fn len(&self) -> usize {

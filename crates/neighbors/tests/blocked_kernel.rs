@@ -1,0 +1,178 @@
+//! Property tests for the query-blocked brute-force kernel: over seeded
+//! generated inputs, every entry point must return exactly what a plain
+//! per-query scan with `Metric::distance` returns — the same rows in the
+//! same order and bit-identical distances — for both metrics, for row and
+//! query counts off the block and tile sizes, for `k = 0` and `k ≥ n`, for
+//! all-tie data, at thread budgets 1/2/4, on both the wide and the
+//! portable distance kernel.
+
+use eos_neighbors::{BruteForceKnn, Metric, Neighbor, NnIndex};
+use eos_tensor::{normal, par, set_force_scalar_kernel, Rng64, Tensor};
+use std::sync::Mutex;
+
+/// `set_num_threads` and `set_force_scalar_kernel` are process-global;
+/// every test in this binary that touches them must hold this lock.
+static LOCK: Mutex<()> = Mutex::new(());
+
+const DIMS: [usize; 3] = [17, 63, 192];
+const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Manhattan];
+const THREADS: [usize; 3] = [1, 2, 4];
+
+type Hits = Vec<(usize, u32)>;
+
+fn bits(hits: &[Neighbor]) -> Hits {
+    hits.iter()
+        .map(|n| (n.index, n.distance.to_bits()))
+        .collect()
+}
+
+/// The oracle: every candidate's `Metric::distance`, sorted by
+/// `(distance, index)`, cut to `k`.
+fn reference(data: &Tensor, metric: Metric, point: &[f32], k: usize, skip: Option<usize>) -> Hits {
+    let mut all: Vec<(f32, usize)> = (0..data.dim(0))
+        .filter(|&i| skip != Some(i))
+        .map(|i| (metric.distance(point, data.row_slice(i)), i))
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all.into_iter()
+        .take(k)
+        .map(|(d, i)| (i, d.to_bits()))
+        .collect()
+}
+
+/// A count in `1..=max` that is a multiple of neither the tile (4) nor
+/// the block (8) size.
+fn ragged(rng: &mut Rng64, max: usize) -> usize {
+    let n = 1 + rng.below(max);
+    if n.is_multiple_of(4) {
+        n + 1
+    } else {
+        n
+    }
+}
+
+/// Checks every entry point of an index over `data` against the oracle
+/// at every thread budget and on both distance kernels.
+fn check(data: &Tensor, queries: &Tensor, metric: Metric, ks: &[usize], what: &str) {
+    let n = data.dim(0);
+    let index = BruteForceKnn::new(data, metric);
+    let rows: Vec<usize> = (0..n).rev().step_by(2).chain(0..n).collect();
+    for &k in ks {
+        let want_batch: Vec<Hits> = (0..queries.dim(0))
+            .map(|i| reference(data, metric, queries.row_slice(i), k, None))
+            .collect();
+        let want_rows: Vec<Hits> = rows
+            .iter()
+            .map(|&r| reference(data, metric, data.row_slice(r), k, Some(r)))
+            .collect();
+        for force_scalar in [false, true] {
+            set_force_scalar_kernel(force_scalar);
+            for threads in THREADS {
+                par::set_num_threads(threads);
+                let case = format!(
+                    "{what}, {metric:?}, n = {n}, k = {k}, {threads} threads, scalar = {force_scalar}"
+                );
+                let batch: Vec<Hits> = index
+                    .query_batch(queries, k)
+                    .iter()
+                    .map(|h| bits(h))
+                    .collect();
+                assert_eq!(batch, want_batch, "query_batch: {case}");
+                let by_row: Vec<Hits> = index
+                    .query_rows_batch(&rows, k)
+                    .iter()
+                    .map(|h| bits(h))
+                    .collect();
+                assert_eq!(by_row, want_rows, "query_rows_batch: {case}");
+            }
+            for (i, want) in want_batch.iter().enumerate().take(3) {
+                assert_eq!(
+                    &bits(&index.query(queries.row_slice(i), k)),
+                    want,
+                    "query: {what}, k = {k}"
+                );
+            }
+            for (&r, want) in rows.iter().zip(&want_rows).take(3) {
+                assert_eq!(
+                    &bits(&index.query_row(r, k)),
+                    want,
+                    "query_row: {what}, k = {k}"
+                );
+            }
+        }
+    }
+    set_force_scalar_kernel(false);
+}
+
+#[test]
+fn blocked_scan_matches_reference_on_random_data() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for (case, &d) in DIMS.iter().enumerate() {
+        for seed in 0..3u64 {
+            let mut rng = Rng64::new(1000 + 10 * case as u64 + seed);
+            let n = ragged(&mut rng, 45);
+            let q = ragged(&mut rng, 21);
+            let data = normal(&[n, d], 0.0, 1.0, &mut rng);
+            let queries = normal(&[q, d], 0.0, 1.0, &mut rng);
+            let ks = [0, 1, 1 + rng.below(n), n, n + 3];
+            for metric in METRICS {
+                check(&data, &queries, metric, &ks, &format!("d = {d}, q = {q}"));
+            }
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn all_duplicate_rows_order_by_index() {
+    // Every row identical: every query is all ties, so each result is the
+    // lowest-numbered rows at one shared distance.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let mut rng = Rng64::new(2000 + d as u64);
+        let n = ragged(&mut rng, 30);
+        let row: Vec<f32> = (0..d).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+        let data = Tensor::from_vec(row.repeat(n), &[n, d]);
+        let queries = normal(&[ragged(&mut rng, 13), d], 0.0, 1.0, &mut rng);
+        for metric in METRICS {
+            check(
+                &data,
+                &queries,
+                metric,
+                &[0, 1, 5, n],
+                &format!("duplicates, d = {d}"),
+            );
+            // Querying an indexed row: every hit is at distance zero.
+            let hits = BruteForceKnn::new(&data, metric).query_row(n / 2, n);
+            assert_eq!(hits.len(), n - 1);
+            assert!(hits.iter().all(|h| h.distance == 0.0));
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn block_boundaries_do_not_change_results() {
+    // The same queries split into blocks at every offset: a query's
+    // result must not depend on which block, or which lane, it ran in.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Rng64::new(3000);
+    let data = normal(&[37, 63], 0.0, 1.0, &mut rng);
+    let index = BruteForceKnn::new(&data, Metric::Euclidean);
+    let rows: Vec<usize> = (0..37).collect();
+    let whole: Vec<Hits> = index
+        .query_rows_batch(&rows, 6)
+        .iter()
+        .map(|h| bits(h))
+        .collect();
+    for start in 1..9 {
+        let part: Vec<Hits> = index
+            .query_rows_batch(&rows[start..], 6)
+            .iter()
+            .map(|h| bits(h))
+            .collect();
+        assert_eq!(part, whole[start..], "rows from {start}");
+    }
+}

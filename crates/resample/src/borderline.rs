@@ -25,15 +25,15 @@ impl BorderlineSmote {
     }
 
     /// Indices (within the class's own row list) of DANGER samples:
-    /// `m/2 <= enemies < m`.
+    /// `m/2 <= enemies < m`, with neighbourhoods taken in `index`, the
+    /// index over the full dataset.
     fn danger_set(
         &self,
-        x: &Tensor,
+        index: &AutoIndex,
         y: &[usize],
         class: usize,
         class_rows: &[usize],
     ) -> Vec<usize> {
-        let index = AutoIndex::new(x, Metric::Euclidean);
         // One neighbourhood scan per class member, fanned out in parallel;
         // the DANGER filter itself is order-preserving and serial.
         let hits_per_row = index.query_rows_batch(class_rows, self.m);
@@ -65,6 +65,7 @@ impl Oversampler for BorderlineSmote {
         let needs = deficits(y, num_classes);
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
+        let index = AutoIndex::new(x, Metric::Euclidean);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {
@@ -76,7 +77,7 @@ impl Oversampler for BorderlineSmote {
                 "cannot oversample empty class {class}"
             );
             let class_rows = x.select_rows(&idx[class]);
-            let danger = self.danger_set(x, y, class, &idx[class]);
+            let danger = self.danger_set(&index, y, class, &idx[class]);
             // Fall back to plain SMOTE when no borderline samples exist.
             let pool: Vec<usize> = if danger.is_empty() {
                 (0..class_rows.dim(0)).collect()

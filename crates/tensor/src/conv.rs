@@ -259,7 +259,7 @@ pub fn conv2d_direct_into(image: &[f32], weight: &[f32], out: &mut [f32], geom: 
         }
     }
     #[cfg(target_arch = "x86_64")]
-    if !crate::matmul::force_scalar_kernel() && std::arch::is_x86_feature_detected!("avx2") {
+    if crate::matmul::wide_kernel_enabled() {
         // SAFETY: the avx2 requirement was just checked at runtime.
         unsafe {
             conv2d_direct_avx2(&padded, weight, out, geom);

@@ -45,7 +45,7 @@ pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
     gemm_into, gemm_nt_into, gemm_prepacked_into, gemm_tn_into, set_force_scalar_kernel,
-    PANEL_WIDTH,
+    wide_kernel_enabled, PANEL_WIDTH,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -260,12 +260,20 @@ pub fn set_force_scalar_kernel(on: bool) {
     FORCE_SCALAR_KERNEL.store(on, Ordering::Relaxed);
 }
 
-/// Whether [`set_force_scalar_kernel`] is currently forcing the portable
-/// kernels. Shared with the direct convolution's dispatch so the
-/// verification harness exercises every wide/portable pair with one
-/// toggle.
-pub(crate) fn force_scalar_kernel() -> bool {
-    FORCE_SCALAR_KERNEL.load(Ordering::Relaxed)
+/// Whether the wide kernels run: the CPU has AVX2 and
+/// [`set_force_scalar_kernel`] is not forcing the portable kernels. Every
+/// wide/portable kernel pair in the workspace (GEMM, direct convolution,
+/// brute-force k-NN) dispatches on this, so the verification harness
+/// exercises them all with one toggle. Feature detection is cached by
+/// `std`, so the check is two relaxed atomic loads.
+#[inline]
+pub fn wide_kernel_enabled() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let wide =
+        !FORCE_SCALAR_KERNEL.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide = false;
+    wide
 }
 
 /// Records one GEMM call: total count, which micro-kernel the per-tile
@@ -279,12 +287,7 @@ fn trace_gemm(m: usize, k: usize, n: usize) {
         return;
     }
     eos_trace::count!("gemm.calls", 1);
-    #[cfg(target_arch = "x86_64")]
-    let wide =
-        !FORCE_SCALAR_KERNEL.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let wide = false;
-    if wide {
+    if wide_kernel_enabled() {
         eos_trace::count!("gemm.dispatch.avx2", 1);
     } else {
         eos_trace::count!("gemm.dispatch.scalar", 1);
@@ -292,8 +295,7 @@ fn trace_gemm(m: usize, k: usize, n: usize) {
     eos_trace::hist!("gemm.flops", 2 * (m as u64) * (k as u64) * (n as u64));
 }
 
-/// Runs the widest bit-identical micro-kernel the CPU supports. Feature
-/// detection is cached by `std`, so the check is one relaxed atomic load.
+/// Runs the widest bit-identical micro-kernel the CPU supports.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn tile_kernel_dispatch(
@@ -308,7 +310,7 @@ fn tile_kernel_dispatch(
     jp1: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if !FORCE_SCALAR_KERNEL.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2") {
+    if wide_kernel_enabled() {
         // SAFETY: the avx2 requirement was just checked at runtime.
         unsafe {
             return tile_kernel_avx2(apack, packed_b, rows, it, h, k, n, jp0, jp1);
