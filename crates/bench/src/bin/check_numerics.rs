@@ -478,18 +478,25 @@ fn knn_digest(threads: usize, force_scalar: bool) -> u64 {
     digest
 }
 
+/// The training digest of the per-image convolution lowering (one GEMM per
+/// image, dW reduced image by image); the batch-wide lowering must
+/// reproduce it bit for bit. Its width-4 ResNet on 3×8×8 inputs reaches a
+/// 2×2 stage-3 output, narrower than one GEMM register panel.
+const TRAIN_GOLDEN: u64 = 0xbbfe_a024_9f2c_8ea5;
+
 /// The kNN digest of the brute-force kernel the seed shipped (a per-row
 /// scan summing `Metric::distance`); the blocked kernel must reproduce it
 /// bit for bit.
 const KNN_GOLDEN: u64 = 0xeb70_b4c3_e165_cb53;
 
-/// Golden determinism: the training digest must be identical across thread
-/// counts and across the AVX2/scalar kernel dispatch, and the kNN digest
-/// must also match its pinned value.
+/// Golden determinism: the training and kNN digests must match their
+/// pinned values and be identical across thread counts and across the
+/// AVX2/scalar kernel dispatch.
 fn check_determinism(gate: &mut Gate) {
     println!("golden determinism:");
     let ambient = par::num_threads();
     let golden = train_digest(1, false);
+    gate.claim("digest matches golden", golden == TRAIN_GOLDEN);
     gate.claim(
         "digest reproducible at t=1",
         golden == train_digest(1, false),

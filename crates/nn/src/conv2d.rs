@@ -3,9 +3,9 @@
 use crate::layer::{Layer, Param};
 use crate::workspace;
 use eos_tensor::{
-    col2im_into, conv2d_direct_into, gemm_into, gemm_nt_into, gemm_prepacked_into, gemm_tn_into,
-    im2col_into, im2col_panels_into, kaiming_uniform, par, scratch, Conv2dGeometry, Rng64, Tensor,
-    PANEL_WIDTH,
+    col2im_into, conv2d_direct_into, gemm_nt_into, gemm_prepacked_into, gemm_segmented_acc_into,
+    gemm_tn_into, im2col_into, im2col_panels_into, kaiming_uniform, par, scratch, Conv2dGeometry,
+    Rng64, Tensor, PANEL_WIDTH,
 };
 
 /// Convolution over `(batch, C·H·W)` rows, each interpreted as a `C×H×W`
@@ -85,6 +85,60 @@ impl Conv2d {
     }
 }
 
+/// Adds `bias[ch]` to every value of channel `ch` of one channel-major
+/// `(O, H'·W')` output row; a no-op without a bias.
+fn add_bias(y: &mut [f32], bias: Option<&[f32]>, out_spatial: usize) {
+    if let Some(bv) = bias {
+        for (ch, row) in y.chunks_exact_mut(out_spatial).enumerate() {
+            for v in row {
+                *v += bv[ch];
+            }
+        }
+    }
+}
+
+/// Batch-wide lowering: unfold every image into `cols` (image-major,
+/// `n·H'W' × C·K·K`), run **one** GEMM `cols · Wᵀ` over all `n·H'W'` output
+/// positions, then transpose each image's `H'W' × O` block into its
+/// channel-major output row and add the bias.
+///
+/// Bit-identical to one `W · colsᵀ` GEMM per image: every output element
+/// is still a single accumulator over the patch index ascending from zero,
+/// with separate multiply and add, and the products commute. Putting the
+/// output positions on the rows makes the GEMM's width `O` — whole
+/// register panels at every width this repository trains — where a
+/// per-image GEMM's width `H'W'` is 4 at a 2×2 output, short of one panel,
+/// leaving every element to the masked scalar tail. The weights are packed
+/// once per pass instead of once per image.
+fn forward_batched(
+    x: &Tensor,
+    w: &[f32],
+    bias: Option<&[f32]>,
+    geom: &Conv2dGeometry,
+    cols: &mut [f32],
+    out: &mut [f32],
+) {
+    eos_trace::count!("nn.conv.lowering.batched_gemm", 1);
+    let (plen, out_spatial) = (geom.patch_len(), geom.patch_count());
+    let oc = w.len() / plen;
+    par::par_chunks_mut(cols, out_spatial * plen, |i, crow| {
+        im2col_into(x.row_slice(i), geom, crow);
+    });
+    let mut pos = scratch::take_zeroed(cols.len() / plen * oc);
+    gemm_nt_into(cols, w, &mut pos, plen, oc);
+    let pos_ref = &pos;
+    par::par_chunks_mut(out, oc * out_spatial, |i, orow| {
+        let block = &pos_ref[i * out_spatial * oc..(i + 1) * out_spatial * oc];
+        for (o, dst) in orow.chunks_exact_mut(out_spatial).enumerate() {
+            for (v, src) in dst.iter_mut().zip(block[o..].iter().step_by(oc)) {
+                *v = *src;
+            }
+        }
+        add_bias(orow, bias, out_spatial);
+    });
+    scratch::give(pos);
+}
+
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.rank(), 2, "Conv2d expects (batch, C*H*W)");
@@ -102,40 +156,16 @@ impl Layer for Conv2d {
         let geom = self.geom;
         let w = &self.weight.value;
         let bias = self.bias.as_ref().map(|b| b.value.data());
-        let add_bias = |y: &mut [f32]| {
-            if let Some(bv) = bias {
-                for (ch, row) in y.chunks_exact_mut(out_spatial).enumerate() {
-                    for v in row {
-                        *v += bv[ch];
-                    }
-                }
-            }
-        };
         let mut out = Tensor::zeros(&[n, out_len]);
         if train {
-            // Keep each image's patch matrix for the backward pass; the
+            // Keep the batch's patch matrix for the backward pass; the
             // cache tensor is recycled from the previous batch when the
-            // shape matches, so the steady state allocates nothing. The
-            // batch fans out across the pool and every image's GEMM runs
-            // exactly as in the serial loop, so results are bit-identical
-            // at any thread count.
+            // shape matches, so the steady state allocates nothing.
             let mut cols = match self.cache.take() {
                 Some(c) if c.cols.len() == n * cols_len => c.cols,
                 _ => Tensor::zeros(&[n, cols_len]),
             };
-            par::par_chunks_mut2(
-                out.data_mut(),
-                out_len,
-                cols.data_mut(),
-                cols_len,
-                |i, orow, crow| {
-                    im2col_into(x.row_slice(i), &geom, crow);
-                    // weight (O × CKK) · colsᵀ (CKK × HW') -> (O × HW'),
-                    // row-major matches the channel-major output layout.
-                    gemm_nt_into(w.data(), crow, orow, geom.patch_len(), out_spatial);
-                    add_bias(orow);
-                },
-            );
+            forward_batched(x, w.data(), bias, &geom, cols.data_mut(), out.data_mut());
             self.cache = Some(ConvCache { cols });
         } else if n > 1
             && geom.stride == 1
@@ -148,9 +178,10 @@ impl Layer for Conv2d {
             // `conv2d_direct_into`). Like the panel-GEMM lowering below
             // it serves only the batched path; single-image requests
             // stay on the reference per-image lowering at the bottom.
+            eos_trace::count!("nn.conv.lowering.direct", 1);
             par::par_chunks_mut(out.data_mut(), out_len, |i, orow| {
                 conv2d_direct_into(x.row_slice(i), w.data(), orow, &geom);
-                add_bias(orow);
+                add_bias(orow, bias, out_spatial);
             });
         } else if n > 1 && out_spatial.is_multiple_of(PANEL_WIDTH) {
             // Batched inference: unfold images straight into the GEMM's
@@ -167,6 +198,7 @@ impl Layer for Conv2d {
             // group size — the panels of image `i` sit at offset
             // `i · cols_len` within its group precisely because `H'·W'`
             // is a whole number of panels.
+            eos_trace::count!("nn.conv.lowering.panel_group", 1);
             let plen = geom.patch_len();
             let group = (GROUP_PANEL_BYTES / (cols_len * std::mem::size_of::<f32>())).clamp(1, n);
             let mut ec = match self.eval_cache.take() {
@@ -202,16 +234,22 @@ impl Layer for Conv2d {
                                 &big_ref[o * gn + i * out_spatial..][..out_spatial],
                             );
                         }
-                        add_bias(orow);
+                        add_bias(orow, bias, out_spatial);
                     },
                 );
             }
             self.eval_cache = Some(ec);
+        } else if n > 1 {
+            // Batched inference at a spatial size that is not a whole
+            // number of GEMM panels (the 2×2 stage-3 outputs): the same
+            // batch-wide lowering as training, into pooled scratch.
+            let mut cols = scratch::take_zeroed(n * cols_len);
+            forward_batched(x, w.data(), bias, &geom, &mut cols, out.data_mut());
+            scratch::give(cols);
         } else {
-            // Single-image inference (or a spatial size that is not a
-            // whole number of GEMM panels): unfold into per-worker
-            // workspace scratch and GEMM straight into this image's
-            // output slice.
+            // Single-image inference: unfold into per-worker workspace
+            // scratch and GEMM straight into the output row.
+            eos_trace::count!("nn.conv.lowering.per_image", 1);
             par::par_chunks_mut(out.data_mut(), out_len, |i, orow| {
                 workspace::with_local(|ws| {
                     let mut buf = ws.checkout(cols_len);
@@ -219,7 +257,7 @@ impl Layer for Conv2d {
                     gemm_nt_into(w.data(), &buf, orow, geom.patch_len(), out_spatial);
                     ws.give(buf);
                 });
-                add_bias(orow);
+                add_bias(orow, bias, out_spatial);
             });
         }
         out
@@ -232,58 +270,57 @@ impl Layer for Conv2d {
             .expect("Conv2d::backward without a training forward");
         let n = cache.cols.dim(0);
         assert_eq!(grad.dims(), &[n, self.out_len()]);
-        let out_spatial = self.geom.patch_count();
-        let in_len = self.in_len();
         let geom = self.geom;
-        let oc = self.out_channels;
-        let patch_len = geom.patch_len();
+        let (out_spatial, patch_len) = (geom.patch_count(), geom.patch_len());
         let cols_len = out_spatial * patch_len;
-        let w = &self.weight.value;
-        let wlen = w.len();
-        let olen = oc;
-        let has_bias = self.bias.is_some();
-        let cols = cache.cols.data();
-        // Fan the batch out: each worker owns one image's slice of `dx`
-        // plus a private slot for that image's dW/db partials. The partials
-        // are then reduced serially in image order, which reproduces the
-        // serial loop's `dW += dW_i` addition sequence bit-for-bit.
-        let mut dx = Tensor::zeros(&[n, in_len]);
-        let mut partials = scratch::take_zeroed(n * (wlen + olen));
-        par::par_chunks_mut2(
-            dx.data_mut(),
-            in_len,
-            &mut partials,
-            wlen + olen,
-            |i, dxrow, part| {
-                let g = grad.row_slice(i); // (O × HW'), row-major
-                let ci = &cols[i * cols_len..(i + 1) * cols_len]; // (HW' × CKK)
-                                                                  // dW_i = g (O×HW') · cols (HW'×CKK)
-                gemm_into(g, ci, &mut part[..wlen], out_spatial, patch_len);
-                if has_bias {
-                    for (pv, grow) in part[wlen..].iter_mut().zip(g.chunks_exact(out_spatial)) {
-                        *pv = grow.iter().sum();
-                    }
-                }
-                // dcols = gᵀ (HW'×O) · W (O×CKK), into per-worker scratch
-                workspace::with_local(|ws| {
-                    let mut dcols = ws.checkout(cols_len);
-                    gemm_tn_into(g, w.data(), &mut dcols, oc, out_spatial, patch_len);
-                    col2im_into(&dcols, &geom, dxrow);
-                    ws.give(dcols);
-                });
-            },
+        let oc = self.out_channels;
+        // `grad` stacks one (O × H'W') block per image.
+        let g = grad.data();
+        // dW += Σ_i g_i (O×H'W') · cols_i (H'W'×CKK) as one segmented-K
+        // GEMM: each image's H'W' positions are one segment, summed from
+        // zero and then added to dW in image order — the sequence of
+        // forming every image's dW_i and accumulating `dW += dW_i` one
+        // image after another, without the per-image partials.
+        gemm_segmented_acc_into(
+            g,
+            cache.cols.data(),
+            self.weight.grad.data_mut(),
+            out_spatial,
+            patch_len,
         );
-        for part in partials.chunks_exact(wlen + olen) {
-            for (gv, &pv) in self.weight.grad.data_mut().iter_mut().zip(&part[..wlen]) {
-                *gv += pv;
-            }
-            if let Some(b) = &mut self.bias {
-                for (gv, &pv) in b.grad.data_mut().iter_mut().zip(&part[wlen..]) {
-                    *gv += pv;
+        if let Some(b) = &mut self.bias {
+            for gi in g.chunks_exact(oc * out_spatial) {
+                for (bv, grow) in b
+                    .grad
+                    .data_mut()
+                    .iter_mut()
+                    .zip(gi.chunks_exact(out_spatial))
+                {
+                    *bv += grow.iter().sum::<f32>();
                 }
             }
         }
-        scratch::give(partials);
+        // dcols = gᵀ (H'W'×O) · W (O×CKK) for every image in one GEMM with
+        // W packed once, then each image's patch gradients fold back into
+        // its input-gradient row.
+        let mut dcols = scratch::take_zeroed(n * cols_len);
+        gemm_tn_into(
+            g,
+            self.weight.value.data(),
+            &mut dcols,
+            oc,
+            out_spatial,
+            patch_len,
+        );
+        let mut dx = Tensor::zeros(&[n, self.in_len()]);
+        par::par_chunks_mut2(
+            dx.data_mut(),
+            self.in_len(),
+            &mut dcols,
+            cols_len,
+            |_, dxrow, dc| col2im_into(dc, &geom, dxrow),
+        );
+        scratch::give(dcols);
         dx
     }
 
@@ -360,8 +397,9 @@ mod tests {
 
     #[test]
     fn train_and_inference_forward_agree() {
-        // The cached (train) and workspace (inference) paths run the same
-        // GEMM, so their outputs must match bit for bit.
+        // The batch-wide train lowering and the panel-group inference
+        // lowering sum every output in the same order, so their outputs
+        // must match bit for bit.
         let mut rng = Rng64::new(11);
         let g = geom(2, 4, 4, 3, 1, 1);
         let mut conv = Conv2d::new(g, 4, true, &mut rng);
@@ -468,16 +506,17 @@ mod tests {
             let yi = conv.forward(&xi, false);
             assert_eq!(y.row_slice(i), yi.row_slice(0), "image {i}");
         }
-        // And the train-mode forward (always per-image) agrees too.
+        // And the batch-wide train-mode forward agrees too.
         let y_train = conv.forward(&x, true);
         assert_eq!(y.data(), y_train.data());
     }
 
     #[test]
-    fn partial_panel_shapes_use_the_fallback_and_stay_batch_invariant() {
-        // A 3×3 output is 9 patches — not a whole panel — so eval must
-        // fall back to per-image GEMMs and still be composition
-        // invariant.
+    fn partial_panel_shapes_take_the_batch_wide_path_and_stay_batch_invariant() {
+        // A 3×3 output is 9 patches — not a whole panel — so a batched
+        // eval forward takes the batch-wide GEMM (the training lowering)
+        // while each single image takes the per-image GEMM; every row
+        // must still be bit-identical to forwarding that image alone.
         let mut rng = Rng64::new(22);
         let g = geom(2, 3, 3, 3, 1, 1);
         let mut conv = Conv2d::new(g, 4, true, &mut rng);

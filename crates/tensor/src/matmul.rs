@@ -14,8 +14,10 @@
 //! ascending order with a single carried accumulator — the same sequence
 //! of multiplies and adds as the seed scalar kernels — so results are
 //! bit-for-bit identical to both the seed implementation and PR 1's
-//! serial/parallel determinism guarantee. See DESIGN.md for the layout
-//! and the determinism argument.
+//! serial/parallel determinism guarantee. The segmented entry point
+//! ([`gemm_segmented_acc_into`]) sums each reduction segment from zero and
+//! adds the segment sums in order. See DESIGN.md for the layout and the
+//! determinism argument.
 
 use crate::par;
 use crate::scratch;
@@ -68,38 +70,94 @@ thread_local! {
 /// the [`scratch`] pool.
 fn pack_b<F: Fn(usize, usize) -> f32>(get: F, k: usize, n: usize) -> Vec<f32> {
     let np = n.div_ceil(NR);
-    let mut packed = scratch::take_cleared(np * k * NR);
-    for jp in 0..np {
-        for p in 0..k {
-            for jr in 0..NR {
-                let j = jp * NR + jr;
-                packed.push(if j < n { get(p, j) } else { 0.0 });
+    let mut packed = scratch::take_zeroed(np * k * NR);
+    for (jp, panel) in packed.chunks_exact_mut(k * NR).enumerate() {
+        let w = (n - jp * NR).min(NR);
+        for (p, row) in panel.chunks_exact_mut(NR).enumerate() {
+            for (jr, d) in row[..w].iter_mut().enumerate() {
+                *d = get(p, jp * NR + jr);
             }
         }
     }
     packed
 }
 
-/// Computes a chunk of output rows of `C = Â (m̂×k̂) · B̂ (k̂×n̂)` from packed
-/// panels. `rows` is the chunk `C[row0 .. row0 + rows.len()/n, :]`;
-/// `a_at(i, p)` supplies element `(i, p)` of the logical left-hand side.
+/// Packs `MR`-row tiles of a row-major left-hand side (`a[i·lda + p]`):
+/// the returned closure writes rows `i0 .. i0 + h`, over the reduction
+/// indices `0 .. dst.len()/MR`, into `dst[p·MR + ir]`.
+fn pack_rows(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
+    const { assert!(MR == 4, "the full-tile path below zips four rows") };
+    move |i0, h, dst| {
+        let k = dst.len() / MR;
+        let row = |ir: usize| &a[(i0 + ir) * lda..][..k];
+        if h == MR {
+            let rows = row(0).iter().zip(row(1)).zip(row(2)).zip(row(3));
+            for (d, (((&v0, &v1), &v2), &v3)) in dst.chunks_exact_mut(MR).zip(rows) {
+                d.copy_from_slice(&[v0, v1, v2, v3]);
+            }
+        } else {
+            for ir in 0..h {
+                for (d, &v) in dst[ir..].iter_mut().step_by(MR).zip(row(ir)) {
+                    *d = v;
+                }
+            }
+        }
+    }
+}
+
+/// Like [`pack_rows`] for a left-hand side stored transposed
+/// (`a[p·lda + i]`): each reduction index is one contiguous copy.
+fn pack_cols(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
+    move |i0, h, dst| {
+        for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
+            let src = &a[p * lda + i0..];
+            if h == MR {
+                d.copy_from_slice(&src[..MR]);
+            } else {
+                d[..h].copy_from_slice(&src[..h]);
+            }
+        }
+    }
+}
+
+/// Computes a chunk of output rows of `C = Â (m̂×k̂) · B̂ (k̂×n̂)` from
+/// packed panels — or, with `accumulate`, of `C += Σ_s Â_s · B̂_s`, where
+/// the reduction `p = 0..k` is cut into `k / seg` segments of `seg`
+/// consecutive indices. `rows` is the chunk
+/// `C[row0 .. row0 + rows.len()/n, :]`; `pack_a(i0, h, dst)` packs rows
+/// `i0 .. i0 + h` of Â into `dst` (see [`pack_rows`]).
 ///
-/// For every output element the accumulator starts from the value already
-/// in `rows` and the reduction runs over `p = 0..k` in ascending order —
-/// full tiles in the register kernel and edge tiles in the masked scalar
-/// tails follow the exact same sequence, which is what makes the packed
-/// path bit-identical to the seed scalar kernels.
-fn packed_gemm_rows<F: Fn(usize, usize) -> f32>(
-    a_at: &F,
+/// For every output element each segment is summed by one accumulator
+/// that starts from `0.0` and runs over its `p` in ascending order, and
+/// the segment sums are then added to `C` in segment order — full tiles in
+/// the register kernel and edge tiles in the masked scalar tails follow
+/// the exact same sequence. Without `accumulate` (one segment, `seg ==
+/// k`) the old contents of `rows` are ignored and each element is that
+/// single ascending accumulator — the seed scalar kernels' sum: the
+/// kernel adds it to `+0.0`, and a sum started at `+0.0` can never be
+/// `-0.0`, so `0.0 + acc` is exactly `acc`.
+#[allow(clippy::too_many_arguments)]
+fn packed_gemm_rows<P: Fn(usize, usize, &mut [f32])>(
+    pack_a: &P,
     packed_b: &[f32],
     rows: &mut [f32],
     row0: usize,
     k: usize,
+    seg: usize,
     n: usize,
+    accumulate: bool,
 ) {
+    if k == 0 {
+        if !accumulate {
+            rows.fill(0.0);
+        }
+        return;
+    }
     if n == 0 {
         return;
     }
+    debug_assert!(seg > 0 && k.is_multiple_of(seg), "segments must tile k");
+    debug_assert!(accumulate || seg == k, "overwrite mode is one segment");
     let nrows = rows.len() / n;
     let panel_len = k * NR;
     let full_np = n / NR;
@@ -117,19 +175,17 @@ fn packed_gemm_rows<F: Fn(usize, usize) -> f32>(
             let it = t * MR;
             let h = (nrows - it).min(MR);
             let tp = &mut apack[t * k * MR..(t + 1) * k * MR];
-            for p in 0..k {
-                for ir in 0..MR {
-                    tp[p * MR + ir] = if ir < h { a_at(row0 + it + ir, p) } else { 0.0 };
-                }
+            if h < MR {
+                tp.fill(0.0);
             }
+            pack_a(row0 + it, h, tp);
         }
         // Sweep the B̂ panels in cache-sized blocks with every row tile
         // visiting a block before the sweep moves on, so each panel is
         // pulled from memory once (not once per row tile) and reused
-        // while hot. Iteration order only: every output element is still
-        // produced by exactly one kernel call that carries its
-        // accumulator over the full `p = 0..k` ascending reduction, so
-        // the result is bit-identical to the unblocked sweep.
+        // while hot. Iteration order only: every output element's
+        // segments are still summed by one kernel call over ascending
+        // `p`, so the result is bit-identical to the unblocked sweep.
         let nb = (PANEL_BLOCK_BYTES / (panel_len * std::mem::size_of::<f32>())).max(1);
         let mut jp0 = 0;
         while jp0 < full_np {
@@ -143,15 +199,16 @@ fn packed_gemm_rows<F: Fn(usize, usize) -> f32>(
                     rows,
                     it,
                     h,
-                    k,
+                    seg,
                     n,
+                    accumulate,
                     jp0,
                     jp1,
                 );
             }
             jp0 = jp1;
         }
-        // Masked scalar n-tail: same carried accumulator, same
+        // Masked scalar n-tail: same per-segment accumulators, same
         // ascending-p order, reading the zero-padded last panel.
         if full_np * NR < n {
             let bpanel = &packed_b[full_np * panel_len..];
@@ -162,11 +219,19 @@ fn packed_gemm_rows<F: Fn(usize, usize) -> f32>(
                 for ir in 0..h {
                     for j in full_np * NR..n {
                         let jr = j - full_np * NR;
-                        let mut acc = rows[(it + ir) * n + j];
-                        for p in 0..k {
-                            acc += tp[p * MR + ir] * bpanel[p * NR + jr];
+                        let mut c = if accumulate {
+                            rows[(it + ir) * n + j]
+                        } else {
+                            0.0
+                        };
+                        for s0 in (0..k).step_by(seg) {
+                            let mut acc = 0.0f32;
+                            for p in s0..s0 + seg {
+                                acc += tp[p * MR + ir] * bpanel[p * NR + jr];
+                            }
+                            c += acc;
                         }
-                        rows[(it + ir) * n + j] = acc;
+                        rows[(it + ir) * n + j] = c;
                     }
                 }
             }
@@ -183,8 +248,9 @@ const PANEL_BLOCK_BYTES: usize = 16 * 1024;
 /// packed `MR`-row tile of Â. One register row per output row: the inner
 /// update is a broadcast of â(ir, p) against the contiguous `NR`-wide b
 /// panel row, the same shape the vectoriser handles in the seed kernel —
-/// each element keeps its own accumulator over `p = 0..k` ascending, so no
-/// reassociation is needed (or performed), with any instruction width.
+/// each element keeps its own accumulator over one `seg`-long segment of
+/// `p` ascending, so no reassociation is needed (or performed), with any
+/// instruction width. Segment sums are added to the C tile in order.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_kernel(
@@ -193,30 +259,44 @@ fn tile_kernel(
     rows: &mut [f32],
     it: usize,
     h: usize,
-    k: usize,
+    seg: usize,
     n: usize,
+    accumulate: bool,
     jp0: usize,
     jp1: usize,
 ) {
-    let panel_len = k * NR;
+    let panel_len = apack.len() / MR * NR;
     for jp in jp0..jp1 {
         let bpanel = &packed_b[jp * panel_len..(jp + 1) * panel_len];
-        let mut acc = [[0.0f32; NR]; MR];
-        for (ir, row) in acc.iter_mut().enumerate().take(h) {
-            let o = (it + ir) * n + jp * NR;
-            row.copy_from_slice(&rows[o..o + NR]);
+        let mut c = [[0.0f32; NR]; MR];
+        if accumulate {
+            for (ir, row) in c.iter_mut().enumerate().take(h) {
+                let o = (it + ir) * n + jp * NR;
+                row.copy_from_slice(&rows[o..o + NR]);
+            }
         }
-        for (ap, bp) in apack.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-            let ap: &[f32; MR] = ap.try_into().unwrap();
-            let bp: &[f32; NR] = bp.try_into().unwrap();
-            for (ir, row) in acc.iter_mut().enumerate() {
-                let av = ap[ir];
-                for (r, &bv) in row.iter_mut().zip(bp) {
-                    *r += av * bv;
+        for (aseg, bseg) in apack
+            .chunks_exact(seg * MR)
+            .zip(bpanel.chunks_exact(seg * NR))
+        {
+            let mut acc = [[0.0f32; NR]; MR];
+            for (ap, bp) in aseg.chunks_exact(MR).zip(bseg.chunks_exact(NR)) {
+                let ap: &[f32; MR] = ap.try_into().unwrap();
+                let bp: &[f32; NR] = bp.try_into().unwrap();
+                for (ir, row) in acc.iter_mut().enumerate() {
+                    let av = ap[ir];
+                    for (r, &bv) in row.iter_mut().zip(bp) {
+                        *r += av * bv;
+                    }
+                }
+            }
+            for (crow, arow) in c.iter_mut().zip(&acc) {
+                for (cv, &av) in crow.iter_mut().zip(arow) {
+                    *cv += av;
                 }
             }
         }
-        for (ir, row) in acc.iter().enumerate().take(h) {
+        for (ir, row) in c.iter().enumerate().take(h) {
             let o = (it + ir) * n + jp * NR;
             rows[o..o + NR].copy_from_slice(row);
         }
@@ -238,12 +318,13 @@ fn tile_kernel_avx2(
     rows: &mut [f32],
     it: usize,
     h: usize,
-    k: usize,
+    seg: usize,
     n: usize,
+    accumulate: bool,
     jp0: usize,
     jp1: usize,
 ) {
-    tile_kernel(apack, packed_b, rows, it, h, k, n, jp0, jp1);
+    tile_kernel(apack, packed_b, rows, it, h, seg, n, accumulate, jp0, jp1);
 }
 
 /// When set, [`tile_kernel_dispatch`] ignores CPU feature detection and
@@ -304,8 +385,9 @@ fn tile_kernel_dispatch(
     rows: &mut [f32],
     it: usize,
     h: usize,
-    k: usize,
+    seg: usize,
     n: usize,
+    accumulate: bool,
     jp0: usize,
     jp1: usize,
 ) {
@@ -313,10 +395,10 @@ fn tile_kernel_dispatch(
     if wide_kernel_enabled() {
         // SAFETY: the avx2 requirement was just checked at runtime.
         unsafe {
-            return tile_kernel_avx2(apack, packed_b, rows, it, h, k, n, jp0, jp1);
+            return tile_kernel_avx2(apack, packed_b, rows, it, h, seg, n, accumulate, jp0, jp1);
         }
     }
-    tile_kernel(apack, packed_b, rows, it, h, k, n, jp0, jp1);
+    tile_kernel(apack, packed_b, rows, it, h, seg, n, accumulate, jp0, jp1);
 }
 
 impl Tensor {
@@ -334,8 +416,9 @@ impl Tensor {
             let packed_b = pack_b(|p, j| b[p * n + j], k, n);
             let pb = &packed_b[..];
             let chunk = tile_rows_per_chunk(m, k * n);
+            let pack_a = pack_rows(a, k);
             par::par_chunks_mut(&mut out, chunk * n, |ci, rows| {
-                packed_gemm_rows(&|i, p| a[i * k + p], pb, rows, ci * chunk, k, n);
+                packed_gemm_rows(&pack_a, pb, rows, ci * chunk, k, k, n, false);
             });
             scratch::give(packed_b);
         }
@@ -350,18 +433,8 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (n, k2) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-        trace_gemm(m, k, n);
         let mut out = scratch::take_zeroed(m * n);
-        if m > 0 && n > 0 {
-            let (a, b) = (self.data(), other.data());
-            let packed_b = pack_b(|p, j| b[j * k + p], k, n);
-            let pb = &packed_b[..];
-            let chunk = tile_rows_per_chunk(m, k * n);
-            par::par_chunks_mut(&mut out, chunk * n, |ci, rows| {
-                packed_gemm_rows(&|i, p| a[i * k + p], pb, rows, ci * chunk, k, n);
-            });
-            scratch::give(packed_b);
-        }
+        gemm_nt_into(self.data(), other.data(), &mut out, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -373,18 +446,8 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (m2, n) = (other.dim(0), other.dim(1));
         assert_eq!(m, m2, "inner dimension mismatch: {m} vs {m2}");
-        trace_gemm(k, m, n);
         let mut out = scratch::take_zeroed(k * n);
-        if k > 0 && n > 0 {
-            let (a, b) = (self.data(), other.data());
-            let packed_b = pack_b(|i, j| b[i * n + j], m, n);
-            let pb = &packed_b[..];
-            let chunk = tile_rows_per_chunk(k, m * n);
-            par::par_chunks_mut(&mut out, chunk * n, |ci, rows| {
-                packed_gemm_rows(&|r, i| a[i * k + r], pb, rows, ci * chunk, m, n);
-            });
-            scratch::give(packed_b);
-        }
+        gemm_tn_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[k, n])
     }
 
@@ -403,33 +466,23 @@ impl Tensor {
     }
 }
 
-/// `out = a (m×k) · b (k×n)`, serial, into a caller-owned `m×n` buffer.
-///
-/// Bit-identical to [`Tensor::matmul`]; exists so batch-parallel layers
-/// (one worker per image) can run their per-image GEMMs into reusable
-/// scratch without allocating a `Tensor` per call.
-pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
-    assert_eq!(a.len(), (out.len() / n.max(1)) * k, "lhs size mismatch");
-    assert_eq!(b.len(), k * n, "rhs size mismatch");
-    trace_gemm(out.len() / n.max(1), k, n);
-    out.fill(0.0);
-    let packed_b = pack_b(|p, j| b[p * n + j], k, n);
-    packed_gemm_rows(&|i, p| a[i * k + p], &packed_b, out, 0, k, n);
-    scratch::give(packed_b);
-}
-
-/// `out = a (m×k) · bᵀ (n×k)`, serial, into a caller-owned `m×n` buffer.
-///
-/// Bit-identical to [`Tensor::matmul_nt`]; see [`gemm_into`].
+/// `out = a (m×k) · bᵀ (n×k)` into a caller-owned `m×n` buffer, without
+/// allocating a `Tensor`. Row-parallel over shape-only chunks, so the
+/// result is the same at every thread count; [`Tensor::matmul_nt`] is this
+/// call into a pooled buffer.
 pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
-    assert_eq!(a.len(), (out.len() / n.max(1)) * k, "lhs size mismatch");
+    let m = out.len() / n.max(1);
+    assert_eq!(a.len(), m * k, "lhs size mismatch");
     assert_eq!(b.len(), n * k, "rhs size mismatch");
-    trace_gemm(out.len() / n.max(1), k, n);
-    out.fill(0.0);
+    trace_gemm(m, k, n);
     let packed_b = pack_b(|p, j| b[j * k + p], k, n);
-    packed_gemm_rows(&|i, p| a[i * k + p], &packed_b, out, 0, k, n);
+    let pb = &packed_b[..];
+    let chunk = tile_rows_per_chunk(m, k * n);
+    let pack_a = pack_rows(a, k);
+    par::par_chunks_mut(out, chunk * n, |ci, rows| {
+        packed_gemm_rows(&pack_a, pb, rows, ci * chunk, k, k, n, false);
+    });
     scratch::give(packed_b);
 }
 
@@ -464,26 +517,99 @@ pub fn gemm_prepacked_into(a: &[f32], packed_b: &[f32], out: &mut [f32], k: usiz
     assert_eq!(a.len(), m * k, "lhs size mismatch");
     assert_eq!(packed_b.len(), k * n, "packed rhs size mismatch");
     trace_gemm(m, k, n);
-    out.fill(0.0);
     let chunk = tile_rows_per_chunk(m, k * n);
+    let pack_a = pack_rows(a, k);
     par::par_chunks_mut(out, chunk * n, |ci, rows| {
-        packed_gemm_rows(&|i, p| a[i * k + p], packed_b, rows, ci * chunk, k, n);
+        packed_gemm_rows(&pack_a, packed_b, rows, ci * chunk, k, k, n, false);
     });
 }
 
-/// `out = aᵀ (k×m stored m-major) · b (m×n)`, serial, into a caller-owned
-/// `k×n` buffer. `a` is stored row-major as `m×k`.
+/// `out = aᵀ · b` into a caller-owned buffer, where `a` stacks one or
+/// more row-major `m×k` blocks and `b` is `m×n`: block `s` fills rows
+/// `s·k .. (s+1)·k` of `out` with `a_sᵀ (k×m) · b (m×n)`.
 ///
-/// Bit-identical to [`Tensor::matmul_tn`]; see [`gemm_into`].
+/// One call packs `b` once and splits every stacked output row over
+/// shape-only chunks, so a batch of per-image transposed products (the
+/// convolution's input gradient) is one GEMM, bit-identical to one call
+/// per block and the same at every thread count. [`Tensor::matmul_tn`] is
+/// the single-block case into a pooled buffer.
 pub fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), k * n, "output size mismatch");
-    assert_eq!(a.len(), m * k, "lhs size mismatch");
+    let blocks = a.len().checked_div(m * k).unwrap_or(1);
+    assert_eq!(
+        a.len(),
+        blocks * m * k,
+        "lhs not a whole number of m×k blocks"
+    );
+    assert_eq!(out.len(), blocks * k * n, "output size mismatch");
     assert_eq!(b.len(), m * n, "rhs size mismatch");
-    trace_gemm(k, m, n);
-    out.fill(0.0);
+    let out_rows = blocks * k;
+    trace_gemm(out_rows, m, n);
     let packed_b = pack_b(|i, j| b[i * n + j], m, n);
-    packed_gemm_rows(&|r, i| a[i * k + r], &packed_b, out, 0, m, n);
+    let pb = &packed_b[..];
+    // Row `r` of the stacked Âᵀ is column `r % k` of block `r / k`; a
+    // tile inside one block packs like any transposed operand.
+    let pack_a = |r0: usize, h: usize, dst: &mut [f32]| {
+        if r0 % k + h <= k {
+            pack_cols(&a[(r0 / k) * m * k..][..m * k], k)(r0 % k, h, dst);
+        } else {
+            for ir in 0..h {
+                let (r, col) = ((r0 + ir) / k, (r0 + ir) % k);
+                let block = &a[r * m * k..][..m * k];
+                for (p, d) in dst[ir..].iter_mut().step_by(MR).enumerate() {
+                    *d = block[p * k + col];
+                }
+            }
+        }
+    };
+    let chunk = tile_rows_per_chunk(out_rows, m * n);
+    par::par_chunks_mut(out, chunk * n, |ci, rows| {
+        packed_gemm_rows(&pack_a, pb, rows, ci * chunk, m, m, n, false);
+    });
     scratch::give(packed_b);
+}
+
+/// `out += Σ_s a_s · b_s` into a caller-owned `m×n` buffer, with the
+/// reduction cut into segments of `seg` indices: `a` stacks the row-major
+/// `m×seg` blocks `a_s` one after another, and `b` is the `(S·seg)×n`
+/// matrix whose rows `s·seg .. (s+1)·seg` are `b_s`.
+///
+/// Each segment's product is accumulated from `0.0` in its own register
+/// tile over ascending `p` and only then added to `out`, in segment order.
+/// That is exactly the sequence of forming every `a_s · b_s` with a
+/// separate GEMM and adding the results into `out` one after another —
+/// the convolution's weight gradient summed image by image — without
+/// materialising the `S` partial products. With one segment over a zeroed
+/// `out` it is plain GEMM, bit for bit.
+///
+/// The kernel runs the transposed problem `outᵀ += Σ_s b_sᵀ · a_sᵀ` (the
+/// products commute, so no bit changes): the long operand `b` becomes the
+/// row side, packed tile by tile inside the parallel row chunks, and the
+/// short `a` becomes the panels, packed once. Chunks are shape-only, so the
+/// result is the same at every thread count.
+pub fn gemm_segmented_acc_into(a: &[f32], b: &[f32], out: &mut [f32], seg: usize, n: usize) {
+    assert!(
+        seg > 0 && n > 0,
+        "segment length and width must be positive"
+    );
+    assert_eq!(out.len() % n, 0, "output not a whole number of rows");
+    assert_eq!(b.len() % (seg * n), 0, "rhs not a whole number of segments");
+    let (m, k) = (out.len() / n, b.len() / n);
+    assert_eq!(a.len(), m * k, "lhs size mismatch");
+    trace_gemm(m, k, n);
+    let mut out_t = scratch::take_cleared(m * n);
+    out_t.extend((0..n * m).map(|r| out[(r % m) * n + r / m]));
+    let packed_a = pack_b(|p, i| a[(p / seg) * m * seg + i * seg + p % seg], k, m);
+    let pa = &packed_a[..];
+    let chunk = tile_rows_per_chunk(n, k * m);
+    let pack_a = pack_cols(b, n);
+    par::par_chunks_mut(&mut out_t, chunk * m, |ci, rows| {
+        packed_gemm_rows(&pack_a, pa, rows, ci * chunk, k, seg, m, true);
+    });
+    for (r, &v) in out_t.iter().enumerate() {
+        out[(r % m) * n + r / m] = v;
+    }
+    scratch::give(packed_a);
+    scratch::give(out_t);
 }
 
 /// `rows = a[row0.., :] · v` for a chunk of output rows, `MR` rows register
@@ -706,17 +832,100 @@ mod tests {
     #[test]
     fn into_helpers_match_tensor_entry_points() {
         let a = seq(&[5, 7]);
-        let b = seq(&[7, 6]);
         let bt = seq(&[6, 7]);
         let mut out = vec![f32::NAN; 5 * 6];
-        gemm_into(a.data(), b.data(), &mut out, 7, 6);
-        assert_eq!(out, a.matmul(&b).data());
         gemm_nt_into(a.data(), bt.data(), &mut out, 7, 6);
         assert_eq!(out, a.matmul_nt(&bt).data());
         let c = seq(&[5, 4]);
         let mut out_tn = vec![f32::NAN; 7 * 4];
         gemm_tn_into(a.data(), c.data(), &mut out_tn, 5, 7, 4);
         assert_eq!(out_tn, a.matmul_tn(&c).data());
+    }
+
+    #[test]
+    fn stacked_tn_matches_one_call_per_block() {
+        // Three stacked 6×5 blocks against one 6×9 rhs: every block's rows
+        // must carry the bits of its own single-block call.
+        let (blocks, m, k, n) = (3usize, 6usize, 5usize, 9usize);
+        let a = seq(&[blocks * m, k]);
+        let b = seq(&[m, n]);
+        let mut out = vec![f32::NAN; blocks * k * n];
+        gemm_tn_into(a.data(), b.data(), &mut out, m, k, n);
+        for s in 0..blocks {
+            let block = Tensor::from_vec(a.data()[s * m * k..(s + 1) * m * k].to_vec(), &[m, k]);
+            let want = block.matmul_tn(&b);
+            assert_eq!(&out[s * k * n..(s + 1) * k * n], want.data(), "block {s}");
+        }
+    }
+
+    /// `out += Σ_s a_s·b_s` the slow way: every segment product summed
+    /// from zero over ascending `p`, then added to `out` in segment order.
+    fn segmented_reference(a: &[f32], b: &[f32], out: &mut [f32], seg: usize, n: usize) {
+        let m = out.len() / n;
+        let segs = b.len() / (seg * n);
+        for s in 0..segs {
+            let a_s = &a[s * m * seg..(s + 1) * m * seg];
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..seg {
+                        acc += a_s[i * seg + p] * b[(s * seg + p) * n + j];
+                    }
+                    out[i * n + j] += acc;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_with_one_segment_is_plain_gemm_bits() {
+        // seg == k over a zeroed output must reproduce matmul exactly,
+        // across full tiles, ragged m/n edges and the parallel path.
+        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (17, 33, 12), (4, 8, 8), (96, 96, 96)] {
+            let a = seq(&[m, k]);
+            let b = seq(&[k, n]);
+            let mut out = vec![0.0f32; m * n];
+            gemm_segmented_acc_into(a.data(), b.data(), &mut out, k, n);
+            let want = a.matmul(&b);
+            for (x, y) in out.iter().zip(want.data()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}: {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn segmented_accumulation_matches_per_segment_reference_bits() {
+        // Ragged m and n (edge tiles and the masked n-tail), one to many
+        // segments, and a nonzero starting output that must be added to.
+        for (m, seg, segs, n) in [
+            (1, 1, 1, 1),
+            (3, 4, 5, 27),
+            (8, 64, 32, 27),
+            (5, 7, 3, 8),
+            (9, 4, 32, 72),
+            (32, 4, 32, 288),
+        ] {
+            let k = seg * segs;
+            // `a` stacks the m×seg blocks: its flat data is any m·k values.
+            let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+            let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
+            let start: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.53).sin()).collect();
+            let mut want = start.clone();
+            segmented_reference(&a, &b, &mut want, seg, n);
+            for force_scalar in [false, true] {
+                set_force_scalar_kernel(force_scalar);
+                let mut got = start.clone();
+                gemm_segmented_acc_into(&a, &b, &mut got, seg, n);
+                set_force_scalar_kernel(false);
+                for (x, y) in got.iter().zip(&want) {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "m{m} seg{seg}x{segs} n{n} scalar={force_scalar}: {x} vs {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
