@@ -7,7 +7,7 @@
 use eos_bench::bench;
 use eos_core::generalization_gap;
 use eos_neighbors::{BruteForceKnn, KdTree, Metric, NnIndex};
-use eos_tensor::{im2col, normal, Conv2dGeometry, Rng64};
+use eos_tensor::{col2im_into, im2col, im2col_into, normal, Conv2dGeometry, Rng64};
 use eos_tsne::{tsne, TsneConfig};
 
 fn bench_matmul() {
@@ -31,6 +31,35 @@ fn bench_im2col() {
     };
     let img = normal(&[16 * 64], 0.0, 1.0, &mut rng);
     bench("tensor/im2col-16x8x8-k3", 50, || im2col(img.data(), &geom));
+
+    // The `block1` training geometry (8 channels, 8×8, k3 pad 1) over a
+    // batch of 32 into reused buffers, as a training conv pass runs its
+    // unfold (forward) and fold (backward).
+    let (batch, geom) = (
+        32usize,
+        Conv2dGeometry {
+            in_channels: 8,
+            ..geom
+        },
+    );
+    let (in_len, cols_len) = (8 * 64, geom.patch_count() * geom.patch_len());
+    let x = normal(&[batch * in_len], 0.0, 1.0, &mut rng);
+    let mut cols = vec![0.0f32; batch * cols_len];
+    bench("tensor/im2col_into-b32-8x8x8-k3", 200, || {
+        for (img, c) in x
+            .data()
+            .chunks_exact(in_len)
+            .zip(cols.chunks_exact_mut(cols_len))
+        {
+            im2col_into(img, &geom, c);
+        }
+    });
+    let mut dx = vec![0.0f32; batch * in_len];
+    bench("tensor/col2im_into-b32-8x8x8-k3", 200, || {
+        for (c, img) in cols.chunks_exact(cols_len).zip(dx.chunks_exact_mut(in_len)) {
+            col2im_into(c, &geom, img);
+        }
+    });
 }
 
 fn bench_knn() {

@@ -5,7 +5,7 @@
 //! `--smoke` trims the sample count so `scripts/verify.sh` can run this as
 //! a cheap regression gate.
 
-use eos_bench::{bench_stats, JsonRecord};
+use eos_bench::{bench_stats, record_host_facts, JsonRecord};
 use eos_tensor::{normal, par, Rng64};
 
 const BLOCK_K: usize = 64;
@@ -105,5 +105,6 @@ fn main() {
         .int("packed_mt_min_ns", packed_mt.min.as_nanos() as u64)
         .num("packed_mt_gflops", packed_mt.gflops(flops))
         .bool("bit_identical", identical);
+    record_host_facts(&mut rec);
     rec.write("BENCH_gemm");
 }

@@ -18,7 +18,7 @@
 //!
 //! `--smoke` trims the sample counts for `scripts/verify.sh`.
 
-use eos_bench::{bench_stats, JsonRecord};
+use eos_bench::{bench_stats, record_host_facts, JsonRecord};
 use eos_nn::{Architecture, ConvNet, CrossEntropyLoss, Loss, Sgd};
 use eos_tensor::{normal, par, Rng64, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -289,6 +289,7 @@ fn main() {
         .int("traced_mean_ns", traced.mean.as_nanos() as u64)
         .int("traced_min_ns", traced.min.as_nanos() as u64)
         .num("tracing_overhead_pct", overhead_pct);
+    record_host_facts(&mut rec);
     rec.write("BENCH_train_step");
 
     if allocs > 0 {

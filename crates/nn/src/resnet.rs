@@ -121,10 +121,9 @@ impl Layer for BasicBlock {
             .as_ref()
             .expect("BasicBlock::backward before training forward");
         let mut g = grad.clone();
+        // Select rather than branch on the ~50/50 output mask.
         for (gv, &m) in g.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *gv = 0.0;
-            }
+            *gv = if m { *gv } else { 0.0 };
         }
         // Main path, reverse order.
         let gm = self.bn2.backward(&g);

@@ -66,41 +66,77 @@ pub fn im2col(image: &[f32], geom: &Conv2dGeometry) -> Tensor {
 
 /// [`im2col`] into a caller-owned buffer of `patch_count() × patch_len()`
 /// elements, so batch loops can reuse one scratch allocation per worker
-/// instead of allocating per image. The buffer is fully overwritten.
+/// instead of allocating per image. The buffer is fully overwritten:
+/// every element is written exactly once, padding taps included, so no
+/// zero pre-fill is needed.
 pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     geom.check();
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
     assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
+    assert_eq!(
+        out.len(),
+        geom.patch_count() * geom.patch_len(),
+        "im2col buffer size"
+    );
+    // Literal arms give the kernel widths the models use constant-folded
+    // copies of the row runs; the last arm serves every other width.
+    match geom.kernel {
+        1 => unfold_rows(image, geom, out, 1),
+        3 => unfold_rows(image, geom, out, 3),
+        k => unfold_rows(image, geom, out, k),
+    }
+}
+
+/// The horizontal extent of output column `ox`'s window: its first input
+/// column `ix0` (may be negative), and the tap range `lo..hi` of `0..k`
+/// that lands inside the `w`-wide input row. `lo == 0 && hi == k` is an
+/// interior window.
+#[inline(always)]
+fn window_span(ox: usize, geom: &Conv2dGeometry, k: usize) -> (isize, usize, usize) {
+    let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
+    let lo = (-ix0).clamp(0, k as isize);
+    let hi = (geom.width as isize - ix0).clamp(lo, k as isize);
+    (ix0, lo as usize, hi as usize)
+}
+
+/// Body of [`im2col_into`] for kernel width `k`. Output positions are
+/// walked in patch-matrix row order; each `(channel, ky)` run of `k` taps
+/// is one zero fill when its input row is padding, one slice copy when
+/// the window lies inside the row, and a per-tap clipped copy only at the
+/// left and right borders.
+#[inline(always)]
+fn unfold_rows(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32], k: usize) {
+    let (c, h, w) = (geom.in_channels, geom.height, geom.width);
     let (oh, ow) = (geom.out_height(), geom.out_width());
-    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    assert_eq!(out.len(), oh * ow * geom.patch_len(), "im2col buffer size");
-    out.fill(0.0);
-    let mut row = 0usize;
+    let (s, p) = (geom.stride, geom.pad);
+    let mut patches = out.chunks_exact_mut(c * k * k);
     for oy in 0..oh {
         for ox in 0..ow {
-            let base = row * geom.patch_len();
-            let iy0 = (oy * s) as isize - p as isize;
-            let ix0 = (ox * s) as isize - p as isize;
-            let mut col = 0usize;
-            for ch in 0..c {
-                let plane = &image[ch * h * w..(ch + 1) * h * w];
-                for ky in 0..k {
-                    let iy = iy0 + ky as isize;
+            let patch = patches.next().unwrap();
+            let (ix0, lo, hi) = window_span(ox, geom, k);
+            let interior = lo == 0 && hi == k;
+            for (ch, cpatch) in patch.chunks_exact_mut(k * k).enumerate() {
+                let plane = &image[ch * h * w..][..h * w];
+                for (ky, dst) in cpatch.chunks_exact_mut(k).enumerate() {
+                    let iy = (oy * s + ky) as isize - p as isize;
                     if iy < 0 || iy >= h as isize {
-                        col += k;
+                        dst.fill(0.0);
                         continue;
                     }
-                    let rowbase = iy as usize * w;
-                    for kx in 0..k {
-                        let ix = ix0 + kx as isize;
-                        if ix >= 0 && ix < w as isize {
-                            out[base + col] = plane[rowbase + ix as usize];
+                    let src = &plane[iy as usize * w..][..w];
+                    if interior {
+                        dst.copy_from_slice(&src[ix0 as usize..][..k]);
+                    } else {
+                        for (kx, d) in dst.iter_mut().enumerate() {
+                            *d = if (lo..hi).contains(&kx) {
+                                src[(ix0 + kx as isize) as usize]
+                            } else {
+                                0.0
+                            };
                         }
-                        col += 1;
                     }
                 }
             }
-            row += 1;
         }
     }
 }
@@ -443,37 +479,57 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
 pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
     geom.check();
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
-    let (oh, ow) = (geom.out_height(), geom.out_width());
-    assert_eq!(cols.len(), oh * ow * geom.patch_len(), "cols size mismatch");
+    assert_eq!(
+        cols.len(),
+        geom.patch_count() * geom.patch_len(),
+        "cols size mismatch"
+    );
     assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
-    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    let data = cols;
+    match geom.kernel {
+        1 => fold_rows(cols, geom, image, 1),
+        3 => fold_rows(cols, geom, image, 3),
+        k => fold_rows(cols, geom, image, k),
+    }
+}
+
+/// Body of [`col2im_into`] for kernel width `k`: the traversal of
+/// [`unfold_rows`] with each in-row run scatter-added instead of copied.
+///
+/// Bit-identical to the per-tap loop it replaces. Within one output
+/// position the taps hit distinct pixels, so a pixel's sum is fixed by
+/// the order of the positions that reach it — ascending here, exactly as
+/// before, from the same `+0.0`. A tap-outer traversal would visit those
+/// positions in descending order and change the rounding.
+#[inline(always)]
+fn fold_rows(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], k: usize) {
+    let (h, w) = (geom.height, geom.width);
+    let (oh, ow) = (geom.out_height(), geom.out_width());
+    let (s, p) = (geom.stride, geom.pad);
     image.fill(0.0);
-    let mut row = 0usize;
+    let mut patches = cols.chunks_exact(geom.in_channels * k * k);
     for oy in 0..oh {
         for ox in 0..ow {
-            let base = row * geom.patch_len();
-            let iy0 = (oy * s) as isize - p as isize;
-            let ix0 = (ox * s) as isize - p as isize;
-            let mut col = 0usize;
-            for ch in 0..c {
-                for ky in 0..k {
-                    let iy = iy0 + ky as isize;
+            let patch = patches.next().unwrap();
+            let (ix0, lo, hi) = window_span(ox, geom, k);
+            let interior = lo == 0 && hi == k;
+            for (plane, cpatch) in image.chunks_exact_mut(h * w).zip(patch.chunks_exact(k * k)) {
+                for (ky, src) in cpatch.chunks_exact(k).enumerate() {
+                    let iy = (oy * s + ky) as isize - p as isize;
                     if iy < 0 || iy >= h as isize {
-                        col += k;
                         continue;
                     }
-                    let rowbase = ch * h * w + iy as usize * w;
-                    for kx in 0..k {
-                        let ix = ix0 + kx as isize;
-                        if ix >= 0 && ix < w as isize {
-                            image[rowbase + ix as usize] += data[base + col];
+                    let dst = &mut plane[iy as usize * w..][..w];
+                    if interior {
+                        for (d, &v) in dst[ix0 as usize..][..k].iter_mut().zip(src) {
+                            *d += v;
                         }
-                        col += 1;
+                    } else {
+                        for kx in lo..hi {
+                            dst[(ix0 + kx as isize) as usize] += src[kx];
+                        }
                     }
                 }
             }
-            row += 1;
         }
     }
 }
