@@ -22,7 +22,7 @@
 //! lands in `results/TRACE_serve.json` for the verify gate's JSON
 //! validator. `--smoke` trims request counts for `scripts/verify.sh`.
 
-use eos_bench::{percentile, JsonRecord};
+use eos_bench::{percentile, record_host_facts, JsonRecord};
 use eos_nn::{save_weights_bytes, Architecture, ConvNet};
 use eos_serve::{ServeConfig, ServeError, Server};
 use eos_tensor::{normal, Rng64};
@@ -228,6 +228,12 @@ fn main() {
         .int("classes", CLASSES as u64)
         .int("clients", clients as u64)
         .int("requests_per_client", per_client as u64);
+    // On a host with fewer than 4 cores the "t4" configurations run on
+    // fewer threads than their label says.
+    record_host_facts(&mut rec).int(
+        "effective_threads_t4",
+        eos_serve::effective_threads(4) as u64,
+    );
 
     // Unrecorded warm-up: first-touch page faults, model deserialization
     // and allocator pool growth land here instead of inside the first

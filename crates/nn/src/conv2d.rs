@@ -1,11 +1,10 @@
-//! 2-D convolution via `im2col` GEMM lowering.
+//! 2-D convolution: one batch-wide `im2col` GEMM lowering, plus a direct
+//! kernel for batched inference on wide unit-stride planes.
 
 use crate::layer::{Layer, Param};
-use crate::workspace;
 use eos_tensor::{
-    col2im_into, conv2d_direct_into, gemm_nt_into, gemm_prepacked_into, gemm_segmented_acc_into,
-    gemm_tn_into, im2col_into, im2col_panels_into, kaiming_uniform, par, scratch, Conv2dGeometry,
-    Rng64, Tensor, PANEL_WIDTH,
+    col2im_into, conv2d_direct_fits, conv2d_direct_into, gemm_nt_into, gemm_segmented_acc_into,
+    gemm_tn_into, im2col_into, kaiming_uniform, par, scratch, Conv2dGeometry, Rng64, Tensor,
 };
 
 /// Convolution over `(batch, C·H·W)` rows, each interpreted as a `C×H×W`
@@ -16,7 +15,6 @@ pub struct Conv2d {
     geom: Conv2dGeometry,
     out_channels: usize,
     cache: Option<ConvCache>,
-    eval_cache: Option<EvalCache>,
 }
 
 /// Per-batch cache: every image's patch matrix, stored as one flat
@@ -24,21 +22,6 @@ pub struct Conv2d {
 /// batch instead of reallocating `n` tensors per step.
 struct ConvCache {
     cols: Tensor,
-}
-
-/// Target footprint of one image group's packed panels on the batched
-/// inference path: half a typical L2, leaving the other half for the
-/// group's inputs and outputs, so the unfold → GEMM handoff never
-/// round-trips through DRAM.
-const GROUP_PANEL_BYTES: usize = 1 << 20;
-
-/// Batched-inference scratch: the panel-packed patch matrix and the wide
-/// GEMM output are kept across forwards, so a steady-state serving loop
-/// (same batch size every call) allocates and zero-fills nothing — both
-/// buffers are fully overwritten by the unfold and the GEMM.
-struct EvalCache {
-    panels: Vec<f32>,
-    big: Vec<f32>,
 }
 
 impl Conv2d {
@@ -55,7 +38,6 @@ impl Conv2d {
             geom,
             out_channels,
             cache: None,
-            eval_cache: None,
         }
     }
 
@@ -167,98 +149,22 @@ impl Layer for Conv2d {
             };
             forward_batched(x, w.data(), bias, &geom, cols.data_mut(), out.data_mut());
             self.cache = Some(ConvCache { cols });
-        } else if n > 1
-            && geom.stride == 1
-            && geom.out_width().is_multiple_of(2 * PANEL_WIDTH)
-            && geom.out_height().is_multiple_of(2)
-        {
+        } else if n > 1 && conv2d_direct_fits(&geom) {
             // Batched inference on wide spatial planes: direct
             // register-blocked convolution — no patch matrix at all.
-            // Bit-identical to the lowered paths (see
-            // `conv2d_direct_into`). Like the panel-GEMM lowering below
-            // it serves only the batched path; single-image requests
-            // stay on the reference per-image lowering at the bottom.
+            // Bit-identical to the batch-wide lowering (see
+            // `conv2d_direct_into`).
             eos_trace::count!("nn.conv.lowering.direct", 1);
             par::par_chunks_mut(out.data_mut(), out_len, |i, orow| {
                 conv2d_direct_into(x.row_slice(i), w.data(), orow, &geom);
                 add_bias(orow, bias, out_spatial);
             });
-        } else if n > 1 && out_spatial.is_multiple_of(PANEL_WIDTH) {
-            // Batched inference: unfold images straight into the GEMM's
-            // panel-packed right-hand-side layout and run one wide GEMM
-            // per *group* of images (`N = g·H'·W'`), instead of `n`
-            // narrow GEMMs that each repack the weights and never
-            // amortise the kernel's setup. Groups are sized so the
-            // packed panels stay cache-resident between the unfold that
-            // writes them and the GEMM that reads them back — one giant
-            // batch-wide GEMM would round-trip the panels through DRAM.
-            // The microkernel gives every output column a dedicated
-            // accumulator over ascending `k`, so each image's columns
-            // come out bit-identical to the per-image path below at any
-            // group size — the panels of image `i` sit at offset
-            // `i · cols_len` within its group precisely because `H'·W'`
-            // is a whole number of panels.
-            eos_trace::count!("nn.conv.lowering.panel_group", 1);
-            let plen = geom.patch_len();
-            let group = (GROUP_PANEL_BYTES / (cols_len * std::mem::size_of::<f32>())).clamp(1, n);
-            let mut ec = match self.eval_cache.take() {
-                Some(ec)
-                    if ec.panels.len() == group * cols_len
-                        && ec.big.len() == self.out_channels * group * out_spatial =>
-                {
-                    ec
-                }
-                _ => EvalCache {
-                    panels: vec![0.0; group * cols_len],
-                    big: vec![0.0; self.out_channels * group * out_spatial],
-                },
-            };
-            for g0 in (0..n).step_by(group) {
-                let g = (n - g0).min(group);
-                let gn = g * out_spatial;
-                par::par_chunks_mut(&mut ec.panels[..g * cols_len], cols_len, |i, pbuf| {
-                    im2col_panels_into(x.row_slice(g0 + i), &geom, pbuf);
-                });
-                let big = &mut ec.big[..self.out_channels * gn];
-                gemm_prepacked_into(w.data(), &ec.panels[..g * cols_len], big, plen, gn);
-                // The wide GEMM is channel-major over the group; gather
-                // each image's `(O, H'·W')` block back into its output
-                // row.
-                let big_ref = &ec.big;
-                par::par_chunks_mut(
-                    &mut out.data_mut()[g0 * out_len..(g0 + g) * out_len],
-                    out_len,
-                    |i, orow| {
-                        for (o, dst) in orow.chunks_exact_mut(out_spatial).enumerate() {
-                            dst.copy_from_slice(
-                                &big_ref[o * gn + i * out_spatial..][..out_spatial],
-                            );
-                        }
-                        add_bias(orow, bias, out_spatial);
-                    },
-                );
-            }
-            self.eval_cache = Some(ec);
-        } else if n > 1 {
-            // Batched inference at a spatial size that is not a whole
-            // number of GEMM panels (the 2×2 stage-3 outputs): the same
-            // batch-wide lowering as training, into pooled scratch.
+        } else {
+            // Every other inference call, single images included: the
+            // training lowering, into pooled scratch.
             let mut cols = scratch::take_zeroed(n * cols_len);
             forward_batched(x, w.data(), bias, &geom, &mut cols, out.data_mut());
             scratch::give(cols);
-        } else {
-            // Single-image inference: unfold into per-worker workspace
-            // scratch and GEMM straight into the output row.
-            eos_trace::count!("nn.conv.lowering.per_image", 1);
-            par::par_chunks_mut(out.data_mut(), out_len, |i, orow| {
-                workspace::with_local(|ws| {
-                    let mut buf = ws.checkout(cols_len);
-                    im2col_into(x.row_slice(i), &geom, &mut buf);
-                    gemm_nt_into(w.data(), &buf, orow, geom.patch_len(), out_spatial);
-                    ws.give(buf);
-                });
-                add_bias(orow, bias, out_spatial);
-            });
         }
         out
     }
@@ -397,9 +303,9 @@ mod tests {
 
     #[test]
     fn train_and_inference_forward_agree() {
-        // The batch-wide train lowering and the panel-group inference
-        // lowering sum every output in the same order, so their outputs
-        // must match bit for bit.
+        // Training writes its patch matrix into the layer cache, inference
+        // into pooled scratch; both run the same batch-wide GEMM, so their
+        // outputs must match bit for bit.
         let mut rng = Rng64::new(11);
         let g = geom(2, 4, 4, 3, 1, 1);
         let mut conv = Conv2d::new(g, 4, true, &mut rng);
@@ -491,11 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_eval_path_matches_per_image_bits() {
-        // 4×4 input with pad 1 keeps a 4×4 = 16-patch output: a whole
-        // number of GEMM panels, so a multi-row eval forward takes the
-        // one-wide-GEMM batched path. Every row must be bit-identical
-        // to forwarding that image alone (the per-image fallback path).
+    fn batched_eval_matches_single_image_bits() {
+        // 4×4 input with pad 1 keeps a 4×4 = 16-patch output, too narrow
+        // for the direct kernel, so every eval forward takes the
+        // batch-wide GEMM. Each row of a 6-image batch must be
+        // bit-identical to forwarding that image alone.
         let mut rng = Rng64::new(21);
         let g = geom(3, 4, 4, 3, 1, 1);
         let mut conv = Conv2d::new(g, 5, true, &mut rng);
@@ -513,10 +419,10 @@ mod tests {
 
     #[test]
     fn partial_panel_shapes_take_the_batch_wide_path_and_stay_batch_invariant() {
-        // A 3×3 output is 9 patches — not a whole panel — so a batched
-        // eval forward takes the batch-wide GEMM (the training lowering)
-        // while each single image takes the per-image GEMM; every row
-        // must still be bit-identical to forwarding that image alone.
+        // A 3×3 output is 9 patches — not a whole GEMM panel — and eval
+        // takes the batch-wide GEMM at every batch size; each row of a
+        // batch must still be bit-identical to forwarding that image
+        // alone.
         let mut rng = Rng64::new(22);
         let g = geom(2, 3, 3, 3, 1, 1);
         let mut conv = Conv2d::new(g, 4, true, &mut rng);

@@ -9,10 +9,11 @@
 //! and accumulation order of the original lowering (one GEMM per image,
 //! per-image dW/db partials reduced serially in image order). They sweep
 //! the geometries the ResNets use (2×2 stage-3 outputs, 1×1 stride-2
-//! shortcuts, the 3-channel stem) plus a non-square input and pad 0,
-//! batch sizes 1, 3 and 32 with and without bias, two accumulating
-//! passes without `zero_grad`, thread budgets 1/2/4, and both the wide
-//! and the forced-scalar GEMM kernel.
+//! shortcuts, the 3-channel stem, an 8×8 → 4×4 stage entry, a 16×16
+//! body that batched eval runs through the direct kernel) plus a
+//! non-square input and pad 0, batch sizes 1, 3 and 32 with and without
+//! bias, two accumulating passes without `zero_grad`, thread budgets
+//! 1/2/4, and both the wide and the forced-scalar GEMM kernel.
 
 use eos_nn::{Conv2d, Layer};
 use eos_tensor::{
@@ -44,6 +45,8 @@ fn shapes() -> Vec<(&'static str, Conv2dGeometry, usize)> {
         ("1x1 s2 shortcut", geom(8, 4, 4, 1, 2, 0), 16),
         ("non-square 5x7", geom(2, 5, 7, 3, 1, 1), 5),
         ("pad 0", geom(3, 6, 5, 3, 1, 0), 4),
+        ("wide 16x16 body", geom(8, 16, 16, 3, 1, 1), 8),
+        ("stage entry 8x8 s2 -> 4x4", geom(8, 8, 8, 3, 2, 1), 16),
     ]
 }
 

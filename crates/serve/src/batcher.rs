@@ -83,6 +83,14 @@ impl Default for ServeConfig {
     }
 }
 
+/// The op-level thread budget a worker configured with
+/// `threads_per_worker` actually runs its forward under: the budget
+/// clamped to the host's available parallelism.
+pub fn effective_threads(threads_per_worker: usize) -> usize {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads_per_worker.min(hw)
+}
+
 /// One answered request: logits, calibrated probabilities and the
 /// predicted class, tagged with the request's submission-order id.
 #[derive(Debug, Clone, PartialEq)]
@@ -427,8 +435,7 @@ fn run_batch(shared: &Shared, model: &mut InferenceModel, batch: Vec<Request>) {
     // same cores), so the effective op-level budget is clamped to the
     // hardware. Chunk boundaries are thread-count independent, so the
     // clamp changes scheduling only, never results.
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let budget = shared.cfg.threads_per_worker.min(hw);
+    let budget = effective_threads(shared.cfg.threads_per_worker);
     let forward = catch_unwind(AssertUnwindSafe(|| {
         par::with_thread_budget(budget, || model.forward(&x))
     }));

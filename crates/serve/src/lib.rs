@@ -52,6 +52,6 @@ mod batcher;
 mod error;
 mod model;
 
-pub use batcher::{Prediction, ServeConfig, Server, Ticket};
+pub use batcher::{effective_threads, Prediction, ServeConfig, Server, Ticket};
 pub use error::ServeError;
 pub use model::InferenceModel;

@@ -5,7 +5,6 @@
 //! (`im2col`) and the flattened weight matrix. `col2im` is the adjoint
 //! (scatter-add) used in the backward pass.
 
-use crate::matmul::PANEL_WIDTH;
 use crate::tensor::Tensor;
 
 /// Static geometry of a 2-D convolution: input size, kernel, stride, pad.
@@ -141,121 +140,6 @@ fn unfold_rows(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32], k: usize) 
     }
 }
 
-/// [`im2col_into`], but writing the patch matrix **transposed and
-/// panel-packed** for [`crate::gemm_prepacked_into`]: logical
-/// element `(patch j, tap p)` lands at `(j / W)·patch_len·W + p·W + (j %
-/// W)` where `W` is [`crate::PANEL_WIDTH`]. This fuses the
-/// unfold with the GEMM's own right-hand-side packing, so the batched
-/// eval convolution path never materialises (then re-reads and re-packs)
-/// an intermediate patch matrix. Requires `patch_count()` to be a whole
-/// number of panels — the caller falls back to the per-image path
-/// otherwise. The buffer (`patch_count() × patch_len()` elements) is
-/// fully overwritten, padding taps included.
-pub fn im2col_panels_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
-    geom.check();
-    let nr = PANEL_WIDTH;
-    let (c, h, w) = (geom.in_channels, geom.height, geom.width);
-    assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
-    let (oh, ow) = (geom.out_height(), geom.out_width());
-    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    let plen = geom.patch_len();
-    assert_eq!(oh * ow % nr, 0, "patch count must be whole panels of {nr}");
-    assert_eq!(out.len(), oh * ow * plen, "im2col panel buffer size");
-    out.fill(0.0);
-    if s == 1 && ow % nr == 0 {
-        // Panel-outer traversal: each `plen × nr` panel is written start
-        // to finish before the next one is touched, so the (large)
-        // destination streams through cache exactly once while the
-        // (small) source planes stay resident — the tap-outer order
-        // below would re-touch one column of every panel per tap. With
-        // unit stride and panel-aligned rows a panel's `nr` patches
-        // share one output row, and each tap's valid columns clip to a
-        // contiguous span of it. Every written value is the same pure
-        // function of its `(patch, tap)` coordinates as in the general
-        // path.
-        for oy in 0..oh {
-            let row0 = oy * ow;
-            for xb in (0..ow).step_by(nr) {
-                let pbase = ((row0 + xb) / nr) * plen * nr;
-                let panel = &mut out[pbase..pbase + plen * nr];
-                for ch in 0..c {
-                    let plane = &image[ch * h * w..(ch + 1) * h * w];
-                    for ky in 0..k {
-                        let iy = (oy + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // padding rows stay at the zero fill
-                        }
-                        let src = &plane[iy as usize * w..][..w];
-                        for kx in 0..k {
-                            if kx >= w + p {
-                                continue;
-                            }
-                            let col = (ch * k + ky) * k + kx;
-                            // Valid ox satisfy `0 <= ox + kx - p < w`,
-                            // clipped to this panel's columns.
-                            let a = p.saturating_sub(kx).max(xb);
-                            let b = (w - 1 + p - kx).min(xb + nr - 1);
-                            if a > b {
-                                continue;
-                            }
-                            let take = b + 1 - a;
-                            let dst = &mut panel[col * nr + (a - xb)..][..take];
-                            let s0 = a + kx - p;
-                            if take == PANEL_WIDTH {
-                                // Compile-time width: a single vector
-                                // move instead of a length-dispatched
-                                // memcpy.
-                                let blk: &[f32; PANEL_WIDTH] =
-                                    src[s0..s0 + PANEL_WIDTH].try_into().unwrap();
-                                dst.copy_from_slice(blk);
-                            } else {
-                                dst.copy_from_slice(&src[s0..s0 + take]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        return;
-    }
-    // Tap-outer traversal: for one `(channel, ky, kx)` tap the valid
-    // output range along each axis is a precomputable interval, so the
-    // inner loops carry no per-element bounds checks — padding positions
-    // are simply never visited (they stay at the zero fill above). This
-    // is the hot unfold of the batched eval path; the per-patch layout is
-    // identical to the naive traversal because every written value is a
-    // pure function of its `(patch, tap)` coordinates.
-    for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                if kx >= w + p {
-                    continue;
-                }
-                let col = (ch * k + ky) * k + kx;
-                // Valid ox satisfy `0 <= ox*s + kx - p < w`.
-                let lo = (p.saturating_sub(kx)).div_ceil(s);
-                let hi = ((w - 1 + p - kx) / s).min(ow - 1);
-                if lo > hi {
-                    continue;
-                }
-                for oy in 0..oh {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src = &plane[iy as usize * w..][..w];
-                    let row0 = oy * ow;
-                    for ox in lo..=hi {
-                        let row = row0 + ox;
-                        out[(row / nr) * plen * nr + col * nr + row % nr] = src[ox * s + kx - p];
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Direct (un-lowered) convolution of one image: `out[o] = Σ_p w[o, p] ·
 /// shift_p(image)` — the inference fast path that never materialises a
 /// patch matrix at all.
@@ -305,6 +189,16 @@ pub fn conv2d_direct_into(image: &[f32], weight: &[f32], out: &mut [f32], geom: 
     }
     conv2d_direct_kernel(&padded, weight, out, geom);
     crate::scratch::give(padded);
+}
+
+/// Whether batched inference on `geom` takes [`conv2d_direct_into`]:
+/// unit stride, an even number of output rows, and `W'` a whole number
+/// of 16-column register blocks. Other geometries go through the im2col
+/// GEMM.
+pub fn conv2d_direct_fits(geom: &Conv2dGeometry) -> bool {
+    geom.stride == 1
+        && geom.out_width().is_multiple_of(2 * DIRECT_LANES)
+        && geom.out_height().is_multiple_of(2)
 }
 
 /// Output columns one direct-conv accumulator block spans: one full
@@ -380,15 +274,16 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
     let fast = s == 1 && ow % DIRECT_LANES == 0;
     for (o, oplane) in out.chunks_exact_mut(osp).enumerate() {
         let wrow = &weight[o * plen..][..plen];
-        // Four vector accumulators per block (the same register budget
-        // as the GEMM micro-kernel's 4×8 tile) so one weight broadcast
-        // feeds four vectors' worth of columns: wide planes take two
-        // 16-column rows per block, vector-narrow planes four 8-column
-        // rows. Adjacent output rows are contiguous in the output plane;
-        // their source rows are one padded row apart.
-        if fast && ow == 2 * DIRECT_LANES && oh % 2 == 0 {
-            for oy in (0..oh).step_by(2) {
-                direct_block::<16, 2>(padded, wrow, oplane, oy, c, k, ph, pw);
+        // Several vector accumulators per block, so one weight broadcast
+        // feeds several vectors' worth of columns and the add chains of
+        // independent accumulators overlap: wide planes take four
+        // 16-column rows per block (eight vectors), vector-narrow planes
+        // four 8-column rows. Adjacent output rows are contiguous in the
+        // output plane; their source rows are one padded row apart.
+        // Planes with `H'` not a multiple of 4 take the per-row loop.
+        if fast && ow == 2 * DIRECT_LANES && oh % 4 == 0 {
+            for oy in (0..oh).step_by(4) {
+                direct_block::<16, 4>(padded, wrow, oplane, oy, c, k, ph, pw);
             }
             continue;
         }
@@ -636,70 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn panel_layout_is_a_transposed_packing_of_im2col() {
-        let nr = PANEL_WIDTH;
-        // 4×4 input, 3×3 kernel, pad 1 → 16 patches = 2 panels of 8.
-        let g = geom(2, 4, 4, 3, 1, 1);
-        assert_eq!(g.patch_count() % nr, 0);
-        let img: Vec<f32> = (0..2 * 16).map(|i| (i as f32 * 0.7).sin()).collect();
-        let cols = im2col(&img, &g);
-        let mut panels = vec![9.9f32; g.patch_count() * g.patch_len()];
-        im2col_panels_into(&img, &g, &mut panels);
-        for j in 0..g.patch_count() {
-            for p in 0..g.patch_len() {
-                assert_eq!(
-                    panels[(j / nr) * g.patch_len() * nr + p * nr + (j % nr)],
-                    cols.at(&[j, p]),
-                    "patch {j}, tap {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn panel_writer_matches_im2col_on_every_code_path() {
-        let nr = PANEL_WIDTH;
-        // Panel-aligned rows (bulk-copy path), narrow rows where one panel
-        // spans several output rows, strides, asymmetric pad/kernel mixes.
-        for g in [
-            geom(1, 8, 8, 3, 1, 1),   // ow = 8: aligned fast path
-            geom(3, 16, 16, 3, 1, 1), // ow = 16: two panels per row
-            geom(2, 16, 16, 3, 2, 1), // stride 2 → ow = 8, strided reads
-            geom(2, 4, 4, 3, 1, 1),   // ow = 4: panels span two rows
-            geom(1, 8, 8, 1, 1, 0),   // 1×1 kernel
-            geom(2, 9, 9, 5, 1, 2),   // big kernel, heavy clipping
-            geom(1, 16, 16, 3, 2, 1), // stride 2 on a wider image
-        ] {
-            if g.patch_count() % nr != 0 {
-                continue;
-            }
-            let len = g.in_channels * g.height * g.width;
-            let img: Vec<f32> = (0..len).map(|i| (i as f32 * 0.31).sin()).collect();
-            let cols = im2col(&img, &g);
-            let mut panels = vec![9.9f32; g.patch_count() * g.patch_len()];
-            im2col_panels_into(&img, &g, &mut panels);
-            for j in 0..g.patch_count() {
-                for p in 0..g.patch_len() {
-                    assert_eq!(
-                        panels[(j / nr) * g.patch_len() * nr + p * nr + (j % nr)],
-                        cols.at(&[j, p]),
-                        "{g:?}: patch {j}, tap {p}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "whole panels")]
-    fn panel_writer_rejects_partial_panels() {
-        // 3×3 output → 9 patches: not a whole number of 8-wide panels.
-        let g = geom(1, 3, 3, 3, 1, 1);
-        let mut panels = vec![0.0f32; g.patch_count() * g.patch_len()];
-        im2col_panels_into(&[0.0; 9], &g, &mut panels);
-    }
-
-    #[test]
     fn direct_conv_is_bit_identical_to_lowered_gemm() {
         // The direct path claims exact equality with im2col + GEMM on
         // every geometry class it serves: unit and non-unit stride,
@@ -712,6 +543,7 @@ mod tests {
             geom(8, 16, 16, 3, 2, 1), // downsampling 3×3
             geom(8, 16, 16, 1, 2, 0), // 1×1 stride-2 projection
             geom(2, 8, 8, 3, 1, 1),   // W' = 8: four-row register blocks
+            geom(2, 6, 16, 3, 1, 1),  // W' = 16, H' = 6: per-row fallback
             geom(1, 24, 24, 3, 1, 1), // W' = 24: mixed double/single blocks
             geom(2, 9, 9, 5, 1, 2),   // big kernel, heavy clipping
             geom(1, 5, 7, 3, 1, 0),   // no pad, non-square, odd width

@@ -38,14 +38,14 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_into, conv2d_direct_into, im2col, im2col_into, im2col_panels_into,
+    col2im, col2im_into, conv2d_direct_fits, conv2d_direct_into, im2col, im2col_into,
     Conv2dGeometry,
 };
 pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
-    gemm_nt_into, gemm_prepacked_into, gemm_segmented_acc_into, gemm_tn_into,
-    set_force_scalar_kernel, wide_kernel_enabled, PANEL_WIDTH,
+    gemm_nt_into, gemm_segmented_acc_into, gemm_tn_into, set_force_scalar_kernel,
+    wide_kernel_enabled,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -486,44 +486,6 @@ pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     scratch::give(packed_b);
 }
 
-/// Column width of the packed right-hand-side panels every GEMM in this
-/// module streams from. Callers that pre-pack their own `B̂` (the batched
-/// convolution lowering writes `im2col` output straight into panels)
-/// must use this width and feed the result to [`gemm_prepacked_into`].
-pub const PANEL_WIDTH: usize = NR;
-
-/// `out = a (m×k) · B̂ (k×n)` where `packed_b` already holds `B̂` in
-/// [`PANEL_WIDTH`]-wide column panels (element `(p, j)` at
-/// `(j / NR)·k·NR + p·NR + (j % NR)`, exactly the layout the module's own
-/// packer produces). `n` must be a whole number of panels — the caller
-/// owns the padding decision.
-///
-/// Every output column is accumulated over `p = 0..k` ascending in its
-/// own register lane, so a column's bits depend only on its own panel
-/// lane and the left-hand side — **not** on its position in `B̂` or on
-/// which other columns exist. That position independence is what lets
-/// the convolution layers concatenate many images' patch matrices into
-/// one wide GEMM and still return per-image results bit-identical to
-/// per-image calls. Row-parallel with shape-only chunk boundaries, like
-/// every other entry point here, so results are also thread-count
-/// invariant.
-pub fn gemm_prepacked_into(a: &[f32], packed_b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    assert!(
-        n > 0 && n.is_multiple_of(NR),
-        "n must be whole panels of {NR}"
-    );
-    assert_eq!(out.len() % n, 0, "output not a whole number of rows");
-    let m = out.len() / n;
-    assert_eq!(a.len(), m * k, "lhs size mismatch");
-    assert_eq!(packed_b.len(), k * n, "packed rhs size mismatch");
-    trace_gemm(m, k, n);
-    let chunk = tile_rows_per_chunk(m, k * n);
-    let pack_a = pack_rows(a, k);
-    par::par_chunks_mut(out, chunk * n, |ci, rows| {
-        packed_gemm_rows(&pack_a, packed_b, rows, ci * chunk, k, k, n, false);
-    });
-}
-
 /// `out = aᵀ · b` into a caller-owned buffer, where `a` stacks one or
 /// more row-major `m×k` blocks and `b` is `m×n`: block `s` fills rows
 /// `s·k .. (s+1)·k` of `out` with `a_sᵀ (k×m) · b (m×n)`.
@@ -676,60 +638,6 @@ mod tests {
         assert_eq!(a.dims(), b.dims());
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!((x - y).abs() < tol, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn prepacked_gemm_matches_matmul_bitwise() {
-        let (m, k, n) = (5usize, 19usize, 4 * PANEL_WIDTH);
-        let a = seq(&[m, k]);
-        let b = seq(&[k, n]);
-        let expected = a.matmul(&b);
-        let packed = pack_b(|p, j| b.at(&[p, j]), k, n);
-        let mut out = vec![0.0f32; m * n];
-        gemm_prepacked_into(a.data(), &packed, &mut out, k, n);
-        assert_eq!(out.as_slice(), expected.data());
-        scratch::give(packed);
-    }
-
-    #[test]
-    fn prepacked_gemm_columns_are_position_independent() {
-        // The same logical B column must produce the same output bits no
-        // matter where it sits in the panel sequence — the property the
-        // batched convolution lowering rests on.
-        let (m, k) = (7usize, 23usize);
-        let a = seq(&[m, k]);
-        let col: Vec<f32> = (0..k).map(|p| ((p * 3 + 1) as f32 * 0.21).cos()).collect();
-        let narrow = PANEL_WIDTH;
-        let wide = 6 * PANEL_WIDTH;
-        // Narrow GEMM: the probe column alone (panel zero-padded by us).
-        let packed_narrow = pack_b(|p, j| if j == 0 { col[p] } else { 0.0 }, k, narrow);
-        let mut out_narrow = vec![0.0f32; m * narrow];
-        gemm_prepacked_into(a.data(), &packed_narrow, &mut out_narrow, k, narrow);
-        scratch::give(packed_narrow);
-        // Wide GEMM: the probe column buried at an arbitrary offset among
-        // noise columns.
-        let at = 3 * PANEL_WIDTH + 5;
-        let packed_wide = pack_b(
-            |p, j| {
-                if j == at {
-                    col[p]
-                } else {
-                    ((p * 7 + j) as f32 * 0.11).sin()
-                }
-            },
-            k,
-            wide,
-        );
-        let mut out_wide = vec![0.0f32; m * wide];
-        gemm_prepacked_into(a.data(), &packed_wide, &mut out_wide, k, wide);
-        scratch::give(packed_wide);
-        for i in 0..m {
-            assert_eq!(
-                out_narrow[i * narrow],
-                out_wide[i * wide + at],
-                "row {i}: column result depends on its position"
-            );
         }
     }
 
