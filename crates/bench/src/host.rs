@@ -2,13 +2,15 @@
 //! records, so a timing can be read against the machine that produced
 //! it: core count, thread budget, kernel dispatch and git revision.
 
+use eos_neighbors::KnnKernel;
 use eos_tensor::{par, wide_kernel_enabled};
 use eos_trace::JsonRecord;
 use std::path::Path;
 
 /// Appends `host_cores`, `thread_budget` (the pool budget at the time of
-/// the call), `kernel_dispatch` (`"avx2"` when the wide GEMM/conv/kNN
-/// kernels dispatch, else `"scalar"`) and `git_rev` to `rec`.
+/// the call), `kernel_dispatch` (`"avx2"` when the wide GEMM and conv
+/// kernels dispatch, else `"scalar"`), `knn_dispatch` (the brute-force kNN
+/// tier: `"avx512"`, `"avx2"` or `"scalar"`) and `git_rev` to `rec`.
 pub fn record_host_facts(rec: &mut JsonRecord) -> &mut JsonRecord {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let dispatch = if wide_kernel_enabled() {
@@ -19,6 +21,7 @@ pub fn record_host_facts(rec: &mut JsonRecord) -> &mut JsonRecord {
     rec.int("host_cores", cores as u64)
         .int("thread_budget", par::num_threads() as u64)
         .str("kernel_dispatch", dispatch)
+        .str("knn_dispatch", KnnKernel::current().name())
         .str("git_rev", &git_rev())
 }
 
@@ -68,7 +71,13 @@ mod tests {
         record_host_facts(&mut rec);
         let json = rec.render();
         eos_trace::validate(&json).unwrap();
-        for key in ["host_cores", "thread_budget", "kernel_dispatch", "git_rev"] {
+        for key in [
+            "host_cores",
+            "thread_budget",
+            "kernel_dispatch",
+            "knn_dispatch",
+            "git_rev",
+        ] {
             assert!(
                 json.contains(&format!("\"{key}\"")),
                 "{key} missing: {json}"

@@ -1,10 +1,11 @@
 //! Exact brute-force k-NN.
 
 use crate::{Metric, Neighbor, NnIndex};
-use eos_tensor::{par, Tensor};
+use eos_tensor::{avx512_kernel_enabled, par, wide_kernel_enabled, Tensor};
 
-/// Queries per block: one lane of the transposed query panel each.
-const LANES: usize = 8;
+/// Queries per block: one lane of the transposed query panel each, and
+/// one bit of a row's admission mask.
+const LANES: usize = 16;
 
 /// Indexed rows per micro-tile: each tile keeps `TILE × lanes`
 /// independent accumulators in flight.
@@ -14,9 +15,45 @@ const TILE: usize = 4;
 /// its neighbourhood (the query row itself for [`NnIndex::query_row`]).
 type Query<'a> = (&'a [f32], Option<usize>);
 
+/// The tiers of the brute-force distance kernel, widest first. All three
+/// compile the same generic scan, so they return the same bits; the tier
+/// only sets the register width the compiler may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnnKernel {
+    /// 512-bit registers: a 16-lane panel row is one register.
+    Avx512,
+    /// 256-bit registers: a 16-lane panel row is two registers.
+    Avx2,
+    /// The portable build, without target features.
+    Scalar,
+}
+
+impl KnnKernel {
+    /// The tier the scan runs on: the widest the CPU supports, unless
+    /// [`eos_tensor::set_force_scalar_kernel`] forces the portable one.
+    pub fn current() -> Self {
+        if avx512_kernel_enabled() {
+            KnnKernel::Avx512
+        } else if wide_kernel_enabled() {
+            KnnKernel::Avx2
+        } else {
+            KnnKernel::Scalar
+        }
+    }
+
+    /// `"avx512"`, `"avx2"` or `"scalar"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            KnnKernel::Avx512 => "avx512",
+            KnnKernel::Avx2 => "avx2",
+            KnnKernel::Scalar => "scalar",
+        }
+    }
+}
+
 /// Exact k-NN by a query-blocked linear scan with a bounded sorted list.
 ///
-/// Queries are processed in blocks of up to eight, transposed into a
+/// Queries are processed in blocks of up to sixteen, transposed into a
 /// `[d][lanes]` panel, and the indexed rows are walked in micro-tiles of
 /// four, so every coordinate load feeds many independent accumulators
 /// instead of one dependent add chain per candidate. Each accumulator
@@ -62,7 +99,7 @@ impl BruteForceKnn {
     }
 
     /// Runs one block of at most [`LANES`] queries; a lone query gets a
-    /// one-lane panel rather than seven lanes of padding.
+    /// one-lane panel rather than fifteen lanes of padding.
     fn scan_block(&self, block: &[Query<'_>], k: usize) -> Vec<Vec<Neighbor>> {
         let d = self.data.dim(1);
         for (point, _) in block {
@@ -77,10 +114,9 @@ impl BruteForceKnn {
         }
     }
 
-    /// The blocked kernel: transposes the block into an `L`-lane panel
-    /// (unused lanes stay zero and are never read back), computes
-    /// distances a [`TILE`] of indexed rows at a time, and offers them to
-    /// each query's bounded list in ascending row order.
+    /// Transposes the block into an `L`-lane panel (unused lanes stay
+    /// zero and are never read back) and runs [`scan_rows`] on the widest
+    /// tier the CPU supports.
     fn scan_lanes<const L: usize>(&self, block: &[Query<'_>], k: usize) -> Vec<Vec<Neighbor>> {
         let d = self.data.dim(1);
         let mut panel = vec![0.0f32; d * L];
@@ -89,29 +125,16 @@ impl BruteForceKnn {
                 panel[j * L + lane] = v;
             }
         }
-        let mut best: Vec<Vec<Neighbor>> =
-            block.iter().map(|_| Vec::with_capacity(k + 1)).collect();
-        let mut offer_tile = |first: usize, dist: &[[f32; L]]| {
-            for (c, lanes) in dist.iter().enumerate() {
-                for ((list, &(_, exclude)), &distance) in best.iter_mut().zip(block).zip(lanes) {
-                    if exclude != Some(first + c) {
-                        offer(list, k, first + c, distance);
-                    }
-                }
-            }
-        };
-        let n = self.data.dim(0);
-        let tiled = n - n % TILE;
-        let metric = self.metric;
-        for first in (0..tiled).step_by(TILE) {
-            let rows: [&[f32]; TILE] = std::array::from_fn(|c| self.data.row_slice(first + c));
-            offer_tile(first, &tile_distances(metric, &panel, rows));
+        let (data, metric) = (&self.data, self.metric);
+        match KnnKernel::current() {
+            // SAFETY: `KnnKernel::current` just checked for avx512f at runtime.
+            #[cfg(target_arch = "x86_64")]
+            KnnKernel::Avx512 => unsafe { scan_rows_avx512::<L>(data, metric, &panel, block, k) },
+            // SAFETY: `KnnKernel::current` just checked for avx2 at runtime.
+            #[cfg(target_arch = "x86_64")]
+            KnnKernel::Avx2 => unsafe { scan_rows_avx2::<L>(data, metric, &panel, block, k) },
+            _ => scan_rows::<L>(data, metric, &panel, block, k),
         }
-        for row in tiled..n {
-            let rows = [self.data.row_slice(row)];
-            offer_tile(row, &tile_distances(metric, &panel, rows));
-        }
-        best
     }
 
     /// [`NnIndex::query`] for every row of a `(q, d)` query matrix, with
@@ -136,6 +159,125 @@ impl BruteForceKnn {
     }
 }
 
+/// [`scan_rows`] compiled with AVX-512F enabled, so a sixteen-lane panel
+/// row is one vector register and a row's admission test is one compare
+/// into a mask register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn scan_rows_avx512<const L: usize>(
+    data: &Tensor,
+    metric: Metric,
+    panel: &[f32],
+    block: &[Query<'_>],
+    k: usize,
+) -> Vec<Vec<Neighbor>> {
+    scan_rows::<L>(data, metric, panel, block, k)
+}
+
+/// [`scan_rows`] compiled with AVX2 enabled, so a sixteen-lane panel row
+/// is two vector registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_rows_avx2<const L: usize>(
+    data: &Tensor,
+    metric: Metric,
+    panel: &[f32],
+    block: &[Query<'_>],
+    k: usize,
+) -> Vec<Vec<Neighbor>> {
+    scan_rows::<L>(data, metric, panel, block, k)
+}
+
+/// The blocked kernel: computes the distances from the `L`-lane query
+/// `panel` to a [`TILE`] of indexed rows at a time and offers them to
+/// each query's bounded list in ascending row order.
+#[inline(always)]
+fn scan_rows<const L: usize>(
+    data: &Tensor,
+    metric: Metric,
+    panel: &[f32],
+    block: &[Query<'_>],
+    k: usize,
+) -> Vec<Vec<Neighbor>> {
+    let mut lists = Lists::<L>::new(block, k);
+    let n = data.dim(0);
+    let tiled = n - n % TILE;
+    for first in (0..tiled).step_by(TILE) {
+        let rows: [&[f32]; TILE] = std::array::from_fn(|c| data.row_slice(first + c));
+        lists.offer_rows(first, &distances(metric, panel, rows));
+    }
+    for row in tiled..n {
+        lists.offer_rows(row, &distances(metric, panel, [data.row_slice(row)]));
+    }
+    lists.best
+}
+
+/// The bounded lists of one block's queries, behind a per-lane admission
+/// cut.
+///
+/// `cut[l]` is the worst distance in lane `l`'s list once the list holds
+/// `k` entries, and NaN before. A row skips lane `l` when
+/// `distance >= cut[l]`, which is the test [`offer`] returns early on;
+/// while the list is short the test is false for every distance (no
+/// comparison with NaN holds), just as `offer` then takes every candidate.
+/// So the cut skips exactly the calls that would have returned without
+/// touching the list, and the lists come out the same. (A +∞ cut would
+/// drop an overflowed, infinite distance from a short list.) The tests of
+/// a row's lanes are one vector compare.
+struct Lists<'a, const L: usize> {
+    block: &'a [Query<'a>],
+    k: usize,
+    /// Bit `l` set for the lanes that hold a query.
+    live: u32,
+    cut: [f32; L],
+    best: Vec<Vec<Neighbor>>,
+}
+
+impl<'a, const L: usize> Lists<'a, L> {
+    fn new(block: &'a [Query<'a>], k: usize) -> Self {
+        const { assert!(L <= u32::BITS as usize, "one mask bit per lane") };
+        Lists {
+            block,
+            k,
+            live: u32::MAX >> (u32::BITS as usize - block.len()),
+            cut: [f32::NAN; L],
+            best: block.iter().map(|_| Vec::with_capacity(k + 1)).collect(),
+        }
+    }
+
+    /// Offers rows `first..` at distances `dist[row - first]` to the lanes
+    /// whose cut admits them, leaving out each query's excluded row.
+    #[inline(always)]
+    fn offer_rows(&mut self, first: usize, dist: &[[f32; L]]) {
+        for (c, lanes) in dist.iter().enumerate() {
+            let row = first + c;
+            let mut admit = !rejected(lanes, &self.cut) & self.live;
+            while admit != 0 {
+                let l = admit.trailing_zeros() as usize;
+                admit &= admit - 1;
+                if self.block[l].1 != Some(row) {
+                    let list = &mut self.best[l];
+                    offer(list, self.k, row, lanes[l]);
+                    if list.len() == self.k {
+                        self.cut[l] = list[self.k - 1].distance;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Bit `l` set when `dist[l] >= cut[l]`: the lanes whose [`offer`] would
+/// return without touching the list.
+#[inline(always)]
+fn rejected<const L: usize>(dist: &[f32; L], cut: &[f32; L]) -> u32 {
+    let mut mask = 0;
+    for l in 0..L {
+        mask |= u32::from(dist[l] >= cut[l]) << l;
+    }
+    mask
+}
+
 /// Offers candidate `index` at `distance` to a bounded list sorted by
 /// `(distance, index)`. Candidates must arrive in ascending `index` order:
 /// a candidate tying the current worst is then always the later row and
@@ -151,36 +293,6 @@ fn offer(best: &mut Vec<Neighbor>, k: usize, index: usize, distance: f32) {
     if best.len() > k {
         best.pop();
     }
-}
-
-/// [`distances`] on the widest bit-identical kernel the CPU supports
-/// (see [`eos_tensor::wide_kernel_enabled`]).
-#[inline(always)]
-fn tile_distances<const L: usize, const C: usize>(
-    metric: Metric,
-    panel: &[f32],
-    rows: [&[f32]; C],
-) -> [[f32; L]; C] {
-    #[cfg(target_arch = "x86_64")]
-    if eos_tensor::wide_kernel_enabled() {
-        // SAFETY: `wide_kernel_enabled` just checked for avx2 at runtime.
-        return unsafe { distances_avx2(metric, panel, rows) };
-    }
-    distances(metric, panel, rows)
-}
-
-/// [`distances`] compiled with AVX2 enabled, so an eight-lane panel row is
-/// one vector register. Only `avx2` is enabled — never `fma` — so each
-/// lane still performs separate `sub`, `mul` and `add` in the portable
-/// order, and the wide kernel is bit-identical to the portable one.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn distances_avx2<const L: usize, const C: usize>(
-    metric: Metric,
-    panel: &[f32],
-    rows: [&[f32]; C],
-) -> [[f32; L]; C] {
-    distances(metric, panel, rows)
 }
 
 /// Distances from each of the `L` panel lanes to each of the `C` rows,
@@ -205,8 +317,9 @@ fn distances<const L: usize, const C: usize>(
 
 /// Sums `term(query - row)` over the coordinates, one accumulator per
 /// `(row, lane)`, each in coordinate order from `-0.0` — the start value
-/// and order of `Iterator::sum` — with a plain add (Rust never contracts
-/// it into an FMA).
+/// and order of `Iterator::sum` — with a separate multiply and add. Rust
+/// never contracts the two into an FMA, even where the enabled target
+/// features include it (LLVM's `avx512f` implies `fma`).
 #[inline(always)]
 fn accumulate<const L: usize, const C: usize>(
     panel: &[f32],
@@ -216,10 +329,8 @@ fn accumulate<const L: usize, const C: usize>(
     let mut acc = [[-0.0f32; L]; C];
     let d = panel.len() / L;
     let rows: [&[f32]; C] = std::array::from_fn(|c| &rows[c][..d]);
-    for j in 0..d {
-        let q: &[f32; L] = panel[j * L..j * L + L]
-            .try_into()
-            .expect("a panel row holds L lanes");
+    for (j, q) in panel.chunks_exact(L).enumerate() {
+        let q: &[f32; L] = q.try_into().expect("a panel row holds L lanes");
         for c in 0..C {
             let x = rows[c][j];
             for l in 0..L {

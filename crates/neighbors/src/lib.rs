@@ -21,7 +21,7 @@ mod kdtree;
 mod metric;
 
 pub use auto::{AutoIndex, TREE_MAX_DIM};
-pub use brute::BruteForceKnn;
+pub use brute::{BruteForceKnn, KnnKernel};
 pub use kdtree::KdTree;
 pub use metric::Metric;
 

@@ -2,9 +2,11 @@
 //! generated inputs, every entry point must return exactly what a plain
 //! per-query scan with `Metric::distance` returns — the same rows in the
 //! same order and bit-identical distances — for both metrics, for row and
-//! query counts off the block and tile sizes, for `k = 0` and `k ≥ n`, for
-//! all-tie data, at thread budgets 1/2/4, on both the wide and the
-//! portable distance kernel.
+//! query counts off and across the lane and tile sizes, for `k = 0` and
+//! `k ≥ n`, for all-tie data, for an exact tie between the k-th and the
+//! (k+1)-th candidate, for distances that overflow to infinity, at thread
+//! budgets 1/2/4, on both the host's widest and the portable distance
+//! kernel.
 
 use eos_neighbors::{BruteForceKnn, Metric, Neighbor, NnIndex};
 use eos_tensor::{normal, par, set_force_scalar_kernel, Rng64, Tensor};
@@ -40,8 +42,11 @@ fn reference(data: &Tensor, metric: Metric, point: &[f32], k: usize, skip: Optio
         .collect()
 }
 
-/// A count in `1..=max` that is a multiple of neither the tile (4) nor
-/// the block (8) size.
+/// Query counts on both sides of the 8- and 16-lane block boundaries.
+const STRADDLE: [usize; 6] = [7, 9, 15, 17, 31, 33];
+
+/// A count in `1..=max` that is a multiple of none of the tile (4) and
+/// block (8, 16) sizes.
 fn ragged(rng: &mut Rng64, max: usize) -> usize {
     let n = 1 + rng.below(max);
     if n.is_multiple_of(4) {
@@ -120,6 +125,75 @@ fn blocked_scan_matches_reference_on_random_data() {
                 check(&data, &queries, metric, &ks, &format!("d = {d}, q = {q}"));
             }
         }
+    }
+    for (case, &q) in STRADDLE.iter().enumerate() {
+        let d = DIMS[case % DIMS.len()];
+        let mut rng = Rng64::new(4000 + q as u64);
+        let n = ragged(&mut rng, 45);
+        let data = normal(&[n, d], 0.0, 1.0, &mut rng);
+        let queries = normal(&[q, d], 0.0, 1.0, &mut rng);
+        for metric in METRICS {
+            check(
+                &data,
+                &queries,
+                metric,
+                &[1, 4, n],
+                &format!("d = {d}, q = {q}"),
+            );
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn tie_at_the_kth_candidate_keeps_the_earlier_row() {
+    // Every query sits at the origin and the rows are ±1 on one axis, so
+    // each row lies at exactly distance 1 (both metrics) and the k-th and
+    // (k+1)-th candidates always tie: the list must keep the lower rows
+    // and reject each later row at the cut.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let n = 23;
+        let mut v = vec![0.0f32; n * d];
+        for i in 0..n {
+            v[i * d + i % d] = if i % 2 == 0 { 1.0 } else { -1.0 };
+        }
+        let data = Tensor::from_vec(v, &[n, d]);
+        for q in [1, 17] {
+            let queries = Tensor::zeros(&[q, d]);
+            for metric in METRICS {
+                check(
+                    &data,
+                    &queries,
+                    metric,
+                    &[1, 5, 10],
+                    &format!("ties, d = {d}, q = {q}"),
+                );
+            }
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn infinite_distances_still_fill_short_lists() {
+    // Rows far enough out that their squared or summed distance overflows
+    // to +inf: until a query's list holds k entries they must still be
+    // taken, ordered by row index among themselves.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    let (n, d) = (21, 17);
+    let mut rng = Rng64::new(5000);
+    let mut data = normal(&[n, d], 0.0, 1.0, &mut rng);
+    for i in (0..n).step_by(3) {
+        data.data_mut()[i * d..(i + 1) * d].fill(3.0e38);
+    }
+    let queries = normal(&[STRADDLE[3], d], 0.0, 1.0, &mut rng);
+    for metric in METRICS {
+        let inf = metric.distance(queries.row_slice(0), data.row_slice(0));
+        assert_eq!(inf, f32::INFINITY, "{metric:?}");
+        check(&data, &queries, metric, &[5, n - 2, n], "overflowing rows");
     }
     par::set_num_threads(restore);
 }

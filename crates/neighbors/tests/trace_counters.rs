@@ -3,8 +3,8 @@
 //! call computed. Tracing is process-global, so this binary holds a single
 //! test.
 
-use eos_neighbors::{AutoIndex, Metric, NnIndex, TREE_MAX_DIM};
-use eos_tensor::{normal, set_force_scalar_kernel, wide_kernel_enabled, Rng64};
+use eos_neighbors::{AutoIndex, KnnKernel, Metric, NnIndex, TREE_MAX_DIM};
+use eos_tensor::{normal, set_force_scalar_kernel, Rng64};
 
 #[test]
 fn brute_calls_record_dispatch_and_distances_once_per_call() {
@@ -18,7 +18,7 @@ fn brute_calls_record_dispatch_and_distances_once_per_call() {
     let untraced = index.query_rows_batch(&rows, 5);
     eos_trace::reset();
     eos_trace::set_enabled(true);
-    let wide = wide_kernel_enabled();
+    let tier = KnnKernel::current();
     assert_eq!(index.query_rows_batch(&rows, 5), untraced);
     index.query_batch(&queries, 5);
     index.query(queries.row_slice(0), 5);
@@ -31,8 +31,11 @@ fn brute_calls_record_dispatch_and_distances_once_per_call() {
     let resolved = (rows.len() + 11 + 1 + 1) as u64;
     assert_eq!(snap.counter("neighbors.brute_queries"), resolved);
     assert_eq!(snap.counter("neighbors.distances"), resolved * n as u64);
-    let (wide_calls, scalar_calls) = if wide { (3, 1) } else { (0, 4) };
-    assert_eq!(snap.counter("neighbors.dispatch.wide"), wide_calls);
-    assert_eq!(snap.counter("neighbors.dispatch.scalar"), scalar_calls);
+    // Three calls on the host's tier, then one forced onto the portable one.
+    let calls = |t: KnnKernel| u64::from(tier == t) * 3 + u64::from(t == KnnKernel::Scalar);
+    for t in [KnnKernel::Avx512, KnnKernel::Avx2, KnnKernel::Scalar] {
+        let name = format!("neighbors.dispatch.{}", t.name());
+        assert_eq!(snap.counter(&name), calls(t), "{name}");
+    }
     assert_eq!(snap.counter("neighbors.tree_queries"), 0);
 }

@@ -44,8 +44,8 @@ pub use conv::{
 pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
-    gemm_nt_into, gemm_segmented_acc_into, gemm_tn_into, set_force_scalar_kernel,
-    wide_kernel_enabled,
+    avx512_kernel_enabled, gemm_nt_into, gemm_segmented_acc_into, gemm_tn_into,
+    set_force_scalar_kernel, wide_kernel_enabled,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -357,6 +357,19 @@ pub fn wide_kernel_enabled() -> bool {
     wide
 }
 
+/// Whether the 512-bit tier runs: [`wide_kernel_enabled`] holds and the
+/// CPU also has AVX-512F. Only the brute-force k-NN kernel has such a
+/// tier. Since it requires [`wide_kernel_enabled`],
+/// [`set_force_scalar_kernel`] turns it off too.
+#[inline]
+pub fn avx512_kernel_enabled() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let wide = wide_kernel_enabled() && std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    let wide = false;
+    wide
+}
+
 /// Records one GEMM call: total count, which micro-kernel the per-tile
 /// dispatch will select (the toggle and CPU features cannot change
 /// mid-call in any supported use), and the flop count distribution.
