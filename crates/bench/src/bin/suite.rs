@@ -19,15 +19,17 @@
 //! - `--bench` runs the whole deterministic pipeline twice in-process —
 //!   serial, then at `--jobs` — each pass against its own cold throwaway
 //!   cache, compares every produced CSV byte-for-byte, and writes the
-//!   wall-clock split to `results/BENCH_suite.json`.
+//!   wall-clock split and the host facts to `results/BENCH_suite.json`.
+//!   When the parallel pass runs more threads than the host has cores it
+//!   warns, and the record says `"oversubscribed": true`.
 //! - `--cache-gc [--cache-cap BYTES]` sweeps `$EOS_CACHE_DIR` (orphaned
 //!   temp files, stale `.lock` files, corrupt entries, oldest entries
 //!   over the cap), prints what was kept and reclaimed, and exits.
 
-use eos_bench::exp::report_failure;
+use eos_bench::exp::{job_budget, report_failure};
 use eos_bench::{
-    format_duration, tables, Args, ArtifactCache, BackbonePlan, Engine, EngineError, JsonRecord,
-    MarkdownTable,
+    format_duration, host_cores, record_host_facts, tables, Args, ArtifactCache, BackbonePlan,
+    Engine, EngineError, JsonRecord, MarkdownTable,
 };
 use std::time::Instant;
 
@@ -171,10 +173,23 @@ fn run_cache_gc(args: &Args) {
 
 /// `--bench`: the deterministic pipeline serially and at `--jobs`, each
 /// pass on a cold private cache; byte-compares the CSVs and records the
-/// wall-clock split in `results/BENCH_suite.json`.
+/// wall-clock split and host facts in `results/BENCH_suite.json`, flagging
+/// a parallel pass that runs more threads than the host has cores.
 fn run_bench(args: &Args) {
     let mut args = args.clone();
     args.skip_runtime = true;
+    let threads = eos_tensor::par::num_threads();
+    let jobs = args.jobs.max(1);
+    let (in_flight, cores) = (jobs * job_budget(threads, jobs), host_cores());
+    let oversubscribed = in_flight > cores;
+    if oversubscribed {
+        eprintln!(
+            "[suite] bench: WARNING: {} jobs on a budget of {threads} threads run {in_flight} \
+             threads on {cores} host cores; the parallel pass is oversubscribed and its \
+             speedup does not measure the scheduler",
+            args.jobs
+        );
+    }
     let trained = |snap: &eos_trace::Snapshot| snap.counter("exp.backbone.trained");
 
     let pass = |label: &str, jobs: usize| {
@@ -232,11 +247,13 @@ fn run_bench(args: &Args) {
         0.0
     };
     let mut rec = JsonRecord::new();
-    rec.str("bench", "suite")
+    rec.str("bench", "suite");
+    record_host_facts(&mut rec)
         .str("scale", &format!("{:?}", args.scale))
         .int("seed", args.seed)
         .int("jobs", args.jobs as u64)
-        .int("threads", eos_tensor::par::num_threads() as u64)
+        .int("job_threads", in_flight as u64)
+        .bool("oversubscribed", oversubscribed)
         .num("serial_prewarm_s", s_prewarm)
         .num("serial_tables_s", s_tables)
         .num("serial_total_s", s_total)

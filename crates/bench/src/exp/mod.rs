@@ -47,5 +47,5 @@ pub use engine::{BackbonePlan, CellTask, Engine};
 pub use error::{report_failure, CellFailure, EngineError};
 pub use faults::{retry_io, FaultKind, FaultPlan, IO_ATTEMPTS};
 pub use journal::{cell_fingerprint, dec_f64, enc_f64, Journal, Rows};
-pub use sched::{map_jobs, run_jobs, JobPanic};
+pub use sched::{job_budget, map_jobs, run_jobs, JobPanic};
 pub use spec::{mix_rng, ExperimentSpec, Fnv, SamplerSpec};

@@ -76,6 +76,12 @@ fn run_task<T>(i: usize, task: impl FnOnce() -> T) -> Result<T, JobPanic> {
     }
 }
 
+/// The thread budget each of `workers` concurrent jobs gets out of a
+/// `threads` budget: an equal share, at least one thread.
+pub fn job_budget(threads: usize, workers: usize) -> usize {
+    (threads / workers.max(1)).max(1)
+}
+
 /// Runs every task and returns their results in input order, each slot
 /// `Ok(value)` or `Err(JobPanic)` if that task panicked.
 ///
@@ -104,7 +110,7 @@ where
     // global count, or an enclosing scoped budget if run_jobs is nested)
     // and over the workers that exist — a small batch under a large
     // --jobs must not strand most of the machine.
-    let inner_budget = (par::num_threads() / workers).max(1);
+    let inner_budget = job_budget(par::num_threads(), workers);
     eos_trace::counter("exp.job.dispatched").add(n as u64);
     eos_trace::hist!("exp.job.batch", n as u64);
 

@@ -12,7 +12,7 @@ use std::path::Path;
 /// kernels dispatch, else `"scalar"`), `knn_dispatch` (the brute-force kNN
 /// tier: `"avx512"`, `"avx2"` or `"scalar"`) and `git_rev` to `rec`.
 pub fn record_host_facts(rec: &mut JsonRecord) -> &mut JsonRecord {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = host_cores();
     let dispatch = if wide_kernel_enabled() {
         "avx2"
     } else {
@@ -23,6 +23,11 @@ pub fn record_host_facts(rec: &mut JsonRecord) -> &mut JsonRecord {
         .str("kernel_dispatch", dispatch)
         .str("knn_dispatch", KnnKernel::current().name())
         .str("git_rev", &git_rev())
+}
+
+/// The cores the process may run on (1 when unknown).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The checked-out commit, read from `.git` in the working directory or

@@ -23,7 +23,7 @@ pub mod timing;
 
 pub use args::Args;
 pub use exp::{ArtifactCache, BackbonePlan, Engine, EngineError, ExperimentSpec, SamplerSpec};
-pub use host::record_host_facts;
+pub use host::{host_cores, record_host_facts};
 pub use report::{write_csv, MarkdownTable};
 pub use runner::{name_hash, prepared_dataset, samplers_for_table2};
 pub use timing::{bench, bench_stats, format_duration, percentile, BenchStats, JsonRecord};

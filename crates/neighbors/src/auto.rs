@@ -5,17 +5,20 @@ use eos_tensor::Tensor;
 
 /// Largest point dimensionality at which the KD-tree beats the blocked
 /// linear scan. Measured with `query_rows_batch` over every row of a
-/// Gaussian set, k = 10, one thread, best of 7, on an AVX-512 Xeon (times
-/// in ms, brute / tree):
+/// Gaussian set, k = 10, one thread, on an AVX-512 Xeon, against the
+/// two-pass scan; each time is the median of three rounds, each the best
+/// of 7 calls (ms, brute / tree):
 ///
 /// | d  | n = 1500    | n = 300     |
 /// |----|-------------|-------------|
-/// | 2  | 7.5 / 1.7   | 0.63 / 0.28 |
-/// | 4  | 7.8 / 4.4   | 0.66 / 0.58 |
-/// | 5  | 7.8 / 7.1   | 0.65 / 0.74 |
-/// | 8  | 7.8 / 16.5  | 0.64 / 1.02 |
-/// | 12 | 8.2 / 23.7  | 0.68 / 1.18 |
-/// | 16 | 9.0 / 28.5  | 0.68 / 1.37 |
+/// | 2  | 7.8 / 2.0   | 0.87 / 0.31 |
+/// | 3  | 8.0 / 3.6   | 0.84 / 0.48 |
+/// | 4  | 8.2 / 5.5   | 0.79 / 0.66 |
+/// | 5  | 8.0 / 8.3   | 0.85 / 1.07 |
+/// | 6  | 7.7 / 16.6  | 0.98 / 1.21 |
+/// | 8  | 8.1 / 20.2  | 0.83 / 1.22 |
+/// | 12 | 8.0 / 33.2  | 0.84 / 1.39 |
+/// | 16 | 8.3 / 38.7  | 0.86 / 1.61 |
 ///
 /// The scan's cost barely moves with `d` at these widths, while the tree's
 /// branch-and-bound pruning degrades with every added dimension (curse of
@@ -52,17 +55,17 @@ impl AutoIndex {
 
     /// Counts `n` resolved queries against whichever backend this index
     /// routes to, so traces show how the dimensionality split behaves. A
-    /// brute-force call also records its candidate distances and which
-    /// distance kernel it dispatches to — once per call, never per tile.
+    /// brute-force call also records which distance kernel it dispatches
+    /// to — once per call, never per tile; the scan itself counts the
+    /// distances it computes.
     fn trace_queries(&self, n: usize) {
         if !eos_trace::enabled() {
             return;
         }
         match self {
             AutoIndex::Tree(_) => eos_trace::count!("neighbors.tree_queries", n as u64),
-            AutoIndex::Brute(b) => {
+            AutoIndex::Brute(_) => {
                 eos_trace::count!("neighbors.brute_queries", n as u64);
-                eos_trace::count!("neighbors.distances", (n * b.len()) as u64);
                 match KnnKernel::current() {
                     KnnKernel::Avx512 => eos_trace::count!("neighbors.dispatch.avx512", 1),
                     KnnKernel::Avx2 => eos_trace::count!("neighbors.dispatch.avx2", 1),

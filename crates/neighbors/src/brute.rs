@@ -7,9 +7,20 @@ use eos_tensor::{avx512_kernel_enabled, par, wide_kernel_enabled, Tensor};
 /// one bit of a row's admission mask.
 const LANES: usize = 16;
 
-/// Indexed rows per micro-tile: each tile keeps `TILE × lanes`
+/// Indexed rows per exact micro-tile: each tile keeps `TILE × lanes`
 /// independent accumulators in flight.
 const TILE: usize = 4;
+
+/// Indexed rows per filter micro-tile on the AVX-512 tier: eight 512-bit
+/// accumulators. A dot product is one operation per coordinate where a
+/// distance is three, so the filter runs twice as many rows per tile to
+/// keep as many operations in flight.
+const DOT_TILE_AVX512: usize = 8;
+
+/// Indexed rows per filter micro-tile on the AVX2 and portable tiers,
+/// where a sixteen-lane row takes two or four registers: eight rows would
+/// hold every AVX2 register in accumulators and spill, and measured slower.
+const DOT_TILE: usize = 4;
 
 /// One query of a block: the point, and the indexed row to leave out of
 /// its neighbourhood (the query row itself for [`NnIndex::query_row`]).
@@ -17,7 +28,8 @@ type Query<'a> = (&'a [f32], Option<usize>);
 
 /// The tiers of the brute-force distance kernel, widest first. All three
 /// compile the same generic scan, so they return the same bits; the tier
-/// only sets the register width the compiler may use.
+/// sets the register width the compiler may use and, for the filter pass
+/// alone, whether its dot products fuse and how many rows a tile holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KnnKernel {
     /// 512-bit registers: a 16-lane panel row is one register.
@@ -54,13 +66,20 @@ impl KnnKernel {
 /// Exact k-NN by a query-blocked linear scan with a bounded sorted list.
 ///
 /// Queries are processed in blocks of up to sixteen, transposed into a
-/// `[d][lanes]` panel, and the indexed rows are walked in micro-tiles of
-/// four, so every coordinate load feeds many independent accumulators
-/// instead of one dependent add chain per candidate. Each accumulator
-/// still sums its coordinate terms in order from the first coordinate,
-/// with a separate multiply and add, and takes the square root last: every
-/// distance is bit-identical to [`Metric::distance`] (see DESIGN.md,
-/// "Brute-force kNN kernel").
+/// `[d][lanes]` panel, and the indexed rows are walked in micro-tiles, so
+/// every coordinate load feeds many independent accumulators instead of
+/// one dependent add chain per candidate.
+///
+/// A Euclidean block runs in two passes. The filter computes every row's
+/// approximate squared distance `‖q‖² + ‖x‖² − 2·q·x` from dot products
+/// and the row norms taken once here, and keeps each query's k-th smallest
+/// value. Every row within a proven rounding-error bound of it is then
+/// re-scored by the exact kernel, which sums each distance's coordinate
+/// terms in order from the first coordinate, with a separate multiply and
+/// add, and takes the square root last: every distance is bit-identical to
+/// [`Metric::distance`], and the lists are the ones a scan of every row
+/// builds. Manhattan, non-finite data and lists shorter than `k` re-score
+/// every row (see DESIGN.md, "Brute-force kNN kernel").
 ///
 /// At the embedding sizes the framework works with (≤ a few thousand
 /// 64-dimensional points) this scan is consistently faster than tree
@@ -69,22 +88,50 @@ impl KnnKernel {
 pub struct BruteForceKnn {
     data: Tensor,
     metric: Metric,
+    /// The filter's row norms; `None` for Manhattan, and for data whose
+    /// norms are not all finite, where every row is re-scored.
+    norms: Option<Norms>,
+}
+
+/// `‖x‖²` of every indexed row, and the largest of them.
+struct Norms {
+    rows: Vec<f32>,
+    max: f32,
+}
+
+/// `Σ v²` in coordinate order.
+fn sq_norm(v: &[f32]) -> f32 {
+    v.iter().map(|&x| x * x).sum()
 }
 
 impl BruteForceKnn {
     /// Indexes the rows of `data`.
     pub fn new(data: &Tensor, metric: Metric) -> Self {
         assert_eq!(data.rank(), 2, "index expects a (n, d) matrix");
+        let norms = match metric {
+            Metric::Euclidean => {
+                let rows: Vec<f32> = (0..data.dim(0))
+                    .map(|i| sq_norm(data.row_slice(i)))
+                    .collect();
+                let finite = rows.iter().all(|v| v.is_finite());
+                let max = rows.iter().fold(0.0f32, |m, &v| m.max(v));
+                finite.then_some(Norms { rows, max })
+            }
+            Metric::Manhattan => None,
+        };
         BruteForceKnn {
             data: data.clone(),
             metric,
+            norms,
         }
     }
 
     /// The `k` nearest indexed rows of each query, in query order. The
     /// blocks fan out across the worker pool; every query's result depends
     /// only on that query, so the output is the same at any thread count
-    /// and for any grouping of queries into blocks.
+    /// and for any grouping of queries into blocks. Counts the rows the
+    /// exact pass re-scored and the exact distances that took, once per
+    /// call.
     fn scan<'q>(
         &self,
         n: usize,
@@ -95,18 +142,25 @@ impl BruteForceKnn {
             let block: Vec<Query<'q>> = (b * LANES..n.min(b * LANES + LANES)).map(&query).collect();
             self.scan_block(&block, k)
         });
-        blocks.into_iter().flatten().collect()
+        if eos_trace::enabled() {
+            let rescored: usize = blocks.iter().map(|(_, rows)| rows).sum();
+            let distances: usize = blocks.iter().map(|(lists, rows)| lists.len() * rows).sum();
+            eos_trace::count!("neighbors.filter.candidates", rescored as u64);
+            eos_trace::count!("neighbors.distances", distances as u64);
+        }
+        blocks.into_iter().flat_map(|(lists, _)| lists).collect()
     }
 
     /// Runs one block of at most [`LANES`] queries; a lone query gets a
-    /// one-lane panel rather than fifteen lanes of padding.
-    fn scan_block(&self, block: &[Query<'_>], k: usize) -> Vec<Vec<Neighbor>> {
+    /// one-lane panel rather than fifteen lanes of padding. Returns the
+    /// lists and the number of rows the exact pass re-scored.
+    fn scan_block(&self, block: &[Query<'_>], k: usize) -> (Vec<Vec<Neighbor>>, usize) {
         let d = self.data.dim(1);
         for (point, _) in block {
             assert_eq!(point.len(), d, "query dimension mismatch");
         }
         if k == 0 {
-            return vec![Vec::new(); block.len()];
+            return (vec![Vec::new(); block.len()], 0);
         }
         match block.len() {
             1 => self.scan_lanes::<1>(block, k),
@@ -117,7 +171,11 @@ impl BruteForceKnn {
     /// Transposes the block into an `L`-lane panel (unused lanes stay
     /// zero and are never read back) and runs [`scan_rows`] on the widest
     /// tier the CPU supports.
-    fn scan_lanes<const L: usize>(&self, block: &[Query<'_>], k: usize) -> Vec<Vec<Neighbor>> {
+    fn scan_lanes<const L: usize>(
+        &self,
+        block: &[Query<'_>],
+        k: usize,
+    ) -> (Vec<Vec<Neighbor>>, usize) {
         let d = self.data.dim(1);
         let mut panel = vec![0.0f32; d * L];
         for (lane, (point, _)) in block.iter().enumerate() {
@@ -125,15 +183,15 @@ impl BruteForceKnn {
                 panel[j * L + lane] = v;
             }
         }
-        let (data, metric) = (&self.data, self.metric);
         match KnnKernel::current() {
-            // SAFETY: `KnnKernel::current` just checked for avx512f at runtime.
+            // SAFETY: `KnnKernel::current` just checked for avx512f at
+            // runtime, and every AVX-512F CPU has FMA.
             #[cfg(target_arch = "x86_64")]
-            KnnKernel::Avx512 => unsafe { scan_rows_avx512::<L>(data, metric, &panel, block, k) },
+            KnnKernel::Avx512 => unsafe { scan_rows_avx512::<L>(self, &panel, block, k) },
             // SAFETY: `KnnKernel::current` just checked for avx2 at runtime.
             #[cfg(target_arch = "x86_64")]
-            KnnKernel::Avx2 => unsafe { scan_rows_avx2::<L>(data, metric, &panel, block, k) },
-            _ => scan_rows::<L>(data, metric, &panel, block, k),
+            KnnKernel::Avx2 => unsafe { scan_rows_avx2::<L>(self, &panel, block, k) },
+            _ => scan_rows::<L, false, DOT_TILE>(self, &panel, block, k),
         }
     }
 
@@ -159,19 +217,19 @@ impl BruteForceKnn {
     }
 }
 
-/// [`scan_rows`] compiled with AVX-512F enabled, so a sixteen-lane panel
-/// row is one vector register and a row's admission test is one compare
-/// into a mask register.
+/// [`scan_rows`] compiled with AVX-512F and FMA enabled, so a sixteen-lane
+/// panel row is one vector register, a row's admission test is one compare
+/// into a mask register, and the filter's dot products run as fused
+/// multiply-adds.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 fn scan_rows_avx512<const L: usize>(
-    data: &Tensor,
-    metric: Metric,
+    index: &BruteForceKnn,
     panel: &[f32],
     block: &[Query<'_>],
     k: usize,
-) -> Vec<Vec<Neighbor>> {
-    scan_rows::<L>(data, metric, panel, block, k)
+) -> (Vec<Vec<Neighbor>>, usize) {
+    scan_rows::<L, true, DOT_TILE_AVX512>(index, panel, block, k)
 }
 
 /// [`scan_rows`] compiled with AVX2 enabled, so a sixteen-lane panel row
@@ -179,37 +237,229 @@ fn scan_rows_avx512<const L: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn scan_rows_avx2<const L: usize>(
-    data: &Tensor,
-    metric: Metric,
+    index: &BruteForceKnn,
     panel: &[f32],
     block: &[Query<'_>],
     k: usize,
-) -> Vec<Vec<Neighbor>> {
-    scan_rows::<L>(data, metric, panel, block, k)
+) -> (Vec<Vec<Neighbor>>, usize) {
+    scan_rows::<L, false, DOT_TILE>(index, panel, block, k)
 }
 
-/// The blocked kernel: computes the distances from the `L`-lane query
-/// `panel` to a [`TILE`] of indexed rows at a time and offers them to
-/// each query's bounded list in ascending row order.
+/// A row to offer, with bit `l` set for the lanes it may enter.
+type Candidate = (usize, u32);
+
+/// The blocked kernel. Pass 1, [`filter_rows`], picks the candidate rows
+/// and the lanes each may enter (every row and lane when the filter cannot
+/// run); pass 2 computes the exact distances from the `L`-lane query
+/// `panel` to a [`TILE`] of candidates at a time and offers them to fresh
+/// lists in ascending row order. Returns the lists and the number of
+/// candidates. `FMA` selects fused multiply-adds for the filter's dot
+/// products only, and `R` is the filter's rows per tile.
 #[inline(always)]
-fn scan_rows<const L: usize>(
-    data: &Tensor,
-    metric: Metric,
+fn scan_rows<const L: usize, const FMA: bool, const R: usize>(
+    index: &BruteForceKnn,
     panel: &[f32],
     block: &[Query<'_>],
     k: usize,
-) -> Vec<Vec<Neighbor>> {
+) -> (Vec<Vec<Neighbor>>, usize) {
+    let (data, n) = (&index.data, index.data.dim(0));
+    let candidates: Vec<Candidate> = match &index.norms {
+        // With `k + 1 >= n` some list stays short or takes every row.
+        Some(norms) if k + 1 < n => filter_rows::<L, FMA, R>(data, norms, panel, block, k),
+        _ => (0..n).map(|row| (row, u32::MAX)).collect(),
+    };
     let mut lists = Lists::<L>::new(block, k);
-    let n = data.dim(0);
-    let tiled = n - n % TILE;
-    for first in (0..tiled).step_by(TILE) {
-        let rows: [&[f32]; TILE] = std::array::from_fn(|c| data.row_slice(first + c));
-        lists.offer_rows(first, &distances(metric, panel, rows));
+    let mut tiles = candidates.chunks_exact(TILE);
+    for tile in &mut tiles {
+        let rows: [&[f32]; TILE] = std::array::from_fn(|c| data.row_slice(tile[c].0));
+        lists.offer_rows(tile, &distances(index.metric, panel, rows));
+    }
+    for &row in tiles.remainder() {
+        let dist = distances(index.metric, panel, [data.row_slice(row.0)]);
+        lists.offer_rows(&[row], &dist);
+    }
+    (lists.best, candidates.len())
+}
+
+/// Pass 1 of a Euclidean block: the rows, in ascending order, whose
+/// approximate squared distance `a = (‖q‖² + ‖x‖²) − 2·q·x` lies within
+/// some query's [`threshold`], leaving out each query's excluded row for
+/// its own lane; every row when some query's [`error_bound`] cannot be
+/// formed.
+#[inline(always)]
+fn filter_rows<const L: usize, const FMA: bool, const R: usize>(
+    data: &Tensor,
+    norms: &Norms,
+    panel: &[f32],
+    block: &[Query<'_>],
+    k: usize,
+) -> Vec<Candidate> {
+    let (n, d) = (data.dim(0), data.dim(1));
+    let qnorm: [f32; L] = std::array::from_fn(|l| block.get(l).map_or(0.0, |q| sq_norm(q.0)));
+    let mut slack = [0.0f64; L];
+    for (l, e) in slack.iter_mut().enumerate().take(block.len()) {
+        match error_bound(d, qnorm[l], norms.max) {
+            Some(bound) => *e = bound,
+            None => return (0..n).map(|row| (row, u32::MAX)).collect(),
+        }
+    }
+    let mut filter = Filter {
+        lists: Lists::<L>::new(block, k),
+        slack,
+        // Unused lanes admit nothing.
+        bound: std::array::from_fn(|l| {
+            if l < block.len() {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            }
+        }),
+        kept: Vec::new(),
+    };
+    let tiled = n - n % R;
+    for first in (0..tiled).step_by(R) {
+        let rows: [&[f32]; R] = std::array::from_fn(|c| data.row_slice(first + c));
+        let mut tile = [[0.0f32; L]; R];
+        approximate::<L, R, FMA>(panel, rows, &qnorm, &norms.rows[first..], &mut tile);
+        filter.offer_tile(first, &tile);
     }
     for row in tiled..n {
-        lists.offer_rows(row, &distances(metric, panel, [data.row_slice(row)]));
+        let mut one = [[0.0f32; L]; 1];
+        let xnorm = &norms.rows[row..];
+        approximate::<L, 1, FMA>(panel, [data.row_slice(row)], &qnorm, xnorm, &mut one);
+        filter.offer_tile(row, &one);
     }
-    lists.best
+    filter.candidates()
+}
+
+/// Pass 1's state: each lane's bounded list of approximate values behind
+/// the admission cut, its error bound `E`, its running [`threshold`] and
+/// the rows that have fallen within some lane's so far.
+///
+/// A full list's k-th value only falls as rows arrive, so the running
+/// threshold only falls too, and it is `+∞` while the list is short: a
+/// row beyond it is beyond the final threshold as well. The kept rows are
+/// therefore a superset of the candidates, and most tiles fail the
+/// threshold as a whole, on one compare of their lane-wise minimum.
+struct Filter<'a, const L: usize> {
+    lists: Lists<'a, L>,
+    slack: [f64; L],
+    bound: [f32; L],
+    kept: Vec<(usize, [f32; L])>,
+}
+
+impl<const L: usize> Filter<'_, L> {
+    /// Takes rows `first..` at approximate values `a[row - first]`.
+    #[inline(always)]
+    fn offer_tile<const R: usize>(&mut self, first: usize, a: &[[f32; L]; R]) {
+        let lo = a.iter().fold([f32::INFINITY; L], |lo, row| {
+            std::array::from_fn(|l| if row[l] < lo[l] { row[l] } else { lo[l] })
+        });
+        if all_lanes(&lo, &self.bound, |a, t| a > t) {
+            return;
+        }
+        for (c, row) in a.iter().enumerate() {
+            if !all_lanes(row, &self.bound, |a, t| a > t) {
+                self.kept.push((first + c, *row));
+            }
+        }
+        let cut = self.lists.cut;
+        let rows: [Candidate; R] = std::array::from_fn(|c| (first + c, u32::MAX));
+        self.lists.offer_rows(&rows, a);
+        let now = self.lists.cut.iter().zip(cut).zip(&self.slack);
+        for (bound, ((&now, was), &e)) in self.bound.iter_mut().zip(now) {
+            if now.to_bits() != was.to_bits() {
+                *bound = threshold(now, e);
+            }
+        }
+    }
+
+    /// The kept rows within the final threshold of some lane other than
+    /// their own query's, each with those lanes.
+    fn candidates(self) -> Vec<Candidate> {
+        let (block, bound) = (self.lists.block, self.bound);
+        let lanes = |row: usize, a: &[f32; L]| {
+            (0..block.len()).fold(0, |m, l| {
+                m | u32::from(a[l] <= bound[l] && block[l].1 != Some(row)) << l
+            })
+        };
+        self.kept
+            .into_iter()
+            .map(|(row, a)| (row, lanes(row, &a)))
+            .filter(|&(_, lanes)| lanes != 0)
+            .collect()
+    }
+}
+
+/// Writes the approximate squared distances `(‖q‖² + ‖x‖²) − 2·q·x` from
+/// each of the `L` panel lanes, with norms `qnorm`, to each of the `C`
+/// rows, with norms `xnorm`, into `out[row][lane]`. The dot products `q·x`
+/// run as fused multiply-adds when `FMA` is set; the rest is a separate
+/// multiply and add on every tier. The filter's error bound holds for
+/// either rounding. (Writing into `out` rather than returning the
+/// accumulators keeps them in registers through the coordinate loop.)
+#[inline(always)]
+fn approximate<const L: usize, const C: usize, const FMA: bool>(
+    panel: &[f32],
+    rows: [&[f32]; C],
+    qnorm: &[f32; L],
+    xnorm: &[f32],
+    out: &mut [[f32; L]; C],
+) {
+    let acc: [[f32; L]; C] = accumulate(panel, rows, 0.0, |s, q, x| {
+        if FMA {
+            q.mul_add(x, s)
+        } else {
+            s + q * x
+        }
+    });
+    for ((out, dot), &x) in out.iter_mut().zip(&acc).zip(xnorm) {
+        for l in 0..L {
+            out[l] = (qnorm[l] + x) - 2.0 * dot[l];
+        }
+    }
+}
+
+/// The unit roundoff of `f32`, `2⁻²⁴`.
+const U: f64 = f32::EPSILON as f64 / 2.0;
+
+/// `γ_m = m·u / (1 − m·u)`, the standard bound on the relative error of
+/// `m` successive `f32` roundings.
+fn gamma(m: usize) -> f64 {
+    let mu = m as f64 * U;
+    mu / (1.0 - mu)
+}
+
+/// `E`, a bound on `|a − s|` for one query over every row, where `a` is
+/// the filter's approximate squared distance and `s` the exact kernel's
+/// sum before its square root: `2·γ_{d+3}·(‖q‖ + max‖x‖)²` plus a term
+/// for products that underflow (DESIGN.md, "Brute-force kNN kernel",
+/// derives it). `qnorm` is the query's `‖q‖²` and `max_norm` the largest
+/// row `‖x‖²`, both as summed in `f32`. `None` when `qnorm` is not finite
+/// or the scale leaves room for the filter's arithmetic to overflow.
+fn error_bound(d: usize, qnorm: f32, max_norm: f32) -> Option<f64> {
+    let scale = (f64::from(qnorm).sqrt() + f64::from(max_norm).sqrt()).powi(2) / (1.0 - gamma(d));
+    (scale <= f64::from(f32::MAX) / 4.0)
+        .then(|| 2.0 * gamma(d + 3) * scale + d as f64 * 2f64.powi(-145))
+}
+
+/// A lane's filter threshold `τ = (A_k + E)(1 + 4u) + E`, rounded up to
+/// `f32`, where `A_k` is the k-th smallest approximate value of the lane
+/// (its list's cut, NaN while the list is short) and `E` its
+/// [`error_bound`]: every row whose exact distance is at most the lane's
+/// k-th has `a ≤ τ`. The `4u` covers a row whose rounded square root ties
+/// the k-th distance. `+∞`, every row, while the list is short.
+fn threshold(a_k: f32, e: f64) -> f32 {
+    if a_k.is_nan() {
+        return f32::INFINITY;
+    }
+    let tau = (f64::from(a_k) + e) * (1.0 + 4.0 * U) + e;
+    let rounded = tau as f32;
+    if f64::from(rounded) < tau {
+        rounded.next_up()
+    } else {
+        rounded
+    }
 }
 
 /// The bounded lists of one block's queries, behind a per-lane admission
@@ -222,8 +472,10 @@ fn scan_rows<const L: usize>(
 /// comparison with NaN holds), just as `offer` then takes every candidate.
 /// So the cut skips exactly the calls that would have returned without
 /// touching the list, and the lists come out the same. (A +∞ cut would
-/// drop an overflowed, infinite distance from a short list.) The tests of
-/// a row's lanes are one vector compare.
+/// drop an overflowed, infinite distance from a short list.) A row that
+/// passes no lane's cut is skipped on one vector compare; unused lanes
+/// have a `-∞` cut, which no distance but NaN passes, and are masked out
+/// of the lanes a row is offered to.
 struct Lists<'a, const L: usize> {
     block: &'a [Query<'a>],
     k: usize,
@@ -240,24 +492,33 @@ impl<'a, const L: usize> Lists<'a, L> {
             block,
             k,
             live: u32::MAX >> (u32::BITS as usize - block.len()),
-            cut: [f32::NAN; L],
+            cut: std::array::from_fn(|l| {
+                if l < block.len() {
+                    f32::NAN
+                } else {
+                    f32::NEG_INFINITY
+                }
+            }),
             best: block.iter().map(|_| Vec::with_capacity(k + 1)).collect(),
         }
     }
 
-    /// Offers rows `first..` at distances `dist[row - first]` to the lanes
-    /// whose cut admits them, leaving out each query's excluded row.
+    /// Offers each of `rows`, ascending, at distances `dist[i]` to the
+    /// lanes it may enter whose cut admits it, leaving out each query's
+    /// excluded row.
     #[inline(always)]
-    fn offer_rows(&mut self, first: usize, dist: &[[f32; L]]) {
-        for (c, lanes) in dist.iter().enumerate() {
-            let row = first + c;
-            let mut admit = !rejected(lanes, &self.cut) & self.live;
+    fn offer_rows(&mut self, rows: &[Candidate], dist: &[[f32; L]]) {
+        for (&(row, lanes), d) in rows.iter().zip(dist) {
+            if all_lanes(d, &self.cut, |d, c| d >= c) {
+                continue;
+            }
+            let mut admit = !rejected(d, &self.cut) & lanes & self.live;
             while admit != 0 {
                 let l = admit.trailing_zeros() as usize;
                 admit &= admit - 1;
                 if self.block[l].1 != Some(row) {
                     let list = &mut self.best[l];
-                    offer(list, self.k, row, lanes[l]);
+                    offer(list, self.k, row, d[l]);
                     if list.len() == self.k {
                         self.cut[l] = list[self.k - 1].distance;
                     }
@@ -265,6 +526,15 @@ impl<'a, const L: usize> Lists<'a, L> {
             }
         }
     }
+}
+
+/// Whether `test(x[l], y[l])` holds in every lane: every lane is tested
+/// and the results and-ed, which the wide tiers run as one vector
+/// compare.
+#[inline(always)]
+fn all_lanes<const L: usize>(x: &[f32; L], y: &[f32; L], test: impl Fn(f32, f32) -> bool) -> bool {
+    let hits: [bool; L] = std::array::from_fn(|l| test(x[l], y[l]));
+    hits.iter().fold(true, |all, &hit| all & hit)
 }
 
 /// Bit `l` set when `dist[l] >= cut[l]`: the lanes whose [`offer`] would
@@ -279,20 +549,26 @@ fn rejected<const L: usize>(dist: &[f32; L], cut: &[f32; L]) -> u32 {
 }
 
 /// Offers candidate `index` at `distance` to a bounded list sorted by
-/// `(distance, index)`. Candidates must arrive in ascending `index` order:
-/// a candidate tying the current worst is then always the later row and
-/// is rejected without a search.
+/// `(distance, index)`, with NaN after every number. Candidates must
+/// arrive in ascending `index` order: a candidate tying an entry is then
+/// always the later row, so it goes after the entry, and a candidate
+/// tying the current worst of a full list is rejected at once.
 #[inline]
 fn offer(best: &mut Vec<Neighbor>, k: usize, index: usize, distance: f32) {
-    if best.len() == k && distance >= best[k - 1].distance {
-        return;
-    }
-    let pos = best
-        .partition_point(|n| n.distance < distance || (n.distance == distance && n.index < index));
-    best.insert(pos, Neighbor { index, distance });
-    if best.len() > k {
+    let before = |d: f32, e: f32| d < e || (e.is_nan() && !d.is_nan());
+    if best.len() == k {
+        if !before(distance, best[k - 1].distance) {
+            return;
+        }
         best.pop();
     }
+    let mut pos = best.len();
+    best.push(Neighbor { index, distance });
+    while pos > 0 && before(distance, best[pos - 1].distance) {
+        best[pos] = best[pos - 1];
+        pos -= 1;
+    }
+    best[pos] = Neighbor { index, distance };
 }
 
 /// Distances from each of the `L` panel lanes to each of the `C` rows,
@@ -305,36 +581,41 @@ fn distances<const L: usize, const C: usize>(
 ) -> [[f32; L]; C] {
     match metric {
         Metric::Euclidean => {
-            let mut acc = accumulate(panel, rows, |t| t * t);
+            let mut acc = accumulate(panel, rows, -0.0, |s, q, x| {
+                let t = q - x;
+                s + t * t
+            });
             for v in acc.iter_mut().flatten() {
                 *v = v.sqrt();
             }
             acc
         }
-        Metric::Manhattan => accumulate(panel, rows, f32::abs),
+        Metric::Manhattan => accumulate(panel, rows, -0.0, |s, q, x| s + (q - x).abs()),
     }
 }
 
-/// Sums `term(query - row)` over the coordinates, one accumulator per
-/// `(row, lane)`, each in coordinate order from `-0.0` — the start value
-/// and order of `Iterator::sum` — with a separate multiply and add. Rust
-/// never contracts the two into an FMA, even where the enabled target
-/// features include it (LLVM's `avx512f` implies `fma`).
+/// Folds `step(acc, q, x)` over the coordinates, one accumulator per
+/// `(row, lane)`, each in coordinate order from `init`. The distances
+/// start from `-0.0` — the start value and order of `Iterator::sum` — with
+/// a separate multiply and add: Rust never contracts the two into an FMA,
+/// even where the enabled target features include it.
 #[inline(always)]
 fn accumulate<const L: usize, const C: usize>(
     panel: &[f32],
     rows: [&[f32]; C],
-    term: impl Fn(f32) -> f32,
+    init: f32,
+    step: impl Fn(f32, f32, f32) -> f32,
 ) -> [[f32; L]; C] {
-    let mut acc = [[-0.0f32; L]; C];
+    let mut acc = [[init; L]; C];
     let d = panel.len() / L;
+    let panel = &panel[..d * L];
     let rows: [&[f32]; C] = std::array::from_fn(|c| &rows[c][..d]);
-    for (j, q) in panel.chunks_exact(L).enumerate() {
-        let q: &[f32; L] = q.try_into().expect("a panel row holds L lanes");
+    for j in 0..d {
+        let q = &panel[j * L..][..L];
         for c in 0..C {
             let x = rows[c][j];
             for l in 0..L {
-                acc[c][l] += term(q[l] - x);
+                acc[c][l] = step(acc[c][l], q[l], x);
             }
         }
     }
@@ -343,13 +624,13 @@ fn accumulate<const L: usize, const C: usize>(
 
 impl NnIndex for BruteForceKnn {
     fn query(&self, point: &[f32], k: usize) -> Vec<Neighbor> {
-        self.scan_block(&[(point, None)], k).swap_remove(0)
+        self.scan(1, |_| (point, None), k).swap_remove(0)
     }
 
     fn query_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
         assert!(row < self.data.dim(0), "row out of range");
-        let query = (self.data.row_slice(row), Some(row));
-        self.scan_block(&[query], k).swap_remove(0)
+        self.scan(1, |_| (self.data.row_slice(row), Some(row)), k)
+            .swap_remove(0)
     }
 
     fn len(&self) -> usize {
@@ -360,6 +641,73 @@ impl NnIndex for BruteForceKnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eos_tensor::Rng64;
+
+    #[test]
+    fn threshold_reaches_every_square_whose_root_ties_the_kth() {
+        // With exact approximate values (`E = 0`) the threshold of the
+        // smallest square whose rounded root is `r` must still reach the
+        // largest such square: that is the `4u` slack's job.
+        let mut rng = Rng64::new(3);
+        for _ in 0..20_000 {
+            let bits = 0x3000_0000 + (rng.next_u64() % 0x1F00_0000) as u32;
+            let r = f32::from_bits(bits);
+            let (mut lo, mut hi) = (r * r, r * r);
+            while lo.next_down().sqrt() == r {
+                lo = lo.next_down();
+            }
+            while hi.next_up().sqrt() == r {
+                hi = hi.next_up();
+            }
+            assert_eq!((lo.sqrt(), hi.sqrt()), (r, r));
+            assert!(threshold(lo, 0.0) >= hi, "root {r}: {lo} .. {hi}");
+        }
+    }
+
+    #[test]
+    fn error_bound_covers_the_derived_bound() {
+        // DESIGN.md derives |a − s| ≤ 2·γ_{d+2}·(‖q‖ + ‖x‖)²; the bound
+        // the filter uses must be at least that for the norms it sees.
+        for d in [1usize, 2, 17, 192, 4096] {
+            for (qnorm, max_norm) in [(0.0f32, 1.0f32), (1.0, 1.0), (3.5e4, 2.0), (1e-30, 7e12)] {
+                let scale = (f64::from(qnorm).sqrt() + f64::from(max_norm).sqrt()).powi(2);
+                let derived = 2.0 * gamma(d + 2) * scale;
+                let e = error_bound(d, qnorm, max_norm).expect("finite scale");
+                assert!(e >= derived, "d = {d}: {e} < {derived}");
+            }
+        }
+        assert_eq!(error_bound(8, f32::NAN, 1.0), None);
+        assert_eq!(error_bound(8, 1.0, f32::MAX), None);
+    }
+
+    #[test]
+    fn error_bound_covers_the_filter_error_on_cancelling_inputs() {
+        // `a` in both roundings the tiers use, against the exact kernel's
+        // sum, on rows close to the query under a large common offset,
+        // where `‖q‖² + ‖x‖² − 2·q·x` cancels the most.
+        let mut rng = Rng64::new(11);
+        for d in [1usize, 3, 17, 192] {
+            for offset in [0.0f32, 1.0, 1e3, 1e5] {
+                for _ in 0..200 {
+                    let q: Vec<f32> = (0..d).map(|_| offset + rng.normal_f32(0.0, 1.0)).collect();
+                    let x: Vec<f32> = q.iter().map(|&v| v + rng.normal_f32(0.0, 1e-3)).collect();
+                    let (qn, xn) = (sq_norm(&q), sq_norm(&x));
+                    let exact = q
+                        .iter()
+                        .zip(&x)
+                        .fold(-0.0f32, |s, (&a, &b)| s + (a - b) * (a - b));
+                    let fused = q.iter().zip(&x).fold(0.0f32, |s, (&a, &b)| a.mul_add(b, s));
+                    let split = q.iter().zip(&x).fold(0.0f32, |s, (&a, &b)| s + a * b);
+                    let e = error_bound(d, qn, xn).expect("finite scale");
+                    for dot in [fused, split] {
+                        let a = (qn + xn) - 2.0 * dot;
+                        let err = (f64::from(a) - f64::from(exact)).abs();
+                        assert!(err <= e, "d = {d}, offset = {offset}: {err} > {e}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn results_sorted_ascending() {

@@ -5,8 +5,11 @@
 //! query counts off and across the lane and tile sizes, for `k = 0` and
 //! `k ≥ n`, for all-tie data, for an exact tie between the k-th and the
 //! (k+1)-th candidate, for distances that overflow to infinity, at thread
-//! budgets 1/2/4, on both the host's widest and the portable distance
-//! kernel.
+//! budgets 1/2/4/8, on both the host's widest and the portable distance
+//! kernel. The Euclidean scan's filter pass gets adversarial inputs of its
+//! own: duplicate rows, one-ulp near-ties around the k-th distance, a
+//! common offset far larger than the spacing, NaN rows and queries, and
+//! `k ≥ n − 1`.
 
 use eos_neighbors::{BruteForceKnn, Metric, Neighbor, NnIndex};
 use eos_tensor::{normal, par, set_force_scalar_kernel, Rng64, Tensor};
@@ -18,7 +21,7 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 const DIMS: [usize; 3] = [17, 63, 192];
 const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Manhattan];
-const THREADS: [usize; 3] = [1, 2, 4];
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 type Hits = Vec<(usize, u32)>;
 
@@ -249,4 +252,175 @@ fn block_boundaries_do_not_change_results() {
             .collect();
         assert_eq!(part, whole[start..], "rows from {start}");
     }
+}
+
+#[test]
+fn filter_keeps_exact_ties_among_duplicate_rows() {
+    // Every third row is indexed three times and some queries are exact
+    // copies of indexed rows, so exact ties — at distance zero too — sit
+    // at and around every k, and a query row's own copies tie with it.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let mut rng = Rng64::new(6000 + d as u64);
+        let base = normal(&[29, d], 0.0, 1.0, &mut rng);
+        let mut v = Vec::new();
+        for i in 0..29 {
+            let copies = if i % 3 == 0 { 3 } else { 1 };
+            for _ in 0..copies {
+                v.extend_from_slice(base.row_slice(i));
+            }
+        }
+        let n = v.len() / d;
+        let data = Tensor::from_vec(v, &[n, d]);
+        let mut q = normal(&[11, d], 0.0, 1.0, &mut rng).data().to_vec();
+        for i in [0, 3, 7, 12, 30] {
+            q.extend_from_slice(data.row_slice(i));
+        }
+        let queries = Tensor::from_vec(q, &[16, d]);
+        for metric in METRICS {
+            check(
+                &data,
+                &queries,
+                metric,
+                &[1, 2, 3, 4, 5, 8, 10],
+                &format!("duplicated rows, d = {d}"),
+            );
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn filter_keeps_one_ulp_near_ties_past_the_kth_distance() {
+    // Rows are copies of one centre, each with a single coordinate moved
+    // by one or two ulps, and each query sits off the centre: the exact
+    // distances tie or differ by about an ulp, so for every k the
+    // (k+1)-th distance ties the k-th or lies an ulp or so past it. A
+    // filter that dropped any row tying or undercutting the k-th after
+    // rounding would change a list.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for (case, &d) in DIMS.iter().enumerate() {
+        for offset in [0.0f32, 40.0] {
+            let mut rng = Rng64::new(7000 + 10 * case as u64 + offset as u64);
+            let centre: Vec<f32> = (0..d).map(|_| offset + rng.normal_f32(0.0, 1.0)).collect();
+            let n = 61;
+            let mut v = Vec::with_capacity(n * d);
+            for i in 0..n {
+                let mut row = centre.clone();
+                let j = (i * 7) % d;
+                row[j] = match i % 5 {
+                    0 => row[j],
+                    1 => row[j].next_up(),
+                    2 => row[j].next_down(),
+                    3 => row[j].next_up().next_up(),
+                    _ => row[j].next_down().next_down(),
+                };
+                v.extend_from_slice(&row);
+            }
+            let data = Tensor::from_vec(v, &[n, d]);
+            let q: Vec<f32> = (0..17 * d)
+                .map(|i| centre[i % d] + rng.normal_f32(0.0, 0.5))
+                .collect();
+            let queries = Tensor::from_vec(q, &[17, d]);
+            let ks: Vec<usize> = (1..n).step_by(3).collect();
+            check(
+                &data,
+                &queries,
+                Metric::Euclidean,
+                &ks,
+                &format!("near ties, d = {d}, offset = {offset}"),
+            );
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn filter_stays_exact_under_a_large_common_offset() {
+    // Norms far larger than the spacing widen the filter's error bound
+    // until it admits many or all rows; the lists must not change. The
+    // larger set lets the filter leave rows out where the offset is small.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for (case, (offset, spacing)) in [
+        (0.0, 1.0),
+        (10.0, 1.0),
+        (30.0, 1.0),
+        (1.0, 0.01),
+        (1e3, 1.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let d = DIMS[case % DIMS.len()];
+        let mut rng = Rng64::new(8000 + case as u64);
+        let n = 257;
+        let mut data = normal(&[n, d], 0.0, spacing, &mut rng);
+        let mut queries = normal(&[33, d], 0.0, spacing, &mut rng);
+        for v in data.data_mut().iter_mut().chain(queries.data_mut()) {
+            *v += offset;
+        }
+        check(
+            &data,
+            &queries,
+            Metric::Euclidean,
+            &[1, 5, 10],
+            &format!("offset {offset}, spacing {spacing}, d = {d}"),
+        );
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn nan_rows_and_queries_rank_last() {
+    // A NaN coordinate makes every distance to that row (or from that
+    // query) NaN, which ranks after every number, ties broken by row:
+    // the order `f32::total_cmp` gives a positive NaN. The filter cannot
+    // bound such a row and must leave the scan exact.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    let (n, d) = (37, 63);
+    let mut rng = Rng64::new(9000);
+    let mut data = normal(&[n, d], 0.0, 1.0, &mut rng);
+    for (row, j) in [(4, 0), (5, 17), (30, 62)] {
+        data.data_mut()[row * d + j] = f32::NAN;
+    }
+    let mut queries = normal(&[STRADDLE[3], d], 0.0, 1.0, &mut rng);
+    queries.data_mut()[2 * d + 9] = f32::NAN;
+    for metric in METRICS {
+        assert!(metric
+            .distance(queries.row_slice(0), data.row_slice(4))
+            .is_nan());
+        check(&data, &queries, metric, &[1, 5, n - 3, n], "NaN rows");
+    }
+    // A NaN query alone, over data the filter can bound.
+    let clean = normal(&[n, d], 0.0, 1.0, &mut rng);
+    check(&clean, &queries, Metric::Euclidean, &[1, 5], "NaN query");
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn filter_steps_aside_when_k_reaches_n_minus_one() {
+    // With `k ≥ n − 1` a self-excluding list takes every other row, and a
+    // plain query's list every row but one or all of them.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let mut rng = Rng64::new(10_000 + d as u64);
+        let n = 23;
+        let data = normal(&[n, d], 0.0, 1.0, &mut rng);
+        let queries = normal(&[STRADDLE[1], d], 0.0, 1.0, &mut rng);
+        for metric in METRICS {
+            check(
+                &data,
+                &queries,
+                metric,
+                &[n - 2, n - 1, n, n + 1],
+                &format!("k near n, d = {d}"),
+            );
+        }
+    }
+    par::set_num_threads(restore);
 }

@@ -572,19 +572,46 @@ pub fn gemm_segmented_acc_into(a: &[f32], b: &[f32], out: &mut [f32], seg: usize
     assert_eq!(a.len(), m * k, "lhs size mismatch");
     trace_gemm(m, k, n);
     let mut out_t = scratch::take_cleared(m * n);
-    out_t.extend((0..n * m).map(|r| out[(r % m) * n + r / m]));
-    let packed_a = pack_b(|p, i| a[(p / seg) * m * seg + i * seg + p % seg], k, m);
+    for j in 0..n {
+        out_t.extend((0..m).map(|i| out[i * n + j]));
+    }
+    let packed_a = pack_segments(a, seg, k, m);
     let pa = &packed_a[..];
     let chunk = tile_rows_per_chunk(n, k * m);
     let pack_a = pack_cols(b, n);
     par::par_chunks_mut(&mut out_t, chunk * m, |ci, rows| {
         packed_gemm_rows(&pack_a, pa, rows, ci * chunk, k, seg, m, true);
     });
-    for (r, &v) in out_t.iter().enumerate() {
-        out[(r % m) * n + r / m] = v;
+    for (j, column) in out_t.chunks_exact(m).enumerate() {
+        for (i, &v) in column.iter().enumerate() {
+            out[i * n + j] = v;
+        }
     }
     scratch::give(packed_a);
     scratch::give(out_t);
+}
+
+/// [`pack_b`] for the transposed stack of `m×seg` blocks that
+/// [`gemm_segmented_acc_into`] multiplies by: element `(p, i)` is
+/// `a[s·m·seg + i·seg + pp]` with `p = s·seg + pp`. Walking the segments
+/// and their rows in nested loops fills the same panels in the same order
+/// without a division per element.
+fn pack_segments(a: &[f32], seg: usize, k: usize, m: usize) -> Vec<f32> {
+    let mut packed = scratch::take_zeroed(m.div_ceil(NR) * k * NR);
+    for (jp, panel) in packed.chunks_exact_mut(k * NR).enumerate() {
+        let w = (m - jp * NR).min(NR);
+        for (block, rows) in a
+            .chunks_exact(m * seg)
+            .zip(panel.chunks_exact_mut(seg * NR))
+        {
+            for (pp, row) in rows.chunks_exact_mut(NR).enumerate() {
+                for (jr, d) in row[..w].iter_mut().enumerate() {
+                    *d = block[(jp * NR + jr) * seg + pp];
+                }
+            }
+        }
+    }
+    packed
 }
 
 /// `rows = a[row0.., :] · v` for a chunk of output rows, `MR` rows register
