@@ -28,7 +28,9 @@ pub const TREE_MAX_DIM: usize = 4;
 /// Exact k-NN index that picks its backend from the data's dimensionality:
 /// a [`KdTree`] for points with at most [`TREE_MAX_DIM`] coordinates
 /// (pixel prototypes, t-SNE outputs, low-dimensional feature spaces), a
-/// [`BruteForceKnn`] scan otherwise (deep embeddings).
+/// [`BruteForceKnn`] scan otherwise (deep embeddings). Data with a NaN
+/// coordinate always takes the scan, which ranks NaN distances last; the
+/// tree cannot split on a NaN.
 ///
 /// Both backends compute the exact k-minimum under the same
 /// `(distance, row index)` lexicographic order, so the selection is purely
@@ -46,7 +48,7 @@ impl AutoIndex {
     /// Indexes the rows of `data` with the backend suited to its width.
     pub fn new(data: &Tensor, metric: Metric) -> Self {
         assert_eq!(data.rank(), 2, "index expects a (n, d) matrix");
-        if data.dim(1) <= TREE_MAX_DIM {
+        if data.dim(1) <= TREE_MAX_DIM && !data.data().iter().any(|v| v.is_nan()) {
             AutoIndex::Tree(KdTree::new(data, metric))
         } else {
             AutoIndex::Brute(BruteForceKnn::new(data, metric))
@@ -158,6 +160,46 @@ mod tests {
                 "d = {d}"
             );
         }
+    }
+
+    #[test]
+    fn nan_coordinate_takes_the_scan_with_brute_force_answers() {
+        // A low-dimensional set the tree would index, but with one NaN
+        // coordinate: it must not panic, and every list must match the
+        // brute-force index, distance bits included (NaN ranked last).
+        let mut data = normal(&[20, 2], 0.0, 1.0, &mut Rng64::new(23));
+        data.set(&[7, 1], f32::NAN);
+        let auto = AutoIndex::new(&data, Metric::Euclidean);
+        let brute = BruteForceKnn::new(&data, Metric::Euclidean);
+        assert!(matches!(auto, AutoIndex::Brute(_)));
+        let bits = |lists: Vec<Vec<Neighbor>>| -> Vec<Vec<(usize, u32)>> {
+            lists
+                .iter()
+                .map(|l| l.iter().map(|n| (n.index, n.distance.to_bits())).collect())
+                .collect()
+        };
+        let rows: Vec<usize> = (0..20).collect();
+        for k in [1, 5, 19] {
+            assert_eq!(
+                bits(auto.query_rows_batch(&rows, k)),
+                bits(brute.query_rows_batch(&rows, k)),
+                "k = {k}"
+            );
+            assert_eq!(
+                bits(auto.query_batch(&data, k)),
+                bits(brute.query_batch(&data, k)),
+                "k = {k}"
+            );
+            for row in rows.iter().copied() {
+                assert_eq!(
+                    bits(vec![auto.query_row(row, k)]),
+                    bits(vec![brute.query_row(row, k)]),
+                    "row {row}, k = {k}"
+                );
+            }
+        }
+        let nan_last = auto.query_row(0, 19);
+        assert!(nan_last.last().unwrap().distance.is_nan());
     }
 
     #[test]

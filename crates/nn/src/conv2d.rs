@@ -1,10 +1,12 @@
-//! 2-D convolution: one batch-wide `im2col` GEMM lowering, plus a direct
-//! kernel for batched inference on wide unit-stride planes.
+//! 2-D convolution: one batch-wide implicit-GEMM lowering (patch tiles
+//! packed straight from the images), plus a direct kernel for batched
+//! inference on wide unit-stride planes.
 
 use crate::layer::{Layer, Param};
 use eos_tensor::{
-    col2im_into, conv2d_direct_fits, conv2d_direct_into, gemm_nt_into, gemm_segmented_acc_into,
-    gemm_tn_into, im2col_into, kaiming_uniform, par, scratch, Conv2dGeometry, Rng64, Tensor,
+    col2im_into, conv2d_direct_fits, conv2d_direct_into, gemm_patches_nt_into,
+    gemm_patches_segmented_acc_into, gemm_tn_into, kaiming_uniform, pad_images_into, par, scratch,
+    Conv2dGeometry, Rng64, Tensor,
 };
 
 /// Convolution over `(batch, C·H·W)` rows, each interpreted as a `C×H×W`
@@ -17,11 +19,13 @@ pub struct Conv2d {
     cache: Option<ConvCache>,
 }
 
-/// Per-batch cache: every image's patch matrix, stored as one flat
-/// `(batch, H'·W' · C·K·K)` tensor so the buffer is recycled batch to
-/// batch instead of reallocating `n` tensors per step.
+/// Per-batch cache: the batch's `n` input images as zero-padded planes
+/// (laid out by `pad_images_into`), which the weight gradient re-packs
+/// its patch tiles from. The buffer is refilled batch to batch within its
+/// capacity, so the steady state allocates nothing.
 struct ConvCache {
-    cols: Tensor,
+    padded: Vec<f32>,
+    n: usize,
 }
 
 impl Conv2d {
@@ -79,10 +83,12 @@ fn add_bias(y: &mut [f32], bias: Option<&[f32]>, out_spatial: usize) {
     }
 }
 
-/// Batch-wide lowering: unfold every image into `cols` (image-major,
-/// `n·H'W' × C·K·K`), run **one** GEMM `cols · Wᵀ` over all `n·H'W'` output
-/// positions, then transpose each image's `H'W' × O` block into its
-/// channel-major output row and add the bias.
+/// Batch-wide lowering: **one** GEMM `cols · Wᵀ` over all `n·H'W'` output
+/// positions, where `cols` is the image-major `n·H'W' × C·K·K` patch matrix
+/// of the batch — never built: its tiles are packed straight from the
+/// batch's zero-padded planes `padded` (`gemm_patches_nt_into`), which
+/// also transposes each image's `H'W' × O` block of the product into its
+/// channel-major output row. The bias is added last.
 ///
 /// Bit-identical to one `W · colsᵀ` GEMM per image: every output element
 /// is still a single accumulator over the patch index ascending from zero,
@@ -93,32 +99,20 @@ fn add_bias(y: &mut [f32], bias: Option<&[f32]>, out_spatial: usize) {
 /// leaving every element to the masked scalar tail. The weights are packed
 /// once per pass instead of once per image.
 fn forward_batched(
-    x: &Tensor,
+    padded: &[f32],
     w: &[f32],
     bias: Option<&[f32]>,
     geom: &Conv2dGeometry,
-    cols: &mut [f32],
     out: &mut [f32],
 ) {
     eos_trace::count!("nn.conv.lowering.batched_gemm", 1);
-    let (plen, out_spatial) = (geom.patch_len(), geom.patch_count());
-    let oc = w.len() / plen;
-    par::par_chunks_mut(cols, out_spatial * plen, |i, crow| {
-        im2col_into(x.row_slice(i), geom, crow);
-    });
-    let mut pos = scratch::take_zeroed(cols.len() / plen * oc);
-    gemm_nt_into(cols, w, &mut pos, plen, oc);
-    let pos_ref = &pos;
-    par::par_chunks_mut(out, oc * out_spatial, |i, orow| {
-        let block = &pos_ref[i * out_spatial * oc..(i + 1) * out_spatial * oc];
-        for (o, dst) in orow.chunks_exact_mut(out_spatial).enumerate() {
-            for (v, src) in dst.iter_mut().zip(block[o..].iter().step_by(oc)) {
-                *v = *src;
-            }
+    gemm_patches_nt_into(padded, geom, w, out);
+    if bias.is_some() {
+        let out_spatial = geom.patch_count();
+        for orow in out.chunks_exact_mut(w.len() / geom.patch_len() * out_spatial) {
+            add_bias(orow, bias, out_spatial);
         }
-        add_bias(orow, bias, out_spatial);
-    });
-    scratch::give(pos);
+    }
 }
 
 impl Layer for Conv2d {
@@ -134,21 +128,19 @@ impl Layer for Conv2d {
         let n = x.dim(0);
         let out_spatial = self.geom.patch_count();
         let out_len = self.out_len();
-        let cols_len = self.geom.patch_count() * self.geom.patch_len();
         let geom = self.geom;
         let w = &self.weight.value;
         let bias = self.bias.as_ref().map(|b| b.value.data());
-        let mut out = Tensor::zeros(&[n, out_len]);
+        // Every lowering below writes every output element.
+        let mut out = Tensor::from_vec(scratch::take_stale(n * out_len), &[n, out_len]);
         if train {
-            // Keep the batch's patch matrix for the backward pass; the
-            // cache tensor is recycled from the previous batch when the
-            // shape matches, so the steady state allocates nothing.
-            let mut cols = match self.cache.take() {
-                Some(c) if c.cols.len() == n * cols_len => c.cols,
-                _ => Tensor::zeros(&[n, cols_len]),
-            };
-            forward_batched(x, w.data(), bias, &geom, cols.data_mut(), out.data_mut());
-            self.cache = Some(ConvCache { cols });
+            // Keep the padded batch for the backward pass; the cached
+            // buffer is refilled within its capacity batch to batch, so
+            // the steady state allocates nothing.
+            let mut padded = self.cache.take().map_or_else(Vec::new, |c| c.padded);
+            pad_images_into(x.data(), &geom, &mut padded);
+            forward_batched(&padded, w.data(), bias, &geom, out.data_mut());
+            self.cache = Some(ConvCache { padded, n });
         } else if n > 1 && conv2d_direct_fits(&geom) {
             // Batched inference on wide spatial planes: direct
             // register-blocked convolution — no patch matrix at all.
@@ -161,10 +153,11 @@ impl Layer for Conv2d {
             });
         } else {
             // Every other inference call, single images included: the
-            // training lowering, into pooled scratch.
-            let mut cols = scratch::take_zeroed(n * cols_len);
-            forward_batched(x, w.data(), bias, &geom, &mut cols, out.data_mut());
-            scratch::give(cols);
+            // training lowering, with the padded batch in pooled scratch.
+            let mut padded = scratch::take_cleared(n * geom.padded_len());
+            pad_images_into(x.data(), &geom, &mut padded);
+            forward_batched(&padded, w.data(), bias, &geom, out.data_mut());
+            scratch::give(padded);
         }
         out
     }
@@ -174,7 +167,7 @@ impl Layer for Conv2d {
             .cache
             .as_ref()
             .expect("Conv2d::backward without a training forward");
-        let n = cache.cols.dim(0);
+        let n = cache.n;
         assert_eq!(grad.dims(), &[n, self.out_len()]);
         let geom = self.geom;
         let (out_spatial, patch_len) = (geom.patch_count(), geom.patch_len());
@@ -186,14 +179,9 @@ impl Layer for Conv2d {
         // GEMM: each image's H'W' positions are one segment, summed from
         // zero and then added to dW in image order — the sequence of
         // forming every image's dW_i and accumulating `dW += dW_i` one
-        // image after another, without the per-image partials.
-        gemm_segmented_acc_into(
-            g,
-            cache.cols.data(),
-            self.weight.grad.data_mut(),
-            out_spatial,
-            patch_len,
-        );
+        // image after another, without the per-image partials. The
+        // patch tiles are re-packed from the cached padded input.
+        gemm_patches_segmented_acc_into(g, &cache.padded, &geom, self.weight.grad.data_mut());
         if let Some(b) = &mut self.bias {
             for gi in g.chunks_exact(oc * out_spatial) {
                 for (bv, grow) in b
@@ -303,9 +291,9 @@ mod tests {
 
     #[test]
     fn train_and_inference_forward_agree() {
-        // Training writes its patch matrix into the layer cache, inference
-        // into pooled scratch; both run the same batch-wide GEMM, so their
-        // outputs must match bit for bit.
+        // Training caches its padded input, inference does not; both
+        // run the same batch-wide GEMM, so their outputs must match bit
+        // for bit.
         let mut rng = Rng64::new(11);
         let g = geom(2, 4, 4, 3, 1, 1);
         let mut conv = Conv2d::new(g, 4, true, &mut rng);

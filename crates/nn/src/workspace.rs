@@ -1,7 +1,7 @@
 //! Per-worker scratch arena for the training hot path.
 //!
 //! Layers need transient `Vec<f32>` buffers every step (channel-major
-//! batch-norm views, `im2col` patch matrices, `dcols` gradients). Instead
+//! batch-norm views, `dcols` gradients). Instead
 //! of allocating them per batch, each thread owns a [`Workspace`]: a small
 //! arena of recycled buffers checked out with [`Workspace::checkout`] and
 //! handed back with [`Workspace::give`]. In a parallel section every pool

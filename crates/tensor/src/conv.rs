@@ -1,10 +1,15 @@
-//! `im2col`/`col2im` lowering used by the convolution layers.
+//! Convolution lowering: patch packers, `col2im`, and the direct kernel.
 //!
 //! A convolution over an `N×C×H×W` batch with `K×K` kernels, stride `s` and
-//! padding `p` is computed as a GEMM between the unfolded input patches
-//! (`im2col`) and the flattened weight matrix. `col2im` is the adjoint
-//! (scatter-add) used in the backward pass.
+//! padding `p` is a GEMM between the batch's patch matrix (`im2col`) and the
+//! flattened weight matrix. The patch matrix is never built: the batch is
+//! zero-padded once ([`pad_images_into`]) and the GEMM core packs its A
+//! tiles straight from the padded planes ([`pack_patch_rows`] for the
+//! forward, [`pack_patch_cols`] for the weight gradient). `col2im` is the
+//! adjoint (scatter-add) used for the input gradient; [`im2col_into`]
+//! stays as the oracle the packers are tested against.
 
+use crate::matmul::MR;
 use crate::tensor::Tensor;
 
 /// Static geometry of a 2-D convolution: input size, kernel, stride, pad.
@@ -45,6 +50,17 @@ impl Conv2dGeometry {
         self.in_channels * self.kernel * self.kernel
     }
 
+    /// Values per input image: `C * H * W`.
+    pub fn image_len(&self) -> usize {
+        self.in_channels * self.height * self.width
+    }
+
+    /// Values per zero-padded input image: `C * (H + 2p) * (W + 2p)` (see
+    /// [`pad_images_into`]).
+    pub fn padded_len(&self) -> usize {
+        self.in_channels * (self.height + 2 * self.pad) * (self.width + 2 * self.pad)
+    }
+
     fn check(&self) {
         assert!(self.kernel > 0 && self.stride > 0, "degenerate geometry");
         assert!(
@@ -64,10 +80,13 @@ pub fn im2col(image: &[f32], geom: &Conv2dGeometry) -> Tensor {
 }
 
 /// [`im2col`] into a caller-owned buffer of `patch_count() × patch_len()`
-/// elements, so batch loops can reuse one scratch allocation per worker
-/// instead of allocating per image. The buffer is fully overwritten:
-/// every element is written exactly once, padding taps included, so no
-/// zero pre-fill is needed.
+/// elements. The buffer is fully overwritten: every element is written
+/// exactly once, padding taps included, so no zero pre-fill is needed.
+///
+/// No convolution pass calls it any more — the GEMMs pack their tiles
+/// straight from the padded images — but it is the reference the patch
+/// packers are checked against (the crate's `patch_packer_tests` and
+/// `crates/nn/tests/conv_batched_bits.rs`).
 pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     geom.check();
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
@@ -140,6 +159,389 @@ fn unfold_rows(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32], k: usize) 
     }
 }
 
+/// Replaces the contents of `out` with `n` stacked `C×H×W` images as
+/// zero-padded `(H+2p)×(W+2p)` planes, channel-major across the batch:
+/// plane `(ch, img)` starts at `(ch·n + img)·(H+2p)·(W+2p)`, so one channel
+/// of every image is one contiguous stretch (`n ·`
+/// [`Conv2dGeometry::padded_len`] values in all). The planes are appended
+/// in order — padding rows and border columns as `0.0`, image rows by
+/// copy — so every value is written exactly once and no zero pre-fill is
+/// needed; a recycled `out` keeps its capacity and allocates nothing.
+///
+/// This is the layout the patch packers ([`pack_patch_rows`],
+/// [`pack_patch_cols`]) and [`conv2d_direct_into`] read: every window of
+/// every output position lies inside a padded plane, so the packers move
+/// whole runs without any clipping, and a padding tap reads the same
+/// `0.0` the unfolded patch matrix holds. A weight-gradient tile reads
+/// one or two channels of every image, which this layout keeps together.
+pub fn pad_images_into(images: &[f32], geom: &Conv2dGeometry, out: &mut Vec<f32>) {
+    let (h, w, p) = (geom.height, geom.width, geom.pad);
+    let n = images.len() / geom.image_len().max(1);
+    assert_eq!(
+        images.len(),
+        n * geom.image_len(),
+        "images not whole C×H×W volumes"
+    );
+    out.clear();
+    out.reserve(n * geom.padded_len());
+    for ch in 0..geom.in_channels {
+        for img in 0..n {
+            let src = &images[img * geom.image_len() + ch * h * w..][..h * w];
+            // Literal arms give the row widths and pads the models use
+            // fixed-size copies and fills instead of a `memcpy`/`memset`
+            // call per row.
+            match (w, p) {
+                (_, 0) => out.extend_from_slice(src),
+                (4, 1) => pad_plane(src, out, 4, 1),
+                (8, 1) => pad_plane(src, out, 8, 1),
+                (16, 1) => pad_plane(src, out, 16, 1),
+                (w, p) => pad_plane(src, out, w, p),
+            }
+        }
+    }
+}
+
+/// Appends one `w`-wide image plane to `out` with `p` zero rows above and
+/// below and `p` zero columns either side of every row.
+#[inline(always)]
+fn pad_plane(src: &[f32], out: &mut Vec<f32>, w: usize, p: usize) {
+    let pw = w + 2 * p;
+    out.extend(std::iter::repeat_n(0.0, p * pw));
+    for row in src.chunks_exact(w) {
+        out.extend(std::iter::repeat_n(0.0, p));
+        out.extend_from_slice(row);
+        out.extend(std::iter::repeat_n(0.0, p));
+    }
+    out.extend(std::iter::repeat_n(0.0, p * pw));
+}
+
+/// Packs `MR`-row tiles of a batch's *virtual* patch matrix from the
+/// batch's zero-padded images (`padded`, as written by
+/// [`pad_images_into`]). The virtual matrix is the image-major
+/// `n·H'W' × C·K·K` matrix that [`im2col_into`] would build image by
+/// image; it is never built. The returned closure has the contract of the
+/// GEMM core's row-major packer ([`pack_rows`](crate::matmul::pack_rows)):
+/// it writes output positions `i0 .. i0 + h`, over the patch indices
+/// `0 .. dst.len()/MR`, into `dst[p·MR + ir]`, and leaves lanes `ir ≥ h`
+/// untouched.
+///
+/// A full tile whose `MR` positions lie in one output row reads one
+/// padded-row run per `(channel, ky)`, and each of its `K` taps is one
+/// `MR`-wide copy from that run (a strided gather at stride > 1). A tile
+/// that straddles output rows or images reads one `K`-tap run per lane
+/// and `(channel, ky)`, and an edge tile with `h < MR` is packed position
+/// by position. Every path writes the exact `f32` the patch matrix would
+/// hold, padding taps included, so a GEMM fed by this packer is bit for
+/// bit the GEMM over the unfolded matrix.
+pub(crate) fn pack_patch_rows<'a>(
+    padded: &'a [f32],
+    geom: &Conv2dGeometry,
+) -> impl Fn(usize, usize, &mut [f32]) + 'a {
+    geom.check();
+    let g = *geom;
+    assert_eq!(
+        padded.len() % g.padded_len(),
+        0,
+        "not a whole number of padded images"
+    );
+    // Literal arms constant-fold the kernel/stride pairs the models use.
+    move |i0, h, dst| match (g.kernel, g.stride) {
+        (3, 1) => patch_rows_tile(padded, &g, 3, 1, i0, h, dst),
+        (3, 2) => patch_rows_tile(padded, &g, 3, 2, i0, h, dst),
+        (1, 2) => patch_rows_tile(padded, &g, 1, 2, i0, h, dst),
+        (k, s) => patch_rows_tile(padded, &g, k, s, i0, h, dst),
+    }
+}
+
+/// Body of [`pack_patch_rows`] for kernel width `k` and stride `s`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn patch_rows_tile(
+    padded: &[f32],
+    g: &Conv2dGeometry,
+    k: usize,
+    s: usize,
+    i0: usize,
+    h: usize,
+    dst: &mut [f32],
+) {
+    let (ph, pw) = (g.height + 2 * g.pad, g.width + 2 * g.pad);
+    let (oh, ow) = (g.out_height(), g.out_width());
+    // Offset between one channel's planes and the next's.
+    let cstride = padded.len() / g.in_channels;
+    // Position i0's image, output row and column; later lanes step along
+    // from there without dividing.
+    let (mut img, mut oy, mut ox) = (i0 / (oh * ow), i0 % (oh * ow) / ow, i0 % ow);
+    if h == MR && ox + MR <= ow {
+        // One output row: the lanes' windows are one padded-row run.
+        let corner = img * ph * pw + oy * s * pw + ox * s;
+        let span = (MR - 1) * s + k;
+        for (ch, cdst) in dst.chunks_exact_mut(k * k * MR).enumerate() {
+            for (ky, rdst) in cdst.chunks_exact_mut(k * MR).enumerate() {
+                let run = &padded[corner + ch * cstride + ky * pw..][..span];
+                for (kx, d) in rdst.chunks_exact_mut(MR).enumerate() {
+                    for (ir, v) in d.iter_mut().enumerate() {
+                        *v = run[kx + ir * s];
+                    }
+                }
+            }
+        }
+        return;
+    }
+    // Lane ir's window corner.
+    let mut corners = [0; MR];
+    for (ir, c) in corners.iter_mut().enumerate().take(h) {
+        if ir > 0 {
+            ox += 1;
+            if ox == ow {
+                (oy, ox) = (oy + 1, 0);
+                if oy == oh {
+                    (img, oy) = (img + 1, 0);
+                }
+            }
+        }
+        *c = img * ph * pw + oy * s * pw + ox * s;
+    }
+    if h < MR {
+        // Edge tile: position by position.
+        for (ir, &c) in corners.iter().enumerate().take(h) {
+            let mut lanes = dst[ir..].iter_mut().step_by(MR);
+            for ch in 0..g.in_channels {
+                for ky in 0..k {
+                    let run = &padded[c + ch * cstride + ky * pw..][..k];
+                    for (&v, d) in run.iter().zip(lanes.by_ref()) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        return;
+    }
+    // A tile across output rows (or images): one `k`-tap run per lane
+    // and `(channel, ky)`.
+    for (ch, cdst) in dst.chunks_exact_mut(k * k * MR).enumerate() {
+        for (ky, rdst) in cdst.chunks_exact_mut(k * MR).enumerate() {
+            let off = ch * cstride + ky * pw;
+            let runs = corners.map(|c| &padded[c + off..][..k]);
+            for (kx, d) in rdst.chunks_exact_mut(MR).enumerate() {
+                d.copy_from_slice(&runs.map(|r| r[kx]));
+            }
+        }
+    }
+}
+
+/// Packs `MR`-row tiles of the *transposed* virtual patch matrix — the
+/// row side of the convolution's weight-gradient GEMM — from the batch's
+/// zero-padded images (`padded`, as written by [`pad_images_into`]). The
+/// closure has the contract of the GEMM core's transposed packer
+/// ([`pack_cols`](crate::matmul::pack_cols) over the `n·H'W' × C·K·K`
+/// matrix [`im2col_into`] would build): it writes patch indices
+/// `i0 .. i0 + h`, over the output positions `0 .. dst.len()/MR`, into
+/// `dst[q·MR + ir]`, and leaves lanes `ir ≥ h` untouched.
+///
+/// One patch index `(channel, ky, kx)` over one output row is one shifted
+/// (at stride > 1, strided) padded-row run. A full tile zips its `MR`
+/// runs into the lanes, one output row at a time, as
+/// [`pack_rows`](crate::matmul::pack_rows) zips its four rows; rows shorter
+/// than a tile are gathered window by window, and an edge tile with
+/// `h < MR` fills its lanes one at a time.
+pub(crate) fn pack_patch_cols<'a>(
+    padded: &'a [f32],
+    geom: &Conv2dGeometry,
+) -> impl Fn(usize, usize, &mut [f32]) + 'a {
+    geom.check();
+    let g = *geom;
+    assert_eq!(
+        padded.len() % g.padded_len(),
+        0,
+        "not a whole number of padded images"
+    );
+    move |i0, h, dst| match (g.kernel, g.stride) {
+        (3, 1) => patch_cols_tile(padded, &g, 3, 1, i0, h, dst),
+        (3, 2) => patch_cols_tile(padded, &g, 3, 2, i0, h, dst),
+        (1, 2) => patch_cols_tile(padded, &g, 1, 2, i0, h, dst),
+        (k, s) => patch_cols_tile(padded, &g, k, s, i0, h, dst),
+    }
+}
+
+/// Body of [`pack_patch_cols`] for kernel width `k` and stride `s`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn patch_cols_tile(
+    padded: &[f32],
+    g: &Conv2dGeometry,
+    k: usize,
+    s: usize,
+    i0: usize,
+    h: usize,
+    dst: &mut [f32],
+) {
+    let (ph, pw) = (g.height + 2 * g.pad, g.width + 2 * g.pad);
+    let (oh, ow) = (g.out_height(), g.out_width());
+    assert!(i0 + h <= g.patch_len(), "patch index tile out of range");
+    // Lane ir's tap, as an offset from a window's corner in the first
+    // channel's plane of the window's image. Lanes past `h` repeat the
+    // last tap; they are never written.
+    let cstride = padded.len() / g.in_channels;
+    let taps: [usize; MR] = std::array::from_fn(|ir| {
+        let pi = i0 + ir.min(h - 1);
+        pi / (k * k) * cstride + pi / k % k * pw + pi % k
+    });
+    let run_len = (ow - 1) * s + 1;
+    let span = (oh - 1) * s * pw + run_len;
+    for (img, idst) in dst.chunks_exact_mut(oh * ow * MR).enumerate() {
+        // Lane ir's tap in every window of this image.
+        let spans = taps.map(|t| &padded[img * ph * pw + t..][..span]);
+        if h < MR {
+            // Edge tile: lane by lane.
+            for (oy, rdst) in idst.chunks_exact_mut(ow * MR).enumerate() {
+                for (ir, lane) in spans.iter().enumerate().take(h) {
+                    let run = lane[oy * s * pw..].iter().step_by(s);
+                    for (d, &v) in rdst[ir..].iter_mut().step_by(MR).zip(run) {
+                        *d = v;
+                    }
+                }
+            }
+        } else if ow < MR {
+            // Rows shorter than a tile: window by window.
+            for (oy, rdst) in idst.chunks_exact_mut(ow * MR).enumerate() {
+                for (ox, d) in rdst.chunks_exact_mut(MR).enumerate() {
+                    let corner = oy * s * pw + ox * s;
+                    d.copy_from_slice(&spans.map(|r| r[corner]));
+                }
+            }
+        } else {
+            // One padded-row run per lane, zipped into the lanes: plain
+            // slices at stride 1 (faster there than `step_by`), `step_by`
+            // runs otherwise.
+            for (oy, rdst) in idst.chunks_exact_mut(ow * MR).enumerate() {
+                let runs = spans.map(|r| &r[oy * s * pw..][..run_len]);
+                if s == 1 {
+                    zip4_runs(runs, rdst);
+                } else {
+                    for (q, d) in rdst.chunks_exact_mut(MR).enumerate() {
+                        d.copy_from_slice(&runs.map(|r| r[q * s]));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Interleaves four equal-length runs into `dst` lane by lane:
+/// `dst[q·4 + ir] = runs[ir][q]`. Groups of four positions move as one
+/// `4×4` SSE transpose (SSE is part of the x86-64 baseline); the tail,
+/// and other targets, go element by element. A pure copy.
+#[inline(always)]
+fn zip4_runs(runs: [&[f32]; MR], dst: &mut [f32]) {
+    const { assert!(MR == 4, "four runs fill the four lanes") };
+    let len = runs[0].len();
+    assert!(runs.iter().all(|r| r.len() == len) && dst.len() == len * MR);
+    let mut q = 0;
+    #[cfg(target_arch = "x86_64")]
+    while q + 4 <= len {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE is always present on x86-64; every run has `len ≥
+        // q + 4` values and `dst` has `4·len ≥ 4·q + 16`.
+        unsafe {
+            let [a, b, c, d] = runs.map(|r| _mm_loadu_ps(r.as_ptr().add(q)));
+            let ab_lo = _mm_unpacklo_ps(a, b);
+            let ab_hi = _mm_unpackhi_ps(a, b);
+            let cd_lo = _mm_unpacklo_ps(c, d);
+            let cd_hi = _mm_unpackhi_ps(c, d);
+            let out = dst.as_mut_ptr().add(q * MR);
+            _mm_storeu_ps(out, _mm_movelh_ps(ab_lo, cd_lo));
+            _mm_storeu_ps(out.add(4), _mm_movehl_ps(cd_lo, ab_lo));
+            _mm_storeu_ps(out.add(8), _mm_movelh_ps(ab_hi, cd_hi));
+            _mm_storeu_ps(out.add(12), _mm_movehl_ps(cd_hi, ab_hi));
+        }
+        q += 4;
+    }
+    for (qq, d) in dst.chunks_exact_mut(MR).enumerate().skip(q) {
+        d.copy_from_slice(&runs.map(|r| r[qq]));
+    }
+}
+
+/// Writes the row-major `rows × cols` matrix `src` into `dst` as its
+/// `cols × rows` transpose: the forward GEMM's `H'W' × O` block of one
+/// image into that image's channel-major output. Whole `8×8` blocks move
+/// as vectors on AVX2 hosts, everything else element by element; a pure
+/// copy, so every path writes the same bits.
+pub(crate) fn transpose_into(src: &[f32], dst: &mut [f32], cols: usize) {
+    assert_eq!(src.len(), dst.len(), "transpose size mismatch");
+    let rows = src.len() / cols.max(1);
+    // Rows and columns covered by whole vector blocks (none without AVX2).
+    let (rb, cb) = if crate::matmul::wide_kernel_enabled() {
+        (rows - rows % 8, cols - cols % 8)
+    } else {
+        (0, 0)
+    };
+    #[cfg(target_arch = "x86_64")]
+    for r0 in (0..rb).step_by(8) {
+        for c0 in (0..cb).step_by(8) {
+            // SAFETY: `rb > 0` only when avx2 was detected; the block's
+            // eight source rows `r0..r0+8` (columns `c0..c0+8`) and eight
+            // destination rows `c0..c0+8` (columns `r0..r0+8`) lie inside
+            // `src` and `dst`.
+            unsafe {
+                transpose8x8_avx2(
+                    src.as_ptr().add(r0 * cols + c0),
+                    cols,
+                    dst.as_mut_ptr().add(c0 * rows + r0),
+                    rows,
+                );
+            }
+        }
+    }
+    for r in 0..rows {
+        for c in if r < rb { cb } else { 0 }..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
+/// One `8×8` block of [`transpose_into`]: eight row loads, the standard
+/// unpack/shuffle/lane-permute network, eight row stores.
+///
+/// # Safety
+/// AVX2 must be available, `src + r·lds` and `dst + c·ldd` must be valid
+/// for eight `f32` reads (writes) for every `r, c < 8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose8x8_avx2(src: *const f32, lds: usize, dst: *mut f32, ldd: usize) {
+    use std::arch::x86_64::*;
+    let r: [__m256; 8] = std::array::from_fn(|i| _mm256_loadu_ps(src.add(i * lds)));
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    let out = [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ];
+    for (i, v) in out.into_iter().enumerate() {
+        _mm256_storeu_ps(dst.add(i * ldd), v);
+    }
+}
+
 /// Direct (un-lowered) convolution of one image: `out[o] = Σ_p w[o, p] ·
 /// shift_p(image)` — the inference fast path that never materialises a
 /// patch matrix at all.
@@ -169,14 +571,16 @@ pub fn conv2d_direct_into(image: &[f32], weight: &[f32], out: &mut [f32], geom: 
         weight.len() * geom.patch_count(),
         "output buffer size mismatch"
     );
-    let (ph, pw) = (h + 2 * geom.pad, w + 2 * geom.pad);
-    let mut padded = crate::scratch::take_zeroed(c * ph * pw);
-    for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
-        let dst = &mut padded[ch * ph * pw..];
-        for y in 0..h {
-            dst[(y + geom.pad) * pw + geom.pad..][..w].copy_from_slice(&plane[y * w..][..w]);
+    let mut padded = crate::scratch::take_cleared(geom.padded_len());
+    pad_images_into(image, geom, &mut padded);
+    #[cfg(target_arch = "x86_64")]
+    if crate::matmul::avx512_kernel_enabled() {
+        // SAFETY: the avx512f requirement was just checked at runtime.
+        unsafe {
+            conv2d_direct_avx512(&padded, weight, out, geom);
         }
+        crate::scratch::give(padded);
+        return;
     }
     #[cfg(target_arch = "x86_64")]
     if crate::matmul::wide_kernel_enabled() {
@@ -187,14 +591,14 @@ pub fn conv2d_direct_into(image: &[f32], weight: &[f32], out: &mut [f32], geom: 
         crate::scratch::give(padded);
         return;
     }
-    conv2d_direct_kernel(&padded, weight, out, geom);
+    conv2d_direct_kernel::<4>(&padded, weight, out, geom);
     crate::scratch::give(padded);
 }
 
 /// Whether batched inference on `geom` takes [`conv2d_direct_into`]:
 /// unit stride, an even number of output rows, and `W'` a whole number
-/// of 16-column register blocks. Other geometries go through the im2col
-/// GEMM.
+/// of 16-column register blocks. Other geometries go through the
+/// batch-wide patch GEMM ([`crate::gemm_patches_nt_into`]).
 pub fn conv2d_direct_fits(geom: &Conv2dGeometry) -> bool {
     geom.stride == 1
         && geom.out_width().is_multiple_of(2 * DIRECT_LANES)
@@ -213,7 +617,18 @@ const DIRECT_LANES: usize = 8;
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn conv2d_direct_avx2(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &Conv2dGeometry) {
-    conv2d_direct_kernel(padded, weight, out, geom);
+    conv2d_direct_kernel::<4>(padded, weight, out, geom);
+}
+
+/// [`conv2d_direct_kernel`] compiled with AVX-512F enabled. One 16-column
+/// output row is one 512-bit register, so a block of eight rows keeps
+/// eight independent accumulators live where the AVX2 tier's four rows
+/// fill eight 256-bit ones. Every element still performs separate `mul`
+/// then `add` over ascending taps: bit-identical to the other tiers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn conv2d_direct_avx512(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &Conv2dGeometry) {
+    conv2d_direct_kernel::<8>(padded, weight, out, geom);
 }
 
 /// One `R`-row × `OW`-column register block of the direct convolution:
@@ -263,8 +678,15 @@ fn direct_block<const OW: usize, const R: usize>(
 /// over two vectors) and stores once. Other geometries use an
 /// interval-free scalar loop over the padded plane — identical
 /// per-element operation sequence, just without the register blocking.
+/// `WIDE_ROWS` is the height of the 16-column blocks the tier prefers
+/// (four-row blocks where it does not divide `H'`).
 #[inline(always)]
-fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &Conv2dGeometry) {
+fn conv2d_direct_kernel<const WIDE_ROWS: usize>(
+    padded: &[f32],
+    weight: &[f32],
+    out: &mut [f32],
+    geom: &Conv2dGeometry,
+) {
     let c = geom.in_channels;
     let (oh, ow) = (geom.out_height(), geom.out_width());
     let (k, s) = (geom.kernel, geom.stride);
@@ -281,6 +703,12 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
         // four 8-column rows. Adjacent output rows are contiguous in the
         // output plane; their source rows are one padded row apart.
         // Planes with `H'` not a multiple of 4 take the per-row loop.
+        if fast && ow == 2 * DIRECT_LANES && oh % WIDE_ROWS == 0 {
+            for oy in (0..oh).step_by(WIDE_ROWS) {
+                direct_block::<16, WIDE_ROWS>(padded, wrow, oplane, oy, c, k, ph, pw);
+            }
+            continue;
+        }
         if fast && ow == 2 * DIRECT_LANES && oh % 4 == 0 {
             for oy in (0..oh).step_by(4) {
                 direct_block::<16, 4>(padded, wrow, oplane, oy, c, k, ph, pw);

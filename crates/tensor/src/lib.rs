@@ -9,7 +9,9 @@
 //! * construction and seeded random initialisation ([`init`]),
 //! * element-wise and broadcasting arithmetic ([`Tensor`] methods),
 //! * blocked matrix multiplication ([`matmul`]),
-//! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
+//! * convolution lowering: patch-matrix GEMMs whose tiles are packed
+//!   straight from the images, `col2im` for the input gradient, and a
+//!   direct kernel ([`conv`]),
 //! * axis reductions ([`reduce`]),
 //! * finite-difference gradient checking ([`gradcheck`]),
 //! * a zero-dependency data-parallel execution layer ([`par`]) that the
@@ -37,15 +39,18 @@ pub mod scratch;
 mod shape;
 mod tensor;
 
+#[cfg(test)]
+mod patch_packer_tests;
+
 pub use conv::{
     col2im, col2im_into, conv2d_direct_fits, conv2d_direct_into, im2col, im2col_into,
-    Conv2dGeometry,
+    pad_images_into, Conv2dGeometry,
 };
 pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
-    avx512_kernel_enabled, gemm_nt_into, gemm_segmented_acc_into, gemm_tn_into,
-    set_force_scalar_kernel, wide_kernel_enabled,
+    avx512_kernel_enabled, gemm_nt_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into,
+    gemm_tn_into, set_force_scalar_kernel, wide_kernel_enabled,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,24 +1,28 @@
 //! Packed, register-blocked, row-parallel matrix multiplication kernels.
 //!
 //! The training stack spends almost all of its time here (convolutions are
-//! lowered to GEMM via `im2col`), so the inner loop is a register-blocked
+//! GEMMs over their patch matrices), so the inner loop is a register-blocked
 //! micro-kernel: an `MR`×`NR` tile of the output is held in one local
 //! accumulator per element while the reduction dimension is streamed from
 //! **packed panels**. The right-hand side is packed once per call into
 //! `NR`-wide column panels (contiguous in the reduction index, shared
 //! read-only across all row chunks and parallel workers); the left-hand
-//! side is packed per `MR`-row tile into per-thread scratch. Edge tiles
+//! side is packed per `MR`-row tile into per-thread scratch by a packer for
+//! its layout: [`pack_rows`] (row-major), [`pack_cols`] (transposed), or,
+//! for convolutions, [`pack_patch_rows`]/[`pack_patch_cols`], which read
+//! the tiles of a patch matrix straight from the images. Edge tiles
 //! (m or n not multiples of `MR`/`NR`) fall back to masked scalar tails.
 //!
 //! Every output element is still accumulated over the reduction index in
 //! ascending order with a single carried accumulator — the same sequence
 //! of multiplies and adds as the seed scalar kernels — so results are
 //! bit-for-bit identical to both the seed implementation and PR 1's
-//! serial/parallel determinism guarantee. The segmented entry point
-//! ([`gemm_segmented_acc_into`]) sums each reduction segment from zero and
+//! serial/parallel determinism guarantee. The segmented core
+//! ([`gemm_segmented_acc_with`]) sums each reduction segment from zero and
 //! adds the segment sums in order. See DESIGN.md for the layout and the
 //! determinism argument.
 
+use crate::conv::{pack_patch_cols, pack_patch_rows, transpose_into, Conv2dGeometry};
 use crate::par;
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -27,8 +31,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 const BLOCK_K: usize = 64;
 
-/// Rows of the output tile held in registers by the micro-kernel.
-const MR: usize = 4;
+/// Rows of the output tile held in registers by the micro-kernel, and so
+/// the rows of every packed A tile.
+pub(crate) const MR: usize = 4;
 /// Columns of the output tile held in registers by the micro-kernel.
 const NR: usize = 8;
 
@@ -84,8 +89,9 @@ fn pack_b<F: Fn(usize, usize) -> f32>(get: F, k: usize, n: usize) -> Vec<f32> {
 
 /// Packs `MR`-row tiles of a row-major left-hand side (`a[i·lda + p]`):
 /// the returned closure writes rows `i0 .. i0 + h`, over the reduction
-/// indices `0 .. dst.len()/MR`, into `dst[p·MR + ir]`.
-fn pack_rows(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
+/// indices `0 .. dst.len()/MR`, into `dst[p·MR + ir]`, and leaves lanes
+/// `ir ≥ h` untouched.
+pub(crate) fn pack_rows(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
     const { assert!(MR == 4, "the full-tile path below zips four rows") };
     move |i0, h, dst| {
         let k = dst.len() / MR;
@@ -107,7 +113,7 @@ fn pack_rows(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
 
 /// Like [`pack_rows`] for a left-hand side stored transposed
 /// (`a[p·lda + i]`): each reduction index is one contiguous copy.
-fn pack_cols(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
+pub(crate) fn pack_cols(a: &[f32], lda: usize) -> impl Fn(usize, usize, &mut [f32]) + '_ {
     move |i0, h, dst| {
         for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
             let src = &a[p * lda + i0..];
@@ -358,8 +364,8 @@ pub fn wide_kernel_enabled() -> bool {
 }
 
 /// Whether the 512-bit tier runs: [`wide_kernel_enabled`] holds and the
-/// CPU also has AVX-512F. Only the brute-force k-NN kernel has such a
-/// tier. Since it requires [`wide_kernel_enabled`],
+/// CPU also has AVX-512F. The brute-force k-NN kernel and the direct
+/// convolution have such a tier. Since it requires [`wide_kernel_enabled`],
 /// [`set_force_scalar_kernel`] turns it off too.
 #[inline]
 pub fn avx512_kernel_enabled() -> bool {
@@ -487,14 +493,55 @@ pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
     let m = out.len() / n.max(1);
     assert_eq!(a.len(), m * k, "lhs size mismatch");
+    gemm_nt_with(&pack_rows(a, k), b, out, k, n);
+}
+
+/// The convolution forward over a whole batch: `patches · wᵀ`, written
+/// channel-major per image. `patches` is the image-major `n·H'W' × C·K·K`
+/// patch matrix of the `n` images whose zero-padded planes `padded` holds
+/// (as laid out by [`pad_images_into`]), and `w` is the flattened
+/// `O × C·K·K` kernel; `out` holds one `O·H'W'` row per image, output
+/// channel `o` of image `i` at position `q` in `out[(i·O + o)·H'W' + q]`.
+///
+/// The patch matrix is never built: [`pack_patch_rows`] packs each A tile
+/// straight from the padded images. The tiles hold the values
+/// [`im2col_into`] would have written and the GEMM is [`gemm_nt_into`]'s
+/// (same panels, chunks and accumulation order), so the product is
+/// bit-identical to unfolding every image and calling [`gemm_nt_into`];
+/// each image's `H'W' × O` block of it is then transposed into place.
+///
+/// [`im2col_into`]: crate::im2col_into
+/// [`pad_images_into`]: crate::pad_images_into
+pub fn gemm_patches_nt_into(padded: &[f32], geom: &Conv2dGeometry, w: &[f32], out: &mut [f32]) {
+    let (plen, osp) = (geom.patch_len(), geom.patch_count());
+    assert_eq!(w.len() % plen, 0, "weight not whole O×CKK rows");
+    let oc = w.len() / plen;
+    let n = padded.len() / geom.padded_len();
+    assert_eq!(out.len(), n * osp * oc, "output size mismatch");
+    // Every element of the product is written by the GEMM.
+    let mut pos = scratch::take_stale(out.len());
+    gemm_nt_with(&pack_patch_rows(padded, geom), w, &mut pos, plen, oc);
+    let pos_ref = &pos;
+    par::par_chunks_mut(out, osp * oc, |i, orow| {
+        transpose_into(&pos_ref[i * osp * oc..][..osp * oc], orow, oc);
+    });
+    scratch::give(pos);
+}
+
+/// [`gemm_nt_into`] with the left-hand side supplied by its tile packer:
+/// `out (m×n) = Â (m×k) · bᵀ`, `b` stored row-major as `n×k`.
+fn gemm_nt_with<P>(pack_a: &P, b: &[f32], out: &mut [f32], k: usize, n: usize)
+where
+    P: Fn(usize, usize, &mut [f32]) + Sync,
+{
+    let m = out.len() / n.max(1);
     assert_eq!(b.len(), n * k, "rhs size mismatch");
     trace_gemm(m, k, n);
     let packed_b = pack_b(|p, j| b[j * k + p], k, n);
     let pb = &packed_b[..];
     let chunk = tile_rows_per_chunk(m, k * n);
-    let pack_a = pack_rows(a, k);
     par::par_chunks_mut(out, chunk * n, |ci, rows| {
-        packed_gemm_rows(&pack_a, pb, rows, ci * chunk, k, k, n, false);
+        packed_gemm_rows(pack_a, pb, rows, ci * chunk, k, k, n, false);
     });
     scratch::give(packed_b);
 }
@@ -543,10 +590,38 @@ pub fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
     scratch::give(packed_b);
 }
 
+/// `dw (O × C·K·K) += Σ_i g_i · patches_i`: the convolution weight
+/// gradient over a whole batch. `g` stacks the images' `O × H'W'` output
+/// gradients, and `patches_i` is image `i`'s `H'W' × C·K·K` patch matrix,
+/// taken from the batch's zero-padded planes `padded` (as laid out by
+/// [`pad_images_into`]).
+///
+/// This is the segmented-K GEMM (see [`gemm_segmented_acc_with`]) with one
+/// segment per image, so each image's `dW_i` is summed from zero and added
+/// to `dw` in image order. Its long row side, the transposed patch matrix,
+/// is packed tile by tile straight from the padded images by
+/// [`pack_patch_cols`], with the values [`im2col_into`] would have
+/// written: bit-identical to the same GEMM over the unfolded matrix.
+///
+/// [`im2col_into`]: crate::im2col_into
+/// [`pad_images_into`]: crate::pad_images_into
+pub fn gemm_patches_segmented_acc_into(
+    g: &[f32],
+    padded: &[f32],
+    geom: &Conv2dGeometry,
+    dw: &mut [f32],
+) {
+    let (plen, osp) = (geom.patch_len(), geom.patch_count());
+    let n = padded.len() / geom.padded_len();
+    gemm_segmented_acc_with(&pack_patch_cols(padded, geom), g, dw, osp, plen, n * osp);
+}
+
 /// `out += Σ_s a_s · b_s` into a caller-owned `m×n` buffer, with the
-/// reduction cut into segments of `seg` indices: `a` stacks the row-major
-/// `m×seg` blocks `a_s` one after another, and `b` is the `(S·seg)×n`
-/// matrix whose rows `s·seg .. (s+1)·seg` are `b_s`.
+/// reduction `0..k` cut into segments of `seg` indices: `a` stacks the
+/// row-major `m×seg` blocks `a_s` one after another, and `b` is the `k×n`
+/// matrix whose rows `s·seg .. (s+1)·seg` are `b_s`. `b` is given only by
+/// `pack_b`, the packer of `MR`-row tiles of `bᵀ` (with [`pack_cols`]'s
+/// contract over the matrix `b`).
 ///
 /// Each segment's product is accumulated from `0.0` in its own register
 /// tile over ascending `p` and only then added to `out`, in segment order.
@@ -561,14 +636,23 @@ pub fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
 /// row side, packed tile by tile inside the parallel row chunks, and the
 /// short `a` becomes the panels, packed once. Chunks are shape-only, so the
 /// result is the same at every thread count.
-pub fn gemm_segmented_acc_into(a: &[f32], b: &[f32], out: &mut [f32], seg: usize, n: usize) {
+fn gemm_segmented_acc_with<P>(
+    pack_b: &P,
+    a: &[f32],
+    out: &mut [f32],
+    seg: usize,
+    n: usize,
+    k: usize,
+) where
+    P: Fn(usize, usize, &mut [f32]) + Sync,
+{
     assert!(
         seg > 0 && n > 0,
         "segment length and width must be positive"
     );
     assert_eq!(out.len() % n, 0, "output not a whole number of rows");
-    assert_eq!(b.len() % (seg * n), 0, "rhs not a whole number of segments");
-    let (m, k) = (out.len() / n, b.len() / n);
+    assert!(k.is_multiple_of(seg), "rhs not a whole number of segments");
+    let m = out.len() / n;
     assert_eq!(a.len(), m * k, "lhs size mismatch");
     trace_gemm(m, k, n);
     let mut out_t = scratch::take_cleared(m * n);
@@ -578,9 +662,8 @@ pub fn gemm_segmented_acc_into(a: &[f32], b: &[f32], out: &mut [f32], seg: usize
     let packed_a = pack_segments(a, seg, k, m);
     let pa = &packed_a[..];
     let chunk = tile_rows_per_chunk(n, k * m);
-    let pack_a = pack_cols(b, n);
     par::par_chunks_mut(&mut out_t, chunk * m, |ci, rows| {
-        packed_gemm_rows(&pack_a, pa, rows, ci * chunk, k, seg, m, true);
+        packed_gemm_rows(pack_b, pa, rows, ci * chunk, k, seg, m, true);
     });
     for (j, column) in out_t.chunks_exact(m).enumerate() {
         for (i, &v) in column.iter().enumerate() {
@@ -592,7 +675,7 @@ pub fn gemm_segmented_acc_into(a: &[f32], b: &[f32], out: &mut [f32], seg: usize
 }
 
 /// [`pack_b`] for the transposed stack of `m×seg` blocks that
-/// [`gemm_segmented_acc_into`] multiplies by: element `(p, i)` is
+/// [`gemm_segmented_acc_with`] multiplies by: element `(p, i)` is
 /// `a[s·m·seg + i·seg + pp]` with `p = s·seg + pp`. Walking the segments
 /// and their rows in nested loops fills the same panels in the same order
 /// without a division per element.
@@ -804,6 +887,12 @@ mod tests {
             let want = block.matmul_tn(&b);
             assert_eq!(&out[s * k * n..(s + 1) * k * n], want.data(), "block {s}");
         }
+    }
+
+    /// The segmented core over a row-major `(S·seg)×n` matrix `b`.
+    fn gemm_segmented_acc_into(a: &[f32], b: &[f32], out: &mut [f32], seg: usize, n: usize) {
+        assert_eq!(b.len() % (seg * n), 0, "rhs not a whole number of segments");
+        gemm_segmented_acc_with(&pack_cols(b, n), a, out, seg, n, b.len() / n);
     }
 
     /// `out += Σ_s a_s·b_s` the slow way: every segment product summed

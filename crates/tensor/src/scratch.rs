@@ -58,6 +58,29 @@ fn class_of(len: usize) -> usize {
 /// elements. Fill it with `extend`/`resize`; neither reallocates as long
 /// as the final length stays within `min_capacity`.
 pub fn take_cleared(min_capacity: usize) -> Vec<f32> {
+    let mut v = take_parked(min_capacity);
+    v.clear();
+    v
+}
+
+/// A buffer of exactly `len` elements whose values are unspecified: what
+/// the recycled buffer's earlier user left there (zeros past that). For
+/// callers that overwrite every element: it skips the fill pass
+/// [`take_zeroed`] spends on a buffer about to be rewritten.
+pub fn take_stale(len: usize) -> Vec<f32> {
+    let mut v = take_parked(len);
+    if v.len() >= len {
+        v.truncate(len);
+    } else {
+        v.resize(len, 0.0);
+    }
+    v
+}
+
+/// A parked buffer with capacity for at least `min_capacity` elements,
+/// still holding the values (and length) its last user gave back, or a
+/// fresh empty one.
+fn take_parked(min_capacity: usize) -> Vec<f32> {
     TAKEN.fetch_add(1, Ordering::Relaxed);
     // Requests below MIN_POOL_LEN still consult the pool: their class is
     // clamped up to MIN_POOL_LEN, the same class `give` parks them under —
@@ -71,7 +94,7 @@ pub fn take_cleared(min_capacity: usize) -> Vec<f32> {
         v
     });
     if let Some(v) = reused {
-        debug_assert!(v.is_empty() && v.capacity() >= min_capacity);
+        debug_assert!(v.capacity() >= min_capacity);
         return v;
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
@@ -100,12 +123,13 @@ pub fn take_copy(src: &[f32]) -> Vec<f32> {
 /// Returns a buffer to the pool for reuse. Buffers that are tiny, oddly
 /// sized (capacity not a pool class) or beyond the retention caps are
 /// dropped normally.
-pub fn give(mut v: Vec<f32>) {
+pub fn give(v: Vec<f32>) {
     let cap = v.capacity();
     if cap < MIN_POOL_LEN || cap != cap.next_power_of_two() {
         return;
     }
-    v.clear();
+    // Parked with its values: `take_stale` hands them out again instead
+    // of a fill, every other `take_*` clears first.
     let bytes = cap * std::mem::size_of::<f32>();
     with_pool(|pool| {
         if pool.held_bytes + bytes > MAX_POOL_BYTES {
@@ -177,6 +201,21 @@ mod tests {
         let b = take_zeroed(256);
         assert!(b.iter().all(|&x| x == 0.0), "stale values leaked");
         assert_eq!(b.len(), 256);
+    }
+
+    #[test]
+    fn take_stale_has_the_length_asked_for() {
+        // Shorter and longer than the parked buffer's last length, within
+        // one class: exact lengths either way. (The values are whatever a
+        // buffer's last user left, and the pool is shared by concurrent
+        // tests, so they are not checked.)
+        give(take_filled(3000, 1.5));
+        let b = take_stale(2500);
+        assert_eq!(b.len(), 2500);
+        give(b);
+        let c = take_stale(4000);
+        assert_eq!(c.len(), 4000);
+        assert!(c.capacity() >= 4000);
     }
 
     #[test]
