@@ -6,24 +6,27 @@ use eos_tensor::Tensor;
 /// Largest point dimensionality at which the KD-tree beats the blocked
 /// linear scan. Measured with `query_rows_batch` over every row of a
 /// Gaussian set, k = 10, one thread, on an AVX-512 Xeon, against the
-/// two-pass scan; each time is the median of three rounds, each the best
-/// of 7 calls (ms, brute / tree):
+/// scan that picks each query's k-th approximate value with a min/max
+/// network; each time is the median of three rounds, each the best of 7
+/// calls (ms, brute / tree):
 ///
 /// | d  | n = 1500    | n = 300     |
 /// |----|-------------|-------------|
-/// | 2  | 7.8 / 2.0   | 0.87 / 0.31 |
-/// | 3  | 8.0 / 3.6   | 0.84 / 0.48 |
-/// | 4  | 8.2 / 5.5   | 0.79 / 0.66 |
-/// | 5  | 8.0 / 8.3   | 0.85 / 1.07 |
-/// | 6  | 7.7 / 16.6  | 0.98 / 1.21 |
-/// | 8  | 8.1 / 20.2  | 0.83 / 1.22 |
-/// | 12 | 8.0 / 33.2  | 0.84 / 1.39 |
-/// | 16 | 8.3 / 38.7  | 0.86 / 1.61 |
+/// | 2  | 4.5 / 2.4   | 0.35 / 0.30 |
+/// | 3  | 5.7 / 4.2   | 0.35 / 0.53 |
+/// | 4  | 4.8 / 5.6   | 0.36 / 0.70 |
+/// | 5  | 4.5 / 9.9   | 0.38 / 0.96 |
+/// | 6  | 5.8 / 17.2  | 0.40 / 1.22 |
+/// | 8  | 4.5 / 19.1  | 0.39 / 1.36 |
+/// | 12 | 4.6 / 27.3  | 0.38 / 1.53 |
+/// | 16 | 5.0 / 32.7  | 0.38 / 1.57 |
 ///
 /// The scan's cost barely moves with `d` at these widths, while the tree's
 /// branch-and-bound pruning degrades with every added dimension (curse of
-/// dimensionality); from 5 dimensions on the brute-force index is used.
-pub const TREE_MAX_DIM: usize = 4;
+/// dimensionality). The tree wins every round only at d = 2; at d = 3 it
+/// still wins at n = 1500 but loses at n = 300, so from 3 dimensions on
+/// the brute-force index is used.
+pub const TREE_MAX_DIM: usize = 2;
 
 /// Exact k-NN index that picks its backend from the data's dimensionality:
 /// a [`KdTree`] for points with at most [`TREE_MAX_DIM`] coordinates

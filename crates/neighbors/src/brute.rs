@@ -168,21 +168,14 @@ impl BruteForceKnn {
         }
     }
 
-    /// Transposes the block into an `L`-lane panel (unused lanes stay
-    /// zero and are never read back) and runs [`scan_rows`] on the widest
+    /// Runs [`scan_rows`] over the block's `L`-lane panel on the widest
     /// tier the CPU supports.
     fn scan_lanes<const L: usize>(
         &self,
         block: &[Query<'_>],
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, usize) {
-        let d = self.data.dim(1);
-        let mut panel = vec![0.0f32; d * L];
-        for (lane, (point, _)) in block.iter().enumerate() {
-            for (j, &v) in point.iter().enumerate() {
-                panel[j * L + lane] = v;
-            }
-        }
+        let panel = transpose::<L>(block, self.data.dim(1));
         match KnnKernel::current() {
             // SAFETY: `KnnKernel::current` just checked for avx512f at
             // runtime, and every AVX-512F CPU has FMA.
@@ -215,6 +208,18 @@ impl BruteForceKnn {
             k,
         )
     }
+}
+
+/// The block's points as an `L`-lane `[d][L]` panel; unused lanes stay
+/// zero and are never read back.
+fn transpose<const L: usize>(block: &[Query<'_>], d: usize) -> Vec<f32> {
+    let mut panel = vec![0.0f32; d * L];
+    for (lane, (point, _)) in block.iter().enumerate() {
+        for (j, &v) in point.iter().enumerate() {
+            panel[j * L + lane] = v;
+        }
+    }
+    panel
 }
 
 /// [`scan_rows`] compiled with AVX-512F and FMA enabled, so a sixteen-lane
@@ -285,7 +290,11 @@ fn scan_rows<const L: usize, const FMA: bool, const R: usize>(
 /// approximate squared distance `a = (‖q‖² + ‖x‖²) − 2·q·x` lies within
 /// some query's [`threshold`], leaving out each query's excluded row for
 /// its own lane; every row when some query's [`error_bound`] cannot be
-/// formed.
+/// formed. Every row's `a` goes into an `[n][L]` buffer, the excluded rows
+/// at `+∞`; each lane's k-th smallest value is picked from all of it, and
+/// the rows are tested against the final thresholds in one pass. The
+/// values are finite (`error_bound` has bounded the scale), so the
+/// candidates depend only on them, not on the order the rows arrive in.
 #[inline(always)]
 fn filter_rows<const L: usize, const FMA: bool, const R: usize>(
     data: &Tensor,
@@ -303,92 +312,83 @@ fn filter_rows<const L: usize, const FMA: bool, const R: usize>(
             None => return (0..n).map(|row| (row, u32::MAX)).collect(),
         }
     }
-    let mut filter = Filter {
-        lists: Lists::<L>::new(block, k),
-        slack,
-        // Unused lanes admit nothing.
-        bound: std::array::from_fn(|l| {
-            if l < block.len() {
-                f32::INFINITY
-            } else {
-                f32::NEG_INFINITY
-            }
-        }),
-        kept: Vec::new(),
-    };
-    let tiled = n - n % R;
-    for first in (0..tiled).step_by(R) {
+    let mut buffer = vec![0.0f32; n * L];
+    let (a, _) = buffer.as_chunks_mut::<L>();
+    let (tiles, tail) = a.as_chunks_mut::<R>();
+    for (first, tile) in (0..).step_by(R).zip(tiles) {
         let rows: [&[f32]; R] = std::array::from_fn(|c| data.row_slice(first + c));
-        let mut tile = [[0.0f32; L]; R];
-        approximate::<L, R, FMA>(panel, rows, &qnorm, &norms.rows[first..], &mut tile);
-        filter.offer_tile(first, &tile);
+        approximate::<L, R, FMA>(panel, rows, &qnorm, &norms.rows[first..], tile);
     }
-    for row in tiled..n {
-        let mut one = [[0.0f32; L]; 1];
+    for (row, one) in (n - tail.len()..).zip(tail.as_chunks_mut::<1>().0) {
         let xnorm = &norms.rows[row..];
-        approximate::<L, 1, FMA>(panel, [data.row_slice(row)], &qnorm, xnorm, &mut one);
-        filter.offer_tile(row, &one);
+        approximate::<L, 1, FMA>(panel, [data.row_slice(row)], &qnorm, xnorm, one);
     }
-    filter.candidates()
+    for (l, &(_, own)) in block.iter().enumerate() {
+        if let Some(row) = own {
+            a[row][l] = f32::INFINITY;
+        }
+    }
+    let a_k = match k {
+        1..=NETWORK_MAX_K if L > 1 => kth_network(a, k),
+        _ => kth_select(a, block.len(), k),
+    };
+    // Unused lanes admit nothing.
+    let tau: [f32; L] = std::array::from_fn(|l| {
+        if l < block.len() {
+            threshold(a_k[l], slack[l])
+        } else {
+            f32::NEG_INFINITY
+        }
+    });
+    a.iter()
+        .enumerate()
+        .map(|(row, a)| (row, lane_mask(a, &tau, |a, t| a <= t)))
+        .filter(|&(_, lanes)| lanes != 0)
+        .collect()
 }
 
-/// Pass 1's state: each lane's bounded list of approximate values behind
-/// the admission cut, its error bound `E`, its running [`threshold`] and
-/// the rows that have fallen within some lane's so far.
-///
-/// A full list's k-th value only falls as rows arrive, so the running
-/// threshold only falls too, and it is `+∞` while the list is short: a
-/// row beyond it is beyond the final threshold as well. The kept rows are
-/// therefore a superset of the candidates, and most tiles fail the
-/// threshold as a whole, on one compare of their lane-wise minimum.
-struct Filter<'a, const L: usize> {
-    lists: Lists<'a, L>,
-    slack: [f64; L],
-    bound: [f32; L],
-    kept: Vec<(usize, [f32; L])>,
+/// The largest `k` whose k-th values the filter picks with
+/// [`kth_network`]. Above it, and for a lone query's single lane, where
+/// the network's `k` steps per row serve one value, [`kth_select`] does.
+const NETWORK_MAX_K: usize = 16;
+
+/// The k-th smallest value of every lane of `a`, for
+/// `1 ≤ k ≤ NETWORK_MAX_K`, by an insertion network over `k` lane vectors
+/// `t₁ ≤ … ≤ t_k`, all `+∞` at first: each row's vector `v` passes every
+/// slot as `t_i, v = min(t_i, v), max(t_i, v)`, so the slots hold the `k`
+/// smallest values so far in order, with no branch and no per-lane work.
+#[inline(always)]
+fn kth_network<const L: usize>(a: &[[f32; L]], k: usize) -> [f32; L] {
+    let mut slots = [[f32::INFINITY; L]; NETWORK_MAX_K];
+    for row in a {
+        let mut v = *row;
+        for t in &mut slots[..k] {
+            for l in 0..L {
+                let lo = if t[l] < v[l] { t[l] } else { v[l] };
+                v[l] = if t[l] < v[l] { v[l] } else { t[l] };
+                t[l] = lo;
+            }
+        }
+    }
+    slots[k - 1]
 }
 
-impl<const L: usize> Filter<'_, L> {
-    /// Takes rows `first..` at approximate values `a[row - first]`.
-    #[inline(always)]
-    fn offer_tile<const R: usize>(&mut self, first: usize, a: &[[f32; L]; R]) {
-        let lo = a.iter().fold([f32::INFINITY; L], |lo, row| {
-            std::array::from_fn(|l| if row[l] < lo[l] { row[l] } else { lo[l] })
-        });
-        if all_lanes(&lo, &self.bound, |a, t| a > t) {
-            return;
+/// The k-th smallest value of each of the first `lanes` lanes of `a` (NaN
+/// in the rest), for `1 ≤ k ≤ a.len()`: each lane's column is copied out
+/// and `select_nth_unstable_by` picks it. It is the order statistic
+/// [`kth_network`] gives; which of two equal values it is cannot change a
+/// threshold.
+fn kth_select<const L: usize>(a: &[[f32; L]], lanes: usize, k: usize) -> [f32; L] {
+    let mut column = vec![0.0f32; a.len()];
+    std::array::from_fn(|l| {
+        if l >= lanes {
+            return f32::NAN;
         }
-        for (c, row) in a.iter().enumerate() {
-            if !all_lanes(row, &self.bound, |a, t| a > t) {
-                self.kept.push((first + c, *row));
-            }
+        for (c, row) in column.iter_mut().zip(a) {
+            *c = row[l];
         }
-        let cut = self.lists.cut;
-        let rows: [Candidate; R] = std::array::from_fn(|c| (first + c, u32::MAX));
-        self.lists.offer_rows(&rows, a);
-        let now = self.lists.cut.iter().zip(cut).zip(&self.slack);
-        for (bound, ((&now, was), &e)) in self.bound.iter_mut().zip(now) {
-            if now.to_bits() != was.to_bits() {
-                *bound = threshold(now, e);
-            }
-        }
-    }
-
-    /// The kept rows within the final threshold of some lane other than
-    /// their own query's, each with those lanes.
-    fn candidates(self) -> Vec<Candidate> {
-        let (block, bound) = (self.lists.block, self.bound);
-        let lanes = |row: usize, a: &[f32; L]| {
-            (0..block.len()).fold(0, |m, l| {
-                m | u32::from(a[l] <= bound[l] && block[l].1 != Some(row)) << l
-            })
-        };
-        self.kept
-            .into_iter()
-            .map(|(row, a)| (row, lanes(row, &a)))
-            .filter(|&(_, lanes)| lanes != 0)
-            .collect()
-    }
+        *column.select_nth_unstable_by(k - 1, f32::total_cmp).1
+    })
 }
 
 /// Writes the approximate squared distances `(‖q‖² + ‖x‖²) − 2·q·x` from
@@ -445,14 +445,10 @@ fn error_bound(d: usize, qnorm: f32, max_norm: f32) -> Option<f64> {
 
 /// A lane's filter threshold `τ = (A_k + E)(1 + 4u) + E`, rounded up to
 /// `f32`, where `A_k` is the k-th smallest approximate value of the lane
-/// (its list's cut, NaN while the list is short) and `E` its
-/// [`error_bound`]: every row whose exact distance is at most the lane's
-/// k-th has `a ≤ τ`. The `4u` covers a row whose rounded square root ties
-/// the k-th distance. `+∞`, every row, while the list is short.
+/// and `E` its [`error_bound`]: every row whose exact distance is at most
+/// the lane's k-th has `a ≤ τ`. The `4u` covers a row whose rounded square
+/// root ties the k-th distance.
 fn threshold(a_k: f32, e: f64) -> f32 {
-    if a_k.is_nan() {
-        return f32::INFINITY;
-    }
     let tau = (f64::from(a_k) + e) * (1.0 + 4.0 * U) + e;
     let rounded = tau as f32;
     if f64::from(rounded) < tau {
@@ -472,10 +468,8 @@ fn threshold(a_k: f32, e: f64) -> f32 {
 /// comparison with NaN holds), just as `offer` then takes every candidate.
 /// So the cut skips exactly the calls that would have returned without
 /// touching the list, and the lists come out the same. (A +∞ cut would
-/// drop an overflowed, infinite distance from a short list.) A row that
-/// passes no lane's cut is skipped on one vector compare; unused lanes
-/// have a `-∞` cut, which no distance but NaN passes, and are masked out
-/// of the lanes a row is offered to.
+/// drop an overflowed, infinite distance from a short list.) Unused lanes
+/// are masked out of the lanes a row is offered to.
 struct Lists<'a, const L: usize> {
     block: &'a [Query<'a>],
     k: usize,
@@ -492,13 +486,7 @@ impl<'a, const L: usize> Lists<'a, L> {
             block,
             k,
             live: u32::MAX >> (u32::BITS as usize - block.len()),
-            cut: std::array::from_fn(|l| {
-                if l < block.len() {
-                    f32::NAN
-                } else {
-                    f32::NEG_INFINITY
-                }
-            }),
+            cut: [f32::NAN; L],
             best: block.iter().map(|_| Vec::with_capacity(k + 1)).collect(),
         }
     }
@@ -509,10 +497,9 @@ impl<'a, const L: usize> Lists<'a, L> {
     #[inline(always)]
     fn offer_rows(&mut self, rows: &[Candidate], dist: &[[f32; L]]) {
         for (&(row, lanes), d) in rows.iter().zip(dist) {
-            if all_lanes(d, &self.cut, |d, c| d >= c) {
-                continue;
-            }
-            let mut admit = !rejected(d, &self.cut) & lanes & self.live;
+            // The lanes whose `offer` would return without touching the list.
+            let rejected = lane_mask(d, &self.cut, |d, c| d >= c);
+            let mut admit = !rejected & lanes & self.live;
             while admit != 0 {
                 let l = admit.trailing_zeros() as usize;
                 admit &= admit - 1;
@@ -528,24 +515,11 @@ impl<'a, const L: usize> Lists<'a, L> {
     }
 }
 
-/// Whether `test(x[l], y[l])` holds in every lane: every lane is tested
-/// and the results and-ed, which the wide tiers run as one vector
-/// compare.
+/// Bit `l` set where `test(x[l], y[l])` holds; the wide tiers run it as
+/// one vector compare.
 #[inline(always)]
-fn all_lanes<const L: usize>(x: &[f32; L], y: &[f32; L], test: impl Fn(f32, f32) -> bool) -> bool {
-    let hits: [bool; L] = std::array::from_fn(|l| test(x[l], y[l]));
-    hits.iter().fold(true, |all, &hit| all & hit)
-}
-
-/// Bit `l` set when `dist[l] >= cut[l]`: the lanes whose [`offer`] would
-/// return without touching the list.
-#[inline(always)]
-fn rejected<const L: usize>(dist: &[f32; L], cut: &[f32; L]) -> u32 {
-    let mut mask = 0;
-    for l in 0..L {
-        mask |= u32::from(dist[l] >= cut[l]) << l;
-    }
-    mask
+fn lane_mask<const L: usize>(x: &[f32; L], y: &[f32; L], test: impl Fn(f32, f32) -> bool) -> u32 {
+    (0..L).fold(0, |mask, l| mask | u32::from(test(x[l], y[l])) << l)
 }
 
 /// Offers candidate `index` at `distance` to a bounded list sorted by
@@ -710,36 +684,62 @@ mod tests {
     }
 
     #[test]
-    fn results_sorted_ascending() {
-        let data = Tensor::from_vec(vec![5.0, 1.0, 3.0, 0.0], &[4, 1]);
-        let index = BruteForceKnn::new(&data, Metric::Euclidean);
-        let hits = index.query(&[0.0], 4);
-        let d: Vec<f32> = hits.iter().map(|h| h.distance).collect();
-        assert_eq!(d, vec![0.0, 1.0, 3.0, 5.0]);
-        assert_eq!(hits[0].index, 3);
+    fn network_select_and_sort_agree_on_the_kth_value() {
+        // Multisets drawn from a few values, so ties sit at every k, with
+        // one lane's excluded row at +∞ as the filter leaves it.
+        let mut rng = Rng64::new(5);
+        for n in [2usize, 3, 17, 40, 301] {
+            let mut a = vec![[0.0f32; 4]; n];
+            for row in a.iter_mut() {
+                *row = std::array::from_fn(|_| (rng.below(7) as f32 - 2.0) * 0.5);
+            }
+            a[rng.below(n)][1] = f32::INFINITY;
+            for k in (1..n).filter(|&k| k <= NETWORK_MAX_K || k % 7 == 0) {
+                let select = kth_select(&a, 4, k);
+                for l in 0..4 {
+                    let mut col: Vec<f32> = a.iter().map(|row| row[l]).collect();
+                    col.sort_by(f32::total_cmp);
+                    assert_eq!(select[l], col[k - 1], "n = {n}, k = {k}");
+                }
+                if k <= NETWORK_MAX_K {
+                    assert_eq!(kth_network(&a, k), select, "n = {n}, k = {k}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn k_zero_is_empty() {
-        let data = Tensor::from_vec(vec![1.0], &[1, 1]);
+    fn every_tier_returns_the_same_lists() {
+        // Every tier the host has, where the integration tests reach two,
+        // on class-ordered clusters whose queries' neighbours come last.
+        let mut rng = Rng64::new(9);
+        let (n, d) = (203, 24);
+        let v = (0..n * d).map(|i| (i / d / 40) as f32 + rng.normal_f32(0.0, 0.3));
+        let data = Tensor::from_vec(v.collect(), &[n, d]);
         let index = BruteForceKnn::new(&data, Metric::Euclidean);
-        assert!(index.query(&[0.0], 0).is_empty());
-    }
-
-    #[test]
-    fn ties_broken_by_index() {
-        let data = Tensor::from_vec(vec![1.0, -1.0, 1.0], &[3, 1]);
-        let index = BruteForceKnn::new(&data, Metric::Euclidean);
-        let hits = index.query(&[0.0], 3);
-        assert_eq!(hits[0].index, 0, "equal distances ordered by row");
-        assert_eq!(hits[1].index, 1);
-        assert_eq!(hits[2].index, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn rejects_wrong_dimension() {
-        let data = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
-        BruteForceKnn::new(&data, Metric::Euclidean).query(&[0.0], 1);
+        let block: Vec<Query<'_>> = (n - 16..n).map(|r| (data.row_slice(r), Some(r))).collect();
+        let panel = transpose::<LANES>(&block, d);
+        let bits = |(lists, _): (Vec<Vec<Neighbor>>, usize)| -> Vec<Vec<(usize, u32)>> {
+            let hit = |h: &Neighbor| (h.index, h.distance.to_bits());
+            lists.iter().map(|l| l.iter().map(hit).collect()).collect()
+        };
+        for k in [1, 10, NETWORK_MAX_K, NETWORK_MAX_K + 1, 40] {
+            let want = bits(scan_rows::<LANES, false, DOT_TILE>(
+                &index, &panel, &block, k,
+            ));
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: avx2 was just detected.
+                    let wide = unsafe { scan_rows_avx2::<LANES>(&index, &panel, &block, k) };
+                    assert_eq!(bits(wide), want, "avx2, k = {k}");
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: avx512f was just detected; every AVX-512F CPU has FMA.
+                    let wide = unsafe { scan_rows_avx512::<LANES>(&index, &panel, &block, k) };
+                    assert_eq!(bits(wide), want, "avx512, k = {k}");
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! kernel. The Euclidean scan's filter pass gets adversarial inputs of its
 //! own: duplicate rows, one-ulp near-ties around the k-th distance, a
 //! common offset far larger than the spacing, NaN rows and queries, and
-//! `k ≥ n − 1`.
+//! `k ≥ n − 1`; and class-ordered clusters whose neighbours all come last
+//! in the scan, `k` at the k-th value selection network's cap and one
+//! past it, the smallest set the filter runs on (`n = k + 2`), and
+//! duplicate rows whose approximate values tie at the k-th.
 
 use eos_neighbors::{BruteForceKnn, Metric, Neighbor, NnIndex};
 use eos_tensor::{normal, par, set_force_scalar_kernel, Rng64, Tensor};
@@ -421,6 +424,74 @@ fn filter_steps_aside_when_k_reaches_n_minus_one() {
                 &format!("k near n, d = {d}"),
             );
         }
+    }
+    par::set_num_threads(restore);
+}
+
+/// The largest `k` whose k-th approximate values the filter picks with its
+/// selection network; `NETWORK_CAP + 1` takes the per-lane select.
+const NETWORK_CAP: usize = 16;
+
+#[test]
+fn class_ordered_clusters_put_every_neighbour_last() {
+    // Rows come in clusters of one class, far apart and in class order, as
+    // the CIFAR-10 analogue's rows do: the queries near the last cluster
+    // meet all their neighbours at the end of the scan. The smaller sets
+    // are `n = k + 2` at k = 1, the network's cap and one past it.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let mut rng = Rng64::new(11_000 + d as u64);
+        let wide = vec![1, 5, 10, NETWORK_CAP, NETWORK_CAP + 1, 40];
+        for (n, ks) in [
+            (161, wide),
+            (3, vec![1]),
+            (NETWORK_CAP + 2, vec![NETWORK_CAP]),
+            (NETWORK_CAP + 3, vec![NETWORK_CAP + 1]),
+        ] {
+            let clusters = 5.min(n);
+            let centre = |c: usize| 8.0 * c as f32;
+            let v: Vec<f32> = (0..n * d)
+                .map(|i| centre(i / d * clusters / n) + rng.normal_f32(0.0, 1.0))
+                .collect();
+            let data = Tensor::from_vec(v, &[n, d]);
+            let q: Vec<f32> = (0..STRADDLE[3] * d)
+                .map(|i| centre(clusters - 1 - i / d % 2) + rng.normal_f32(0.0, 1.0))
+                .collect();
+            let queries = Tensor::from_vec(q, &[STRADDLE[3], d]);
+            let what = format!("class-ordered clusters, d = {d}");
+            check(&data, &queries, Metric::Euclidean, &ks, &what);
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn duplicate_rows_tie_at_the_kth_approximate_value() {
+    // Each base row is indexed one to four times in a row. Its copies have
+    // bit-equal approximate values, so for every k, in both selectors, the
+    // k-th value ties the values next to it.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let mut rng = Rng64::new(12_000 + d as u64);
+        let base = normal(&[23, d], 0.0, 1.0, &mut rng);
+        let mut v = Vec::new();
+        for i in 0..23 {
+            for _ in 0..=i % 4 {
+                v.extend_from_slice(base.row_slice(i));
+            }
+        }
+        let n = v.len() / d;
+        let data = Tensor::from_vec(v, &[n, d]);
+        let mut q = normal(&[13, d], 0.0, 1.0, &mut rng).data().to_vec();
+        for i in [1, 6, 20, 40] {
+            q.extend_from_slice(data.row_slice(i));
+        }
+        let queries = Tensor::from_vec(q, &[17, d]);
+        let ks: Vec<usize> = (1..=NETWORK_CAP + 2).chain([25, 40]).collect();
+        let what = format!("tied duplicates, d = {d}");
+        check(&data, &queries, Metric::Euclidean, &ks, &what);
     }
     par::set_num_threads(restore);
 }

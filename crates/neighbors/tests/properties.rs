@@ -1,5 +1,6 @@
 //! Property-style tests: KD-tree exactness against brute force, and
-//! general k-NN contracts, via deterministic seeded-RNG loops.
+//! general k-NN contracts, via deterministic seeded-RNG loops; then fixed
+//! examples of the brute-force scan's contract.
 
 use eos_neighbors::{BruteForceKnn, KdTree, Metric, NnIndex};
 use eos_tensor::{Rng64, Tensor};
@@ -100,4 +101,38 @@ fn triangle_inequality_holds() {
             }
         }
     }
+}
+
+#[test]
+fn results_sorted_ascending() {
+    let data = Tensor::from_vec(vec![5.0, 1.0, 3.0, 0.0], &[4, 1]);
+    let index = BruteForceKnn::new(&data, Metric::Euclidean);
+    let hits = index.query(&[0.0], 4);
+    let d: Vec<f32> = hits.iter().map(|h| h.distance).collect();
+    assert_eq!(d, vec![0.0, 1.0, 3.0, 5.0]);
+    assert_eq!(hits[0].index, 3);
+}
+
+#[test]
+fn k_zero_is_empty() {
+    let data = Tensor::from_vec(vec![1.0], &[1, 1]);
+    let index = BruteForceKnn::new(&data, Metric::Euclidean);
+    assert!(index.query(&[0.0], 0).is_empty());
+}
+
+#[test]
+fn ties_broken_by_index() {
+    let data = Tensor::from_vec(vec![1.0, -1.0, 1.0], &[3, 1]);
+    let index = BruteForceKnn::new(&data, Metric::Euclidean);
+    let hits = index.query(&[0.0], 3);
+    assert_eq!(hits[0].index, 0, "equal distances ordered by row");
+    assert_eq!(hits[1].index, 1);
+    assert_eq!(hits[2].index, 2);
+}
+
+#[test]
+#[should_panic(expected = "dimension mismatch")]
+fn rejects_wrong_dimension() {
+    let data = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
+    BruteForceKnn::new(&data, Metric::Euclidean).query(&[0.0], 1);
 }

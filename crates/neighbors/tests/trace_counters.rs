@@ -1,10 +1,10 @@
 //! `AutoIndex`'s brute-force counters: one dispatch record per call, named
 //! after the distance kernel that ran, and the scan's own counts of the
-//! rows its exact pass re-scored and the exact distances that took.
-//! Tracing is process-global, so this binary holds a single test.
+//! rows its exact pass re-scored and the exact distances that took,
+//! pinned on one class-ordered input. Tracing is process-global, so this binary holds a single test.
 
 use eos_neighbors::{AutoIndex, KnnKernel, Metric, NnIndex, TREE_MAX_DIM};
-use eos_tensor::{normal, set_force_scalar_kernel, Rng64};
+use eos_tensor::{normal, set_force_scalar_kernel, Rng64, Tensor};
 
 /// The `neighbors.filter.candidates` and `neighbors.distances` counts that
 /// `run` adds.
@@ -17,6 +17,24 @@ fn rescored(run: impl FnOnce()) -> (u64, u64) {
         delta("neighbors.filter.candidates"),
         delta("neighbors.distances"),
     )
+}
+
+/// The counts `rescored` gives for self-excluded queries over the last
+/// three of six classes of a seeded set whose rows are clustered by class
+/// and ordered by it, so every query's neighbours come last in the scan.
+fn class_ordered_counts() -> [(u64, u64); 2] {
+    let mut rng = Rng64::new(21);
+    let (n, d) = (240, 24);
+    let v: Vec<f32> = (0..n * d)
+        .map(|i| 6.0 * (i / d * 6 / n) as f32 + rng.normal_f32(0.0, 1.0))
+        .collect();
+    let index = AutoIndex::new(&Tensor::from_vec(v, &[n, d]), Metric::Euclidean);
+    let rows: Vec<usize> = (n / 2..n).collect();
+    [10, 20].map(|k| {
+        rescored(|| {
+            index.query_rows_batch(&rows, k);
+        })
+    })
 }
 
 #[test]
@@ -58,14 +76,20 @@ fn brute_calls_record_dispatch_and_distances_once_per_call() {
     });
     assert_eq!(dist, cand);
     set_force_scalar_kernel(false);
+    let ordered = class_ordered_counts();
     eos_trace::set_enabled(false);
 
+    // The candidate set is `{(row, lane) : a ≤ τ_l}`, which depends only
+    // on the approximate values: pinned on a fixed input, for the
+    // selection network (k = 10) and the per-lane select (k = 20).
+    assert_eq!(ordered, [(317, 4800), (352, 5312)]);
+
     let snap = eos_trace::snapshot();
-    let resolved = (rows.len() + 11 + 1 + 11 + 1) as u64;
+    let resolved = (rows.len() + 11 + 1 + 11 + 1 + 2 * 120) as u64;
     assert_eq!(snap.counter("neighbors.brute_queries"), resolved);
     assert!(snap.counter("neighbors.distances") < resolved * nn);
-    // Four calls on the host's tier, then one forced onto the portable one.
-    let calls = |t: KnnKernel| u64::from(tier == t) * 4 + u64::from(t == KnnKernel::Scalar);
+    // Six calls on the host's tier and one forced onto the portable one.
+    let calls = |t: KnnKernel| u64::from(tier == t) * 6 + u64::from(t == KnnKernel::Scalar);
     for t in [KnnKernel::Avx512, KnnKernel::Avx2, KnnKernel::Scalar] {
         let name = format!("neighbors.dispatch.{}", t.name());
         assert_eq!(snap.counter(&name), calls(t), "{name}");

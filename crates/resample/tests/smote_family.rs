@@ -15,7 +15,7 @@ const CASES: u64 = 24;
 
 /// Gaussian blobs with geometric class imbalance; dimensionality and
 /// imbalance ratio vary with the seed so the sweep crosses both k-NN
-/// backends (d ≤ `TREE_MAX_DIM` = 4 uses the KD-tree, wider the linear scan).
+/// backends (d ≤ `TREE_MAX_DIM` = 2 uses the KD-tree, wider the linear scan).
 fn scene(seed: u64) -> (Tensor, Vec<usize>, usize) {
     let mut rng = Rng64::new(seed);
     let classes = 2 + rng.below(3); // 2..=4
