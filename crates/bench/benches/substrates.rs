@@ -7,7 +7,7 @@
 
 use eos_bench::{bench, prepared_dataset};
 use eos_core::{generalization_gap, Scale};
-use eos_neighbors::{BruteForceKnn, KdTree, Metric, NnIndex};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{
     col2im_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into, normal, pad_images_into,
     Conv2dGeometry, Rng64,
@@ -77,12 +77,8 @@ fn bench_knn() {
         let data = normal(&[1000, d], 0.0, 1.0, &mut rng);
         let q: Vec<f32> = (0..d).map(|_| rng.normal_f32(0.0, 1.0)).collect();
         let brute = BruteForceKnn::new(&data, Metric::Euclidean);
-        let tree = KdTree::new(&data, Metric::Euclidean);
         bench(&format!("neighbors/query-k10/brute/{name}"), 30, || {
             brute.query(&q, 10)
-        });
-        bench(&format!("neighbors/query-k10/kdtree/{name}"), 30, || {
-            tree.query(&q, 10)
         });
     }
     // A whole-set enemy table: 889 self-excluded row queries over a

@@ -16,7 +16,7 @@
 use eos_bench::JsonRecord;
 use eos_core::{generalization_gap, ConfusionMatrix, Eos};
 use eos_gan::{bce_with_logits, mse_loss_and_grad, ConvexMix};
-use eos_neighbors::{AutoIndex, Metric};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_nn::{
     gradcheck_fn, gradcheck_layer, gradcheck_loss, Architecture, AsymmetricLoss, BasicBlock,
     BatchNorm1d, BatchNorm2d, Conv2d, ConvNet, CrossEntropyLoss, Dropout, FocalLoss, GlobalAvgPool,
@@ -458,7 +458,7 @@ fn knn_digest(threads: usize, force_scalar: bool) -> u64 {
     let mut rng = Rng64::new(35);
     let x = normal(&[301, 192], 0.0, 1.0, &mut rng);
     let y: Vec<usize> = (0..301).map(|i| [0, 0, 0, 0, 1, 1, 2][i % 7]).collect();
-    let index = AutoIndex::new(&x, Metric::Euclidean);
+    let index = BruteForceKnn::new(&x, Metric::Euclidean);
     let mut digest = 0xcbf29ce484222325u64;
     let mut fold = |v: u64| {
         digest ^= v;

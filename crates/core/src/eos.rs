@@ -8,7 +8,7 @@
 //! expand the class's embedding-space footprint toward the decision
 //! boundary — which is what closes the generalization gap.
 
-use eos_neighbors::{AutoIndex, Metric};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_resample::{deficits, indices_by_class, Oversampler, Smote};
 use eos_tensor::{Rng64, Tensor};
 
@@ -93,7 +93,7 @@ impl Eos {
     /// that have at least one enemy neighbour.
     fn enemy_table(
         &self,
-        index: &AutoIndex,
+        index: &BruteForceKnn,
         y: &[usize],
         class: usize,
         class_rows: &[usize],
@@ -134,7 +134,7 @@ impl Oversampler for Eos {
         let needs = deficits(y, num_classes);
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
-        let index = AutoIndex::new(x, Metric::Euclidean);
+        let index = BruteForceKnn::new(x, Metric::Euclidean);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {
@@ -339,7 +339,7 @@ mod tests {
         // qualify as borderline bases.
         let mut rng = Rng64::new(5);
         let (x, y) = scene(&mut rng);
-        let index = AutoIndex::new(&x, Metric::Euclidean);
+        let index = BruteForceKnn::new(&x, Metric::Euclidean);
         let idx = indices_by_class(&y, 2);
         let small = Eos::new(3).enemy_table(&index, &y, 1, &idx[1]);
         let large = Eos::new(30).enemy_table(&index, &y, 1, &idx[1]);

@@ -1,6 +1,6 @@
 //! Exact brute-force k-NN.
 
-use crate::{Metric, Neighbor, NnIndex};
+use crate::{Metric, Neighbor};
 use eos_tensor::{avx512_kernel_enabled, par, wide_kernel_enabled, Tensor};
 
 /// Queries per block: one lane of the transposed query panel each, and
@@ -23,7 +23,7 @@ const DOT_TILE_AVX512: usize = 8;
 const DOT_TILE: usize = 4;
 
 /// One query of a block: the point, and the indexed row to leave out of
-/// its neighbourhood (the query row itself for [`NnIndex::query_row`]).
+/// its neighbourhood (the query row itself for [`BruteForceKnn::query_row`]).
 type Query<'a> = (&'a [f32], Option<usize>);
 
 /// The tiers of the brute-force distance kernel, widest first. All three
@@ -81,10 +81,9 @@ impl KnnKernel {
 /// builds. Manhattan, non-finite data and lists shorter than `k` re-score
 /// every row (see DESIGN.md, "Brute-force kNN kernel").
 ///
-/// At the embedding sizes the framework works with (≤ a few thousand
-/// 64-dimensional points) this scan is consistently faster than tree
-/// traversal; the KD-tree exists for the low-dimensional cases (pixel
-/// prototypes, t-SNE outputs).
+/// At every width the framework indexes (8 to 192 coordinates, up to a
+/// few thousand rows) this scan beats a KD-tree, which wins only at d ≤ 2
+/// (DESIGN.md, "Why there is no KD-tree").
 pub struct BruteForceKnn {
     data: Tensor,
     metric: Metric,
@@ -129,9 +128,10 @@ impl BruteForceKnn {
     /// The `k` nearest indexed rows of each query, in query order. The
     /// blocks fan out across the worker pool; every query's result depends
     /// only on that query, so the output is the same at any thread count
-    /// and for any grouping of queries into blocks. Counts the rows the
-    /// exact pass re-scored and the exact distances that took, once per
-    /// call.
+    /// and for any grouping of queries into blocks. Every public query
+    /// method makes exactly one call, which counts its resolved queries,
+    /// the distance kernel it dispatches to, the rows the exact pass
+    /// re-scored and the exact distances that took.
     fn scan<'q>(
         &self,
         n: usize,
@@ -143,6 +143,12 @@ impl BruteForceKnn {
             self.scan_block(&block, k)
         });
         if eos_trace::enabled() {
+            eos_trace::count!("neighbors.brute_queries", n as u64);
+            match KnnKernel::current() {
+                KnnKernel::Avx512 => eos_trace::count!("neighbors.dispatch.avx512", 1),
+                KnnKernel::Avx2 => eos_trace::count!("neighbors.dispatch.avx2", 1),
+                KnnKernel::Scalar => eos_trace::count!("neighbors.dispatch.scalar", 1),
+            }
             let rescored: usize = blocks.iter().map(|(_, rows)| rows).sum();
             let distances: usize = blocks.iter().map(|(lists, rows)| lists.len() * rows).sum();
             eos_trace::count!("neighbors.filter.candidates", rescored as u64);
@@ -188,7 +194,32 @@ impl BruteForceKnn {
         }
     }
 
-    /// [`NnIndex::query`] for every row of a `(q, d)` query matrix, with
+    /// The `k` nearest rows to `point`, sorted by ascending distance
+    /// (ties broken by row index, NaN distances last). Returns fewer than
+    /// `k` hits only when the index holds fewer rows.
+    pub fn query(&self, point: &[f32], k: usize) -> Vec<Neighbor> {
+        self.scan(1, |_| (point, None), k).swap_remove(0)
+    }
+
+    /// The `k` nearest rows to row `row` of the indexed matrix, excluding
+    /// the row itself.
+    pub fn query_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
+        assert!(row < self.data.dim(0), "row out of range");
+        self.scan(1, |_| (self.data.row_slice(row), Some(row)), k)
+            .swap_remove(0)
+    }
+
+    /// Number of indexed rows.
+    pub fn len(&self) -> usize {
+        self.data.dim(0)
+    }
+
+    /// True when the index holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// [`Self::query`] for every row of a `(q, d)` query matrix, with
     /// the query blocks fanned out across the worker pool. The output is
     /// identical to a query-at-a-time loop at any thread count.
     pub fn query_batch(&self, queries: &Tensor, k: usize) -> Vec<Vec<Neighbor>> {
@@ -196,7 +227,7 @@ impl BruteForceKnn {
         self.scan(queries.dim(0), |i| (queries.row_slice(i), None), k)
     }
 
-    /// [`NnIndex::query_row`] for many indexed rows at once, with the
+    /// [`Self::query_row`] for many indexed rows at once, with the
     /// query blocks fanned out across the worker pool; identical to the
     /// serial loop.
     pub fn query_rows_batch(&self, rows: &[usize], k: usize) -> Vec<Vec<Neighbor>> {
@@ -594,22 +625,6 @@ fn accumulate<const L: usize, const C: usize>(
         }
     }
     acc
-}
-
-impl NnIndex for BruteForceKnn {
-    fn query(&self, point: &[f32], k: usize) -> Vec<Neighbor> {
-        self.scan(1, |_| (point, None), k).swap_remove(0)
-    }
-
-    fn query_row(&self, row: usize, k: usize) -> Vec<Neighbor> {
-        assert!(row < self.data.dim(0), "row out of range");
-        self.scan(1, |_| (self.data.row_slice(row), Some(row)), k)
-            .swap_remove(0)
-    }
-
-    fn len(&self) -> usize {
-        self.data.dim(0)
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! # eos-neighbors
 //!
-//! Nearest-neighbour substrate for the oversampling algorithms: an exact
-//! brute-force index and a KD-tree with identical query semantics. SMOTE,
-//! Borderline-SMOTE, ADASYN and EOS all sit on top of these.
+//! Nearest-neighbour substrate for the oversampling algorithms: one exact
+//! k-NN index, a query-blocked linear scan. SMOTE, Borderline-SMOTE,
+//! ADASYN and EOS all sit on top of it.
 //!
 //! ```
-//! use eos_neighbors::{BruteForceKnn, Metric, NnIndex};
+//! use eos_neighbors::{BruteForceKnn, Metric};
 //! use eos_tensor::Tensor;
 //!
 //! let points = Tensor::from_vec(vec![0.0, 0.0, 1.0, 0.0, 5.0, 5.0], &[3, 2]);
@@ -15,15 +15,17 @@
 //! assert_eq!(hits[1].index, 1);
 //! ```
 
-mod auto;
 mod brute;
-mod kdtree;
 mod metric;
 
-pub use auto::{AutoIndex, TREE_MAX_DIM};
 pub use brute::{BruteForceKnn, KnnKernel};
-pub use kdtree::KdTree;
 pub use metric::Metric;
+
+/// Another name for [`BruteForceKnn`], which the benchmark harness under
+/// `perfbench/` imports; the harness changes only together with its
+/// recorded baselines, so the name stays. There is no second backend to
+/// route to (DESIGN.md, "Why there is no KD-tree").
+pub type AutoIndex = BruteForceKnn;
 
 /// A single nearest-neighbour hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,32 +36,13 @@ pub struct Neighbor {
     pub distance: f32,
 }
 
-/// Common interface of the exact k-NN indexes.
-pub trait NnIndex {
-    /// The `k` nearest rows to `point`, sorted by ascending distance
-    /// (ties broken by row index). Returns fewer than `k` hits only when
-    /// the index holds fewer rows.
-    fn query(&self, point: &[f32], k: usize) -> Vec<Neighbor>;
-
-    /// The `k` nearest rows to row `row` of the indexed matrix, excluding
-    /// the row itself.
-    fn query_row(&self, row: usize, k: usize) -> Vec<Neighbor>;
-
-    /// Number of indexed rows.
-    fn len(&self) -> usize;
-
-    /// True when the index holds no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
-mod shared_tests {
+mod tests {
     use super::*;
-    use eos_tensor::{normal, Rng64, Tensor};
+    use eos_tensor::Tensor;
 
-    fn grid() -> Tensor {
+    #[test]
+    fn grid_queries() {
         // 3x3 integer grid, row-major rows (x, y).
         let mut v = Vec::new();
         for y in 0..3 {
@@ -68,18 +51,13 @@ mod shared_tests {
                 v.push(y as f32);
             }
         }
-        Tensor::from_vec(v, &[9, 2])
-    }
-
-    fn check_index(index: &dyn NnIndex) {
+        let index = BruteForceKnn::new(&Tensor::from_vec(v, &[9, 2]), Metric::Euclidean);
         // Nearest to the centre (1,1) must be itself, then its 4-neighbours.
         let hits = index.query(&[1.0, 1.0], 5);
         assert_eq!(hits[0].index, 4);
         assert_eq!(hits[0].distance, 0.0);
         let cross: Vec<usize> = hits[1..].iter().map(|h| h.index).collect();
-        for n in [1usize, 3, 5, 7] {
-            assert!(cross.contains(&n), "missing 4-neighbour {n}: {cross:?}");
-        }
+        assert_eq!(cross, [1, 3, 5, 7], "4-neighbours, ties by row");
         // Self-excluding row query.
         let hits = index.query_row(4, 4);
         assert!(hits.iter().all(|h| h.index != 4));
@@ -87,45 +65,12 @@ mod shared_tests {
     }
 
     #[test]
-    fn brute_force_grid_queries() {
-        check_index(&BruteForceKnn::new(&grid(), Metric::Euclidean));
-    }
-
-    #[test]
-    fn kdtree_grid_queries() {
-        check_index(&KdTree::new(&grid(), Metric::Euclidean));
-    }
-
-    #[test]
-    fn kdtree_agrees_with_brute_force_on_random_data() {
-        let mut rng = Rng64::new(31);
-        for metric in [Metric::Euclidean, Metric::Manhattan] {
-            let data = normal(&[200, 6], 0.0, 1.0, &mut rng);
-            let brute = BruteForceKnn::new(&data, metric);
-            let tree = KdTree::new(&data, metric);
-            for _ in 0..25 {
-                let q: Vec<f32> = (0..6).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-                let a = brute.query(&q, 7);
-                let b = tree.query(&q, 7);
-                let ai: Vec<usize> = a.iter().map(|h| h.index).collect();
-                let bi: Vec<usize> = b.iter().map(|h| h.index).collect();
-                assert_eq!(ai, bi, "metric {metric:?}");
-                for (x, y) in a.iter().zip(&b) {
-                    assert!((x.distance - y.distance).abs() < 1e-5);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn query_handles_k_larger_than_index() {
         let data = Tensor::from_vec(vec![0.0, 1.0, 2.0], &[3, 1]);
-        for index in [
-            Box::new(BruteForceKnn::new(&data, Metric::Euclidean)) as Box<dyn NnIndex>,
-            Box::new(KdTree::new(&data, Metric::Euclidean)),
-        ] {
-            assert_eq!(index.query(&[0.0], 10).len(), 3);
-            assert_eq!(index.query_row(0, 10).len(), 2);
-        }
+        let index = BruteForceKnn::new(&data, Metric::Euclidean);
+        assert_eq!(index.query(&[0.0], 10).len(), 3);
+        assert_eq!(index.query_row(0, 10).len(), 2);
+        assert_eq!(index.len(), 3);
+        assert!(!index.is_empty());
     }
 }

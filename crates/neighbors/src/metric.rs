@@ -1,6 +1,6 @@
 //! Distance metrics.
 
-/// Distance metric used by the neighbour indexes.
+/// Distance metric of the neighbour index.
 ///
 /// The paper's generalization gap uses Manhattan distance on embedding
 /// ranges; the oversamplers use Euclidean neighbourhoods.
@@ -25,11 +25,6 @@ impl Metric {
                 .sqrt(),
             Metric::Manhattan => a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum(),
         }
-    }
-
-    /// Distance along a single axis (used by KD-tree pruning).
-    pub fn axis_distance(self, a: f32, b: f32) -> f32 {
-        (a - b).abs()
     }
 }
 

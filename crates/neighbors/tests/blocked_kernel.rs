@@ -1,9 +1,10 @@
 //! Property tests for the query-blocked brute-force kernel: over seeded
 //! generated inputs, every entry point must return exactly what a plain
 //! per-query scan with `Metric::distance` returns — the same rows in the
-//! same order and bit-identical distances — for both metrics, for row and
-//! query counts off and across the lane and tile sizes, for `k = 0` and
-//! `k ≥ n`, for all-tie data, for an exact tie between the k-th and the
+//! same order and bit-identical distances — for both metrics, at widths
+//! from one coordinate to 192, for row and query counts off and across the
+//! lane and tile sizes, for `k = 0` and `k ≥ n`, for all-tie and
+//! duplicate-heavy data, for an exact tie between the k-th and the
 //! (k+1)-th candidate, for distances that overflow to infinity, at thread
 //! budgets 1/2/4/8, on both the host's widest and the portable distance
 //! kernel. The Euclidean scan's filter pass gets adversarial inputs of its
@@ -14,7 +15,10 @@
 //! past it, the smallest set the filter runs on (`n = k + 2`), and
 //! duplicate rows whose approximate values tie at the k-th.
 
-use eos_neighbors::{BruteForceKnn, Metric, Neighbor, NnIndex};
+mod common;
+
+use common::{bits, reference, Hits};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{normal, par, set_force_scalar_kernel, Rng64, Tensor};
 use std::sync::Mutex;
 
@@ -22,31 +26,11 @@ use std::sync::Mutex;
 /// every test in this binary that touches them must hold this lock.
 static LOCK: Mutex<()> = Mutex::new(());
 
-const DIMS: [usize; 3] = [17, 63, 192];
+/// Point widths: the first three off the lane and tile multiples, then the
+/// narrow sets and the embedding widths (8 and 16) the suite indexes most.
+const DIMS: [usize; 8] = [17, 63, 192, 1, 2, 3, 8, 16];
 const METRICS: [Metric; 2] = [Metric::Euclidean, Metric::Manhattan];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-type Hits = Vec<(usize, u32)>;
-
-fn bits(hits: &[Neighbor]) -> Hits {
-    hits.iter()
-        .map(|n| (n.index, n.distance.to_bits()))
-        .collect()
-}
-
-/// The oracle: every candidate's `Metric::distance`, sorted by
-/// `(distance, index)`, cut to `k`.
-fn reference(data: &Tensor, metric: Metric, point: &[f32], k: usize, skip: Option<usize>) -> Hits {
-    let mut all: Vec<(f32, usize)> = (0..data.dim(0))
-        .filter(|&i| skip != Some(i))
-        .map(|i| (metric.distance(point, data.row_slice(i)), i))
-        .collect();
-    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    all.into_iter()
-        .take(k)
-        .map(|(d, i)| (i, d.to_bits()))
-        .collect()
-}
 
 /// Query counts on both sides of the 8- and 16-lane block boundaries.
 const STRADDLE: [usize; 6] = [7, 9, 15, 17, 31, 33];
@@ -492,6 +476,61 @@ fn duplicate_rows_tie_at_the_kth_approximate_value() {
         let ks: Vec<usize> = (1..=NETWORK_CAP + 2).chain([25, 40]).collect();
         let what = format!("tied duplicates, d = {d}");
         check(&data, &queries, Metric::Euclidean, &ks, &what);
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn duplicate_heavy_data_ties_break_by_index() {
+    // Five locations with twelve copies each: every neighbourhood is
+    // all ties, within a location and at the cut between two.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for &d in &DIMS {
+        let v: Vec<f32> = (0..60)
+            .flat_map(|i| (0..d).map(move |j| (i % 5) as f32 + (j % 2) as f32))
+            .collect();
+        let data = Tensor::from_vec(v, &[60, d]);
+        for metric in METRICS {
+            check(
+                &data,
+                &data,
+                metric,
+                &[1, 11, 12, 15, 59],
+                &format!("duplicate-heavy, d = {d}"),
+            );
+        }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn oversized_k_returns_every_row_in_order() {
+    // k at or above the indexed size, as the oversamplers meet on tiny
+    // classes: a list holds every available row, sorted, and a
+    // self-excluding one every other row.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for (case, &d) in DIMS.iter().enumerate() {
+        let mut rng = Rng64::new(70 + case as u64);
+        let n = 6 + rng.below(6);
+        let data = normal(&[n, d], 0.0, 1.0, &mut rng);
+        let queries = normal(&[3, d], 0.0, 1.0, &mut rng);
+        let ks = [n - 1, n, n + 3, n + 7];
+        for metric in METRICS {
+            check(
+                &data,
+                &queries,
+                metric,
+                &ks,
+                &format!("oversized k, d = {d}"),
+            );
+            let index = BruteForceKnn::new(&data, metric);
+            for k in ks {
+                assert_eq!(index.query(queries.row_slice(0), k).len(), k.min(n));
+                assert_eq!(index.query_row(0, k).len(), k.min(n - 1));
+            }
+        }
     }
     par::set_num_threads(restore);
 }

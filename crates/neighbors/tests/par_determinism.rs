@@ -1,6 +1,6 @@
 //! Serial-vs-parallel bit-identity for the brute-force kNN fan-out.
 
-use eos_neighbors::{BruteForceKnn, Metric, Neighbor, NnIndex};
+use eos_neighbors::{BruteForceKnn, Metric, Neighbor};
 use eos_tensor::{normal, par, Rng64, Tensor};
 use std::sync::Mutex;
 

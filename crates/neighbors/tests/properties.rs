@@ -1,8 +1,11 @@
-//! Property-style tests: KD-tree exactness against brute force, and
-//! general k-NN contracts, via deterministic seeded-RNG loops; then fixed
-//! examples of the brute-force scan's contract.
+//! Property-style tests: the index against the naive oracle at one to
+//! four dimensions, and general k-NN contracts, via deterministic
+//! seeded-RNG loops; then fixed examples of the scan's contract.
 
-use eos_neighbors::{BruteForceKnn, KdTree, Metric, NnIndex};
+mod common;
+
+use common::{bits, reference};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{Rng64, Tensor};
 
 const CASES: u64 = 32;
@@ -15,21 +18,23 @@ fn random_points(rng: &mut Rng64) -> Tensor {
 }
 
 #[test]
-fn kdtree_matches_brute_force() {
+fn low_dimensional_queries_match_reference() {
     for seed in 0..CASES {
         let mut rng = Rng64::new(seed);
         let data = random_points(&mut rng);
         let k = 1 + rng.below(7);
         for metric in [Metric::Euclidean, Metric::Manhattan] {
-            let brute = BruteForceKnn::new(&data, metric);
-            let tree = KdTree::new(&data, metric);
+            let index = BruteForceKnn::new(&data, metric);
             let q: Vec<f32> = (0..data.dim(1)).map(|_| rng.range_f32(-6.0, 6.0)).collect();
-            let a = brute.query(&q, k);
-            let b = tree.query(&q, k);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x.distance - y.distance).abs() < 1e-5);
-            }
+            let want = reference(&data, metric, &q, k, None);
+            assert_eq!(bits(&index.query(&q, k)), want, "seed {seed}, {metric:?}");
+            let row = rng.below(data.dim(0));
+            let want = reference(&data, metric, data.row_slice(row), k, Some(row));
+            assert_eq!(
+                bits(&index.query_row(row, k)),
+                want,
+                "seed {seed}, {metric:?}"
+            );
         }
     }
 }
@@ -76,9 +81,9 @@ fn batch_queries_match_single_queries() {
 fn query_of_indexed_point_returns_it_first() {
     for seed in 0..CASES {
         let data = random_points(&mut Rng64::new(seed));
-        let index = KdTree::new(&data, Metric::Euclidean);
+        let index = BruteForceKnn::new(&data, Metric::Euclidean);
         let hits = index.query(data.row_slice(0), 1);
-        assert_eq!(hits[0].distance, 0.0);
+        assert_eq!((hits[0].index, hits[0].distance), (0, 0.0));
     }
 }
 

@@ -1,9 +1,10 @@
-//! `AutoIndex`'s brute-force counters: one dispatch record per call, named
-//! after the distance kernel that ran, and the scan's own counts of the
-//! rows its exact pass re-scored and the exact distances that took,
-//! pinned on one class-ordered input. Tracing is process-global, so this binary holds a single test.
+//! `BruteForceKnn`'s counters: the queries each call resolves, one
+//! dispatch record per call, named after the distance kernel that ran, and
+//! the counts of the rows the exact pass re-scored and the exact distances
+//! that took, pinned on one class-ordered input. Tracing is process-global,
+//! so this binary holds a single test.
 
-use eos_neighbors::{AutoIndex, KnnKernel, Metric, NnIndex, TREE_MAX_DIM};
+use eos_neighbors::{BruteForceKnn, KnnKernel, Metric};
 use eos_tensor::{normal, set_force_scalar_kernel, Rng64, Tensor};
 
 /// The `neighbors.filter.candidates` and `neighbors.distances` counts that
@@ -28,7 +29,7 @@ fn class_ordered_counts() -> [(u64, u64); 2] {
     let v: Vec<f32> = (0..n * d)
         .map(|i| 6.0 * (i / d * 6 / n) as f32 + rng.normal_f32(0.0, 1.0))
         .collect();
-    let index = AutoIndex::new(&Tensor::from_vec(v, &[n, d]), Metric::Euclidean);
+    let index = BruteForceKnn::new(&Tensor::from_vec(v, &[n, d]), Metric::Euclidean);
     let rows: Vec<usize> = (n / 2..n).collect();
     [10, 20].map(|k| {
         rescored(|| {
@@ -40,11 +41,11 @@ fn class_ordered_counts() -> [(u64, u64); 2] {
 #[test]
 fn brute_calls_record_dispatch_and_distances_once_per_call() {
     let mut rng = Rng64::new(5);
-    let (n, d, k) = (45, TREE_MAX_DIM + 3, 5);
+    let (n, d, k) = (45, 5, 5);
     let data = normal(&[n, d], 0.0, 1.0, &mut rng);
     let queries = normal(&[11, d], 0.0, 1.0, &mut rng);
-    let index = AutoIndex::new(&data, Metric::Euclidean);
-    let manhattan = AutoIndex::new(&data, Metric::Manhattan);
+    let index = BruteForceKnn::new(&data, Metric::Euclidean);
+    let manhattan = BruteForceKnn::new(&data, Metric::Manhattan);
     let rows: Vec<usize> = (0..n).step_by(2).collect();
     let nn = n as u64;
 
@@ -94,5 +95,4 @@ fn brute_calls_record_dispatch_and_distances_once_per_call() {
         let name = format!("neighbors.dispatch.{}", t.name());
         assert_eq!(snap.counter(&name), calls(t), "{name}");
     }
-    assert_eq!(snap.counter("neighbors.tree_queries"), 0);
 }

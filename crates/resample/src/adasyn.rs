@@ -1,7 +1,7 @@
 //! ADASYN (He et al. 2008).
 
 use crate::{deficits, indices_by_class, Oversampler};
-use eos_neighbors::{AutoIndex, Metric};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{Rng64, Tensor};
 
 /// Adaptive synthetic sampling: the number of synthetics generated from
@@ -37,7 +37,7 @@ impl Oversampler for Adasyn {
         let needs = deficits(y, num_classes);
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
-        let full_index = AutoIndex::new(x, Metric::Euclidean);
+        let full_index = BruteForceKnn::new(x, Metric::Euclidean);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {
@@ -69,7 +69,7 @@ impl Oversampler for Adasyn {
                 ratios
             };
             let n = class_rows.dim(0);
-            let intra = AutoIndex::new(&class_rows, Metric::Euclidean);
+            let intra = BruteForceKnn::new(&class_rows, Metric::Euclidean);
             let k_intra = self.k.min(n.saturating_sub(1));
             // Precompute every member's intra-class neighbour list in
             // parallel; the RNG-driven loop below is unchanged, so the

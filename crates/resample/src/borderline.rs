@@ -2,7 +2,7 @@
 
 use crate::smote::Smote;
 use crate::{deficits, indices_by_class, Oversampler};
-use eos_neighbors::{AutoIndex, Metric};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{Rng64, Tensor};
 
 /// Like SMOTE, but bases interpolation only on *borderline* minority
@@ -29,7 +29,7 @@ impl BorderlineSmote {
     /// index over the full dataset.
     fn danger_set(
         &self,
-        index: &AutoIndex,
+        index: &BruteForceKnn,
         y: &[usize],
         class: usize,
         class_rows: &[usize],
@@ -65,7 +65,7 @@ impl Oversampler for BorderlineSmote {
         let needs = deficits(y, num_classes);
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
-        let index = AutoIndex::new(x, Metric::Euclidean);
+        let index = BruteForceKnn::new(x, Metric::Euclidean);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {

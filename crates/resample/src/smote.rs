@@ -1,7 +1,7 @@
 //! SMOTE (Chawla et al. 2002).
 
 use crate::{deficits, indices_by_class, Oversampler};
-use eos_neighbors::{AutoIndex, Metric};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{Rng64, Tensor};
 
 /// Synthetic Minority Over-sampling: new samples interpolate between a
@@ -41,7 +41,7 @@ impl Smote {
             return;
         }
         let k = k.min(n - 1);
-        let index = AutoIndex::new(class_rows, Metric::Euclidean);
+        let index = BruteForceKnn::new(class_rows, Metric::Euclidean);
         // All candidate bases get their neighbour lists up front, fanned
         // out across the worker pool; the RNG-driven interpolation loop
         // below then runs serially against the precomputed lists, so the

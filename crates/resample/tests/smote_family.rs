@@ -4,7 +4,7 @@
 //! (brute-force neighbourhoods, explicit segment algebra) and checks the
 //! implementation against it.
 
-use eos_neighbors::{BruteForceKnn, Metric, NnIndex};
+use eos_neighbors::{BruteForceKnn, Metric};
 use eos_resample::{
     balance_with, class_counts, deficits, indices_by_class, Adasyn, BorderlineSmote, Oversampler,
     Smote,
@@ -13,9 +13,8 @@ use eos_tensor::{Rng64, Tensor};
 
 const CASES: u64 = 24;
 
-/// Gaussian blobs with geometric class imbalance; dimensionality and
-/// imbalance ratio vary with the seed so the sweep crosses both k-NN
-/// backends (d ≤ `TREE_MAX_DIM` = 2 uses the KD-tree, wider the linear scan).
+/// Gaussian blobs with geometric class imbalance; dimensionality (2 to 20)
+/// and imbalance ratio vary with the seed.
 fn scene(seed: u64) -> (Tensor, Vec<usize>, usize) {
     let mut rng = Rng64::new(seed);
     let classes = 2 + rng.below(3); // 2..=4

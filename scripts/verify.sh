@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: formatting, lints, release build, tier-1 tests.
+# Full verification gate: formatting, lints, release build, tier-1 tests,
+# every workspace and benchmark-harness test, then the smoke gates.
 # Run from the repository root. CI and pre-merge checks should pass this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,32 +10,47 @@ cargo clippy --workspace -- -D warnings
 cargo build --release
 cargo test -q
 
+# Every member crate's suites — the bit-identity suites (blocked_kernel,
+# conv_batched_bits, unfold_bits, packed_gemm_bits, patch_packer_tests,
+# trace_counters) and eos-serve's differential and batcher suites among
+# them — and the benchmark harness's own tests.
+cargo test --workspace -q
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# The smoke gates run from a throwaway working directory: every binary
+# writes its records under the working directory's results/ (and the
+# trace gates read them back from there), so a passing run leaves the
+# tracked results/ untouched. To re-record one, run the binary from the
+# repository root.
+cargo build --release -q -p eos-bench --bin bench_gemm --bin train_step \
+  --bin check_numerics --bin trace_train --bin serve_bench --bin table2 --bin suite
+bin_dir="$PWD/target/release"
+gate_dir="$(mktemp -d)"
+trap 'rm -rf "$gate_dir"' EXIT
+
 # Perf/bit-identity smoke gates: bench_gemm exits non-zero if the packed
 # GEMM differs from the seed kernel by a bit; train_step exits non-zero
 # if a steady-state training step heap-allocates.
-cargo run --release -q -p eos-bench --bin bench_gemm -- --smoke
-cargo run --release -q -p eos-bench --bin train_step -- --smoke
+( cd "$gate_dir" && "$bin_dir/bench_gemm" --smoke )
+( cd "$gate_dir" && "$bin_dir/train_step" --smoke )
 
 # Numerical correctness gate: gradchecks every Layer and every loss,
 # spot-checks the gap/metric formulas, and pins a golden-determinism
 # digest of a training step across thread counts and kernel dispatch.
-cargo run --release -q -p eos-bench --bin check_numerics -- --smoke
+( cd "$gate_dir" && "$bin_dir/check_numerics" --smoke )
 
 # Observability gate: a traced three-phase training run must emit
 # results/TRACE_train.json with three well-nested phase spans, GEMM
 # dispatch counters that sum, worker-pool utilisation, and byte-valid
 # JSON/JSONL. (train_step above already audits that tracing, disabled,
 # adds no allocations to the steady-state step.)
-cargo run --release -q -p eos-bench --bin trace_train -- --smoke
+( cd "$gate_dir" && "$bin_dir/trace_train" --smoke )
 
 # Cache-equivalence gate: a warm rerun of a table binary must train zero
 # backbones (everything served from the artifact cache) and still produce
-# a byte-identical CSV. Runs in a throwaway working dir + cache dir so it
-# cannot disturb results/ or a developer's real cache.
-cargo build --release -q -p eos-bench --bin table2
-gate_dir="$(mktemp -d)"
-trap 'rm -rf "$gate_dir"' EXIT
-table2_bin="$PWD/target/release/table2"
+# a byte-identical CSV. Runs in the throwaway working dir with its own
+# cache dir so it cannot disturb a developer's real cache.
+table2_bin="$bin_dir/table2"
 (
   cd "$gate_dir"
   export EOS_CACHE_DIR="$gate_dir/cache"
@@ -65,8 +81,7 @@ echo "cache-equivalence gate: warm rerun trained 0 backbones, output byte-identi
 # the serial pass's artifacts. (The speedup itself is hardware-dependent
 # and recorded by `suite --bench` into results/BENCH_suite.json; this
 # gate pins the determinism contract.)
-cargo build --release -q -p eos-bench --bin suite
-suite_bin="$PWD/target/release/suite"
+suite_bin="$bin_dir/suite"
 (
   cd "$gate_dir"
   rm -rf serial parallel
@@ -306,13 +321,10 @@ echo "mid-training-kill gate: epoch-boundary abort resumed from its checkpoint b
 )
 echo "fault-storm gate: transient storm absorbed, panic storm reported + healed byte-identically"
 
-# Serving gate: the batched inference engine must (a) pass its
-# differential suite (serve output bit-identical to the trainer's eval
-# forward across batch sizes and thread splits) and the micro-batcher
-# property/determinism suites, and (b) at least double single-request
-# throughput at batch 32 on the 4-thread budget — serve_bench exits
-# non-zero otherwise, and also self-validates that its
+# Serving gate: the batched inference engine (whose differential and
+# micro-batcher suites ran with the workspace tests above) must at least
+# double single-request throughput at batch 32 on the 4-thread budget —
+# serve_bench exits non-zero otherwise, and also self-validates that its
 # results/TRACE_serve.json{,l} artifacts are byte-valid RFC 8259 JSON.
-cargo test -q -p eos-serve
-cargo run --release -q -p eos-bench --bin serve_bench -- --smoke
-echo "serving gate: differential + batcher suites green, batching speedup >= 2x, trace JSON valid"
+( cd "$gate_dir" && "$bin_dir/serve_bench" --smoke )
+echo "serving gate: batching speedup >= 2x, trace JSON valid"
