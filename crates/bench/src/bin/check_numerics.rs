@@ -23,6 +23,7 @@ use eos_nn::{
     Layer, LdamLoss, LeakyRelu, Linear, Loss, MaxPool2d, Relu, Sgd, Sigmoid, Tanh,
 };
 use eos_resample::{balance_with, indices_by_class};
+use eos_tensor::record::{FNV_OFFSET_BASIS, FNV_PRIME};
 use eos_tensor::{normal, par, set_force_scalar_kernel, Conv2dGeometry, Rng64, Tensor};
 
 /// Gradcheck threshold: every analytic/numeric comparison in the gate must
@@ -415,6 +416,21 @@ fn check_batchnorm_stats(gate: &mut Gate, smoke: bool) {
     gate.value("bn eval var", var as f64, 1.0, 0.15);
 }
 
+/// Word-level FNV fold behind the golden digests: each step XORs a whole
+/// `u64` and multiplies once. That is not byte FNV-1a (`record::Fnv::u64`
+/// mixes eight bytes), and the recorded goldens depend on this function.
+struct WordDigest(u64);
+
+impl WordDigest {
+    fn new() -> Self {
+        WordDigest(FNV_OFFSET_BASIS)
+    }
+
+    fn fold(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(FNV_PRIME);
+    }
+}
+
 /// Digest of one short training run: two SGD steps on a tiny ResNet,
 /// folding the loss bits, the logits and every parameter into one value.
 fn train_digest(threads: usize, force_scalar: bool) -> u64 {
@@ -430,22 +446,18 @@ fn train_digest(threads: usize, force_scalar: bool) -> u64 {
     let loss = CrossEntropyLoss::new();
     let x = normal(&[8, 3 * 64], 0.0, 1.0, &mut Rng64::new(34));
     let y = [0usize, 1, 2, 0, 1, 2, 0, 1];
-    let mut digest = 0xcbf29ce484222325u64;
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x100000001b3);
-    };
+    let mut digest = WordDigest::new();
     for _ in 0..2 {
         net.zero_grad();
         let logits = net.forward(&x, true);
         let (l, dl) = loss.loss_and_grad(&logits, &y);
         let _ = net.backward(&dl);
         opt.step_visit(&mut net);
-        fold(l.to_bits() as u64);
-        fold(logits.bits_digest());
+        digest.fold(l.to_bits() as u64);
+        digest.fold(logits.bits_digest());
     }
-    net.visit_params(&mut |p| fold(p.value.bits_digest()));
-    digest
+    net.visit_params(&mut |p| digest.fold(p.value.bits_digest()));
+    digest.0
 }
 
 /// Digest of EOS's whole-set kNN step on a fixed 192-d, three-class set:
@@ -459,23 +471,19 @@ fn knn_digest(threads: usize, force_scalar: bool) -> u64 {
     let x = normal(&[301, 192], 0.0, 1.0, &mut rng);
     let y: Vec<usize> = (0..301).map(|i| [0, 0, 0, 0, 1, 1, 2][i % 7]).collect();
     let index = BruteForceKnn::new(&x, Metric::Euclidean);
-    let mut digest = 0xcbf29ce484222325u64;
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x100000001b3);
-    };
+    let mut digest = WordDigest::new();
     for rows in &indices_by_class(&y, 3)[1..] {
         for hits in index.query_rows_batch(rows, 10) {
             for h in hits {
-                fold(h.index as u64);
-                fold(h.distance.to_bits() as u64);
+                digest.fold(h.index as u64);
+                digest.fold(h.distance.to_bits() as u64);
             }
         }
     }
     let (bx, by) = balance_with(&Eos::new(10), &x, &y, 3, &mut Rng64::new(36));
-    fold(bx.bits_digest());
-    by.iter().for_each(|&c| fold(c as u64));
-    digest
+    digest.fold(bx.bits_digest());
+    by.iter().for_each(|&c| digest.fold(c as u64));
+    digest.0
 }
 
 /// The training digest of the per-image convolution lowering (one GEMM per

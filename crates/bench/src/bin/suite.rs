@@ -22,9 +22,10 @@
 //!   wall-clock split and the host facts to `results/BENCH_suite.json`.
 //!   When the parallel pass runs more threads than the host has cores it
 //!   warns, and the record says `"oversubscribed": true`.
-//! - `--cache-gc [--cache-cap BYTES]` sweeps `$EOS_CACHE_DIR` (orphaned
-//!   temp files, stale `.lock` files, corrupt entries, oldest entries
-//!   over the cap), prints what was kept and reclaimed, and exits.
+//! - `--cache-gc [--cache-cap BYTES]` sweeps `$EOS_CACHE_DIR` and its
+//!   `ckpt/` and `journal/` subdirectories (orphaned temp files, stale
+//!   `.lock` files, corrupt entries, oldest entries over the cap), prints
+//!   what was kept and reclaimed, and exits.
 
 use eos_bench::exp::{job_budget, report_failure};
 use eos_bench::{

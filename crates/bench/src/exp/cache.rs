@@ -2,9 +2,9 @@
 //!
 //! One file per trained backbone under `results/cache/` (override with
 //! `EOS_CACHE_DIR`), named by the backbone fingerprint:
-//! `bb_<fp>.eosc`. Each entry holds the EOSW weight blob of the trained
-//! network plus the extracted train-set embeddings and labels, and ends
-//! with an FNV-1a checksum of everything before it. A truncated,
+//! `bb_<fp>.eosc`. Each entry is an [`eos_tensor::record`] sealed record
+//! holding the EOSW weight blob of the trained network plus the
+//! extracted train-set embeddings and labels. A truncated,
 //! bit-flipped or structurally impossible entry fails the load with an
 //! `Err` — callers treat that as a miss and retrain, so a corrupt cache
 //! can cost time but never correctness.
@@ -30,15 +30,17 @@
 //! `ckpt/` subdirectory — mid-training EOST checkpoints, see
 //! [`ArtifactCache::ckpt_dir`] — is swept too: corrupt checkpoints and
 //! checkpoints superseded by a finished entry go, in-flight resume points
-//! stay (and never count against the cap).
+//! stay. So is `journal/` ([`ArtifactCache::journal_dir`]): orphaned temp
+//! files and corrupt EOSJ cell entries go, intact ones stay. Neither
+//! subdirectory counts against the cap.
 
 use crate::exp::faults::FaultPlan;
-use crate::exp::spec::Fnv;
 use eos_core::{PipelineConfig, ThreePhase};
 use eos_data::Dataset;
 use eos_nn::{load_weights, read_tensor, save_weights_bytes, write_tensor, ConvNet};
+use eos_tensor::record::{invalid, open, seal, tail_ok};
 use eos_tensor::Rng64;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -51,10 +53,6 @@ const VERSION: u32 = 1;
 /// abandoned. Heartbeats fire every quarter of this, so a live owner is
 /// never mistaken for a dead one short of a multi-second stall.
 const DEFAULT_STALE_AFTER: Duration = Duration::from_secs(30);
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// The artifact store rooted at one directory.
 pub struct ArtifactCache {
@@ -123,6 +121,12 @@ impl ArtifactCache {
     /// can tell which checkpoints a finished `bb_<fp>.eosc` supersedes.
     pub fn ckpt_dir(&self) -> PathBuf {
         self.dir.join("ckpt")
+    }
+
+    /// Directory the engine's per-cell results journal (EOSJ files)
+    /// lives in, beside the finished entries.
+    pub fn journal_dir(&self) -> PathBuf {
+        self.dir.join("journal")
     }
 
     /// Path of the claim lock guarding the entry with the given
@@ -204,22 +208,18 @@ impl ArtifactCache {
     /// Returns the entry size in bytes.
     pub fn store_backbone(&self, fp: u64, tp: &mut ThreePhase) -> io::Result<u64> {
         self.faults.fire_io("cache.write", &format!("{fp:016x}"))?;
-        let mut payload = Vec::new();
-        payload.extend_from_slice(MAGIC);
-        payload.extend_from_slice(&VERSION.to_le_bytes());
-        payload.extend_from_slice(&fp.to_le_bytes());
-        payload.extend_from_slice(&(tp.num_classes as u64).to_le_bytes());
         let weights = save_weights_bytes(&mut tp.net);
-        payload.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&weights);
-        write_tensor(&mut payload, &tp.train_fe)?;
-        payload.extend_from_slice(&(tp.train_y.len() as u64).to_le_bytes());
-        for &label in &tp.train_y {
-            payload.extend_from_slice(&(label as u32).to_le_bytes());
-        }
-        let mut h = Fnv::new();
-        h.bytes(&payload);
-        payload.extend_from_slice(&h.finish().to_le_bytes());
+        let payload = seal(MAGIC, VERSION, |w| {
+            w.u64(fp)
+                .u64(tp.num_classes as u64)
+                .u64(weights.len() as u64)
+                .bytes(&weights);
+            write_tensor(w, &tp.train_fe);
+            w.u64(tp.train_y.len() as u64);
+            for &label in &tp.train_y {
+                w.u32(label as u32);
+            }
+        });
         std::fs::create_dir_all(&self.dir)?;
         eos_trace::write_atomic(&self.backbone_path(fp), &payload)?;
         Ok(payload.len() as u64)
@@ -255,64 +255,39 @@ impl ArtifactCache {
         cfg: &PipelineConfig,
         train: &Dataset,
     ) -> io::Result<ThreePhase> {
-        if bytes.len() < 8 {
-            return Err(bad("entry shorter than its checksum"));
+        let mut r = open(bytes, MAGIC, VERSION)?;
+        if r.u64()? != fp {
+            return Err(invalid(
+                "fingerprint mismatch (entry stored under wrong name)",
+            ));
         }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let stored_sum = u64::from_le_bytes(tail.try_into().unwrap());
-        let mut h = Fnv::new();
-        h.bytes(payload);
-        if h.finish() != stored_sum {
-            return Err(bad("checksum mismatch (truncated or corrupt entry)"));
-        }
-        let mut r = payload;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("not an EOSC cache entry"));
-        }
-        let version = read_u32(&mut r)?;
-        if version != VERSION {
-            return Err(bad(format!("unsupported EOSC version {version}")));
-        }
-        let stored_fp = read_u64(&mut r)?;
-        if stored_fp != fp {
-            return Err(bad("fingerprint mismatch (entry stored under wrong name)"));
-        }
-        let num_classes = read_u64(&mut r)? as usize;
+        let num_classes = r.u64()? as usize;
         if num_classes != train.num_classes {
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "entry has {num_classes} classes, dataset has {}",
                 train.num_classes
             )));
         }
-        let weights_len = read_u64(&mut r)? as usize;
-        if weights_len > r.len() {
-            return Err(bad("weight blob length exceeds entry"));
-        }
-        let (weights, rest) = r.split_at(weights_len);
+        let weights_len = r.u64()? as usize;
+        let weights = r.bytes(weights_len)?;
         // Structure the network exactly as training would have, then
         // restore the trained parameters and batch-norm statistics.
         let mut net = ConvNet::new(cfg.arch, train.shape, num_classes, &mut Rng64::new(fp));
         load_weights(&mut net, weights)?;
-        let mut r = rest;
         let train_fe = read_tensor(&mut r)?;
-        let n_labels = read_u64(&mut r)? as usize;
+        let n_labels = r.u64()? as usize;
         if n_labels != train.len() {
-            return Err(bad(format!(
+            return Err(invalid(format!(
                 "entry has {n_labels} samples, dataset has {}",
                 train.len()
             )));
         }
-        let mut train_y = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            train_y.push(read_u32(&mut r)? as usize);
-        }
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after the label block"));
-        }
+        let train_y = (0..n_labels)
+            .map(|_| r.u32().map(|label| label as usize))
+            .collect::<io::Result<Vec<_>>>()?;
+        r.end("the label block")?;
         if train_y != train.y {
-            return Err(bad("cached labels disagree with the dataset"));
+            return Err(invalid("cached labels disagree with the dataset"));
         }
         Ok(ThreePhase::from_parts(net, train_fe, train_y, num_classes))
     }
@@ -320,52 +295,30 @@ impl ArtifactCache {
     /// Sweeps the cache directory: removes orphaned temp files (from
     /// crashed atomic writes), stale lock files and checksum-corrupt
     /// entries, then — if `cap` is given — evicts intact entries oldest
-    /// first until the survivors fit under `cap` bytes. Returns what was
-    /// kept and what was reclaimed. A missing directory is an empty,
-    /// clean cache.
+    /// first until the survivors fit under `cap` bytes. The `ckpt/` and
+    /// `journal/` subdirectories are swept the same way but never evicted.
+    /// Returns what was kept and what was reclaimed. A missing directory
+    /// is an empty, clean cache.
     pub fn gc(&self, cap: Option<u64>) -> io::Result<GcReport> {
         let mut report = GcReport::default();
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(report),
-            Err(e) => return Err(e),
-        };
         let mut kept: Vec<GcEntry> = Vec::new();
-        for entry in entries {
-            let entry = entry?;
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let meta = entry.metadata()?;
-            if !meta.is_file() {
-                continue;
-            }
-            let age = meta
-                .modified()
-                .ok()
-                .and_then(|m| SystemTime::now().duration_since(m).ok())
-                .unwrap_or(Duration::ZERO);
-            let bytes = meta.len();
-            let reason = if name.contains(".tmp.") {
+        for (item, path) in list_files(&self.dir)? {
+            let reason = if item.name.contains(".tmp.") {
                 // `write_atomic` temp name that never got renamed.
                 Some("orphaned temp file")
-            } else if name.ends_with(".lock") {
-                if age > self.stale_after {
+            } else if item.name.ends_with(".lock") {
+                if item.age > self.stale_after {
                     Some("stale lock")
                 } else {
                     // A live claim; leave it alone and don't count it.
                     continue;
                 }
-            } else if name.ends_with(".eosc") {
-                if entry_checksum_ok(&path)? {
-                    None
-                } else {
-                    Some("corrupt entry")
-                }
+            } else if item.name.ends_with(".eosc") {
+                corrupt(&path)?
             } else {
                 // Not ours; never touch it.
                 continue;
             };
-            let item = GcEntry { name, bytes, age };
             match reason {
                 Some(why) => report.remove(&self.dir, item, why)?,
                 None => kept.push(item),
@@ -385,62 +338,45 @@ impl ArtifactCache {
                 report.remove(&self.dir, oldest, "over size cap")?;
             }
         }
-        // Training checkpoints are transient: keep only intact ones whose
-        // training has not finished yet. They sit outside the size cap —
-        // an in-flight training's resume point must not be evicted by a
-        // cache-pressure sweep.
-        self.gc_checkpoints(&mut report, &mut kept)?;
+        // Training checkpoints and journal entries sit outside the size
+        // cap: an in-flight training's resume point and a killed suite's
+        // completed cells must not be evicted by a cache-pressure sweep.
+        let finished = |ckpt: &str| {
+            ckpt.split_once(".ep")
+                .is_some_and(|(stem, _)| self.dir.join(format!("{stem}.eosc")).exists())
+        };
+        self.gc_subdir("ckpt", ".eost", finished, &mut report, &mut kept)?;
+        self.gc_subdir("journal", ".eosj", |_| false, &mut report, &mut kept)?;
         kept.sort_by(|a, b| a.name.cmp(&b.name));
         report.kept = kept;
         Ok(report)
     }
 
-    /// Sweeps the `ckpt/` subdirectory: orphaned temps, checksum-corrupt
-    /// EOST files (the EOST tail is the same FNV-1a-over-prefix scheme as
-    /// EOSC, so [`entry_checksum_ok`] covers both), and checkpoints whose
-    /// training already produced its final `bb_<fp>.eosc` entry. Reported
-    /// names are prefixed `ckpt/`.
-    fn gc_checkpoints(&self, report: &mut GcReport, kept: &mut Vec<GcEntry>) -> io::Result<()> {
-        let entries = match std::fs::read_dir(self.ckpt_dir()) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let entry = entry?;
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let meta = entry.metadata()?;
-            if !meta.is_file() {
-                continue;
-            }
-            let age = meta
-                .modified()
-                .ok()
-                .and_then(|m| SystemTime::now().duration_since(m).ok())
-                .unwrap_or(Duration::ZERO);
+    /// Sweeps the `sub/` subdirectory of `ext` records: orphaned temps,
+    /// `superseded` records (checkpoints whose training already produced
+    /// its final `bb_<fp>.eosc` entry) and checksum-corrupt ones.
+    /// Reported names are prefixed `sub/`.
+    fn gc_subdir(
+        &self,
+        sub: &str,
+        ext: &str,
+        superseded: impl Fn(&str) -> bool,
+        report: &mut GcReport,
+        kept: &mut Vec<GcEntry>,
+    ) -> io::Result<()> {
+        for (mut item, path) in list_files(&self.dir.join(sub))? {
+            let name = &item.name;
             let reason = if name.contains(".tmp.") {
                 Some("orphaned temp file")
-            } else if name.ends_with(".eost") {
-                let finished = name
-                    .split_once(".ep")
-                    .is_some_and(|(stem, _)| self.dir.join(format!("{stem}.eosc")).exists());
-                if finished {
-                    Some("superseded checkpoint")
-                } else if entry_checksum_ok(&path)? {
-                    None
-                } else {
-                    Some("corrupt entry")
-                }
-            } else {
+            } else if !name.ends_with(ext) {
                 // Not ours; never touch it.
                 continue;
+            } else if superseded(name) {
+                Some("superseded checkpoint")
+            } else {
+                corrupt(&path)?
             };
-            let item = GcEntry {
-                name: format!("ckpt/{name}"),
-                bytes: meta.len(),
-                age,
-            };
+            item.name = format!("{sub}/{}", item.name);
             match reason {
                 Some(why) => report.remove(&self.dir, item, why)?,
                 None => kept.push(item),
@@ -450,17 +386,40 @@ impl ArtifactCache {
     }
 }
 
-/// Verifies the FNV-1a tail of an entry without parsing its structure.
-fn entry_checksum_ok(path: &Path) -> io::Result<bool> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < 8 {
-        return Ok(false);
+/// `Some("corrupt entry")` when the sealed record at `path` fails its
+/// tail check (the structure is not parsed).
+fn corrupt(path: &Path) -> io::Result<Option<&'static str>> {
+    Ok((!tail_ok(&std::fs::read(path)?)).then_some("corrupt entry"))
+}
+
+/// The regular files directly in `dir`, with their size and age. A
+/// missing directory has none.
+fn list_files(dir: &Path) -> io::Result<Vec<(GcEntry, PathBuf)>> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut files = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        let meta = entry.metadata()?;
+        if !meta.is_file() {
+            continue;
+        }
+        let age = meta
+            .modified()
+            .ok()
+            .and_then(|m| SystemTime::now().duration_since(m).ok())
+            .unwrap_or(Duration::ZERO);
+        let item = GcEntry {
+            name: entry.file_name().to_string_lossy().into_owned(),
+            bytes: meta.len(),
+            age,
+        };
+        files.push((item, entry.path()));
     }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let mut h = Fnv::new();
-    h.bytes(payload);
-    Ok(h.finish() == stored)
+    Ok(files)
 }
 
 /// One file the garbage collector looked at.
@@ -565,21 +524,10 @@ impl Drop for ClaimGuard {
     }
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::journal::Journal;
     use eos_data::SynthSpec;
     use eos_nn::LossKind;
 
@@ -597,14 +545,12 @@ mod tests {
         (train, test, cfg)
     }
 
-    /// Minimal byte string whose FNV-1a tail verifies — enough for the
-    /// gc sweep, which checks the checksum but never parses structure.
+    /// Minimal sealed record — enough for the gc sweep, which checks the
+    /// tail but never parses structure.
     fn checkpoint_bytes() -> Vec<u8> {
-        let mut payload = b"EOST-shaped test payload".to_vec();
-        let mut h = Fnv::new();
-        h.bytes(&payload);
-        payload.extend_from_slice(&h.finish().to_le_bytes());
-        payload
+        seal(b"EOST", 1, |w| {
+            w.bytes(b"test payload");
+        })
     }
 
     fn temp_cache(tag: &str) -> ArtifactCache {
@@ -654,20 +600,28 @@ mod tests {
         cache.store_backbone(fp, &mut tp).unwrap();
         let path = cache.backbone_path(fp);
         let good = std::fs::read(&path).unwrap();
+        let kind = |bytes: &[u8]| {
+            let err = cache.parse_backbone(fp, bytes, &cfg, &train).err();
+            err.expect("corrupt entry accepted").kind()
+        };
 
-        // Truncation at several depths, including inside the checksum.
-        for cut in [4, good.len() / 2, good.len() - 3] {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            assert!(
-                cache.load_backbone(fp, &cfg, &train).is_err(),
-                "cut at {cut} accepted"
+        // Truncation at every length, including inside the checksum.
+        for cut in 0..good.len() {
+            assert_eq!(
+                kind(&good[..cut]),
+                io::ErrorKind::InvalidData,
+                "cut at {cut}"
             );
         }
-        // A single flipped bit in the weight blob.
+        // A single flipped bit at every byte position.
         let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
+        for pos in 0..good.len() {
+            flipped[pos] ^= 1 << (pos % 8);
+            assert_eq!(kind(&flipped), io::ErrorKind::InvalidData, "flip at {pos}");
+            flipped[pos] = good[pos];
+        }
+        // Through the file API.
+        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(cache.load_backbone(fp, &cfg, &train).is_err());
         // Restored intact entry loads again.
         std::fs::write(&path, &good).unwrap();
@@ -743,26 +697,44 @@ mod tests {
         std::fs::write(ckpt.join(".bb_x.eost.tmp.2"), b"half").unwrap();
         let live = format!("bb_{:016x}.ep00001.eost", 0xFu64);
         std::fs::write(ckpt.join(&live), checkpoint_bytes()).unwrap();
+        // Journal junk: an orphaned temp from a killed suite and a torn
+        // entry — plus one intact cell entry that must survive.
+        let journal = Journal::at(cache.journal_dir());
+        journal.store(0x1, &vec![vec!["EOS".into()]]).unwrap();
+        let cell = format!("cell_{:016x}.eosj", 0x1u64);
+        std::fs::write(journal.dir().join(".cell_x.eosj.tmp.3"), b"half").unwrap();
+        std::fs::write(journal.cell_path(0x2), b"EOSJtorn").unwrap();
         std::thread::sleep(Duration::from_millis(80));
 
         let report = cache.gc(None).unwrap();
-        assert_eq!(report.kept.len(), 3, "two intact entries + live ckpt");
+        assert_eq!(
+            report.kept.len(),
+            4,
+            "two intact entries + live ckpt + cell"
+        );
         assert_eq!(
             report.removed.len(),
-            6,
-            "temp + stale lock + corrupt entry + ckpt temp/corrupt/superseded"
+            8,
+            "temp + stale lock + corrupt entry + ckpt temp/corrupt/superseded \
+             + journal temp/corrupt"
         );
         assert!(report.reclaimed_bytes > 0);
         assert!(cache.dir().join("README").exists());
         assert!(!cache.lock_path(0xDEAD).exists());
         assert!(ckpt.join(&live).exists(), "in-flight checkpoint kept");
+        assert!(journal.load(0x1).unwrap().is_some(), "intact cell kept");
+        assert!(!journal.cell_path(0x2).exists(), "torn cell removed");
+        assert!(report
+            .kept
+            .iter()
+            .any(|e| e.name == format!("journal/{cell}")));
         let reasons: Vec<&str> = report.removed.iter().map(|(_, why)| *why).collect();
         assert!(reasons.contains(&"superseded checkpoint"));
 
         // Cap that fits exactly one entry: the older (0xA) is evicted;
-        // the in-flight checkpoint does not count against the cap.
+        // the in-flight checkpoint and the cell do not count against it.
         let report = cache.gc(Some(size_b)).unwrap();
-        assert_eq!(report.kept.len(), 2);
+        assert_eq!(report.kept.len(), 3);
         assert!(report
             .kept
             .iter()
@@ -771,6 +743,7 @@ mod tests {
         assert!(!cache.backbone_path(0xA).exists());
         assert!(cache.backbone_path(0xB).exists());
         assert!(ckpt.join(&live).exists());
+        assert!(journal.cell_path(0x1).exists());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -784,6 +757,19 @@ mod tests {
         // Same file asked for under a different dataset (fewer rows).
         let subset = train.subset(&(0..train.len() / 2).collect::<Vec<_>>());
         assert!(cache.load_backbone(fp, &cfg, &subset).is_err());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        let (train, _, cfg) = tiny_setup();
+        let cache = temp_cache("pinned");
+        let fp = 99;
+        let mut tp = ThreePhase::train(&train, LossKind::Ce, &cfg, &mut Rng64::new(fp));
+        cache.store_backbone(fp, &mut tp).unwrap();
+        let bytes = std::fs::read(cache.backbone_path(fp)).unwrap();
+        assert_eq!(bytes.len(), 27488);
+        assert_eq!(eos_tensor::record::fnv1a(&bytes), 0xec8d753b8c41b769);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

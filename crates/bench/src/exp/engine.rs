@@ -7,11 +7,11 @@ use crate::exp::error::EngineError;
 use crate::exp::faults::{retry_io, FaultKind, FaultPlan};
 use crate::exp::journal::{cell_fingerprint, Journal, Rows};
 use crate::exp::sched;
-use crate::exp::spec::Fnv;
 use crate::runner::prepared_dataset;
 use eos_core::{PipelineConfig, Scale, ThreePhase};
 use eos_data::Dataset;
 use eos_nn::{Architecture, Checkpointer, LossKind, TrainError};
+use eos_tensor::record::Fnv;
 use eos_tensor::Rng64;
 use std::collections::HashMap;
 use std::io;
@@ -173,7 +173,7 @@ impl Engine {
     /// journal lives beside the cache (`<cache>/journal/`); a cache-less
     /// engine journals nothing and recomputes every cell.
     pub fn with_cache(scale: Scale, seed: u64, cache: Option<ArtifactCache>) -> Self {
-        let journal = cache.as_ref().map(|c| Journal::at(c.dir().join("journal")));
+        let journal = cache.as_ref().map(|c| Journal::at(c.journal_dir()));
         Engine {
             scale,
             seed,
@@ -677,5 +677,17 @@ mod tests {
             assert_eq!(task().unwrap(), vec![vec!["x".to_string()]]);
         }
         assert_eq!(calls, 2, "no journal without a cache");
+    }
+
+    #[test]
+    fn backbone_fingerprint_is_pinned() {
+        let (train, _) = prepared_dataset("celeba", Scale::Smoke, 1);
+        // Cache entries are named by these: a change orphans every entry.
+        assert_eq!(train.fingerprint(), 0x2bae93b18a595114);
+        let cfg = Scale::Smoke.pipeline();
+        assert_eq!(
+            backbone_fingerprint(&train, LossKind::Ce, &cfg, 42),
+            0xa269ab8eabd7dec0
+        );
     }
 }

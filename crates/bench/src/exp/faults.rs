@@ -39,7 +39,7 @@
 //! by the cache paths: transient IO errors are retried a fixed number of
 //! times (ticking `exp.fault.retry`), `InvalidData` (corruption) is not.
 
-use crate::exp::spec::Fnv;
+use eos_tensor::record::Fnv;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -18,12 +18,10 @@
 //! BAC) cross the journal as the 16-hex-digit bit pattern of their
 //! `f64`, decoded exactly on replay.
 //!
-//! Entry layout (all integers little-endian):
+//! Entries are [`eos_tensor::record`] sealed records whose body is
 //!
 //! ```text
-//! "EOSJ" | u32 version | u64 fp | u64 n_rows
-//!   n_rows x ( u64 n_cells, n_cells x ( u64 len, bytes ) )
-//! | u64 FNV-1a of everything above
+//! u64 fp | u64 n_rows | n_rows x ( u64 n_cells, n_cells x ( u64 len, bytes ) )
 //! ```
 //!
 //! A truncated, bit-flipped or structurally impossible entry fails its
@@ -31,8 +29,8 @@
 //! — identical bits, since cells derive their RNG from their spec
 //! fingerprint, not from the journal.
 
-use crate::exp::spec::Fnv;
-use std::io::{self, Read};
+use eos_tensor::record::{invalid, open, seal, Fnv};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"EOSJ";
@@ -41,10 +39,6 @@ const VERSION: u32 = 1;
 /// One cell's output: the rows it contributes to its table, each a list
 /// of already-formatted strings.
 pub type Rows = Vec<Vec<String>>;
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// Fingerprint identifying one cell's journal entry: the table, the cell
 /// label within it, and the run identity (scale, seed). Versioned so a
@@ -84,21 +78,15 @@ impl Journal {
     /// Stores one cell's rows under `fp`, atomically. Returns the entry
     /// size in bytes.
     pub fn store(&self, fp: u64, rows: &Rows) -> io::Result<u64> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(MAGIC);
-        payload.extend_from_slice(&VERSION.to_le_bytes());
-        payload.extend_from_slice(&fp.to_le_bytes());
-        payload.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        for row in rows {
-            payload.extend_from_slice(&(row.len() as u64).to_le_bytes());
-            for cell in row {
-                payload.extend_from_slice(&(cell.len() as u64).to_le_bytes());
-                payload.extend_from_slice(cell.as_bytes());
+        let payload = seal(MAGIC, VERSION, |w| {
+            w.u64(fp).u64(rows.len() as u64);
+            for row in rows {
+                w.u64(row.len() as u64);
+                for cell in row {
+                    w.u64(cell.len() as u64).bytes(cell.as_bytes());
+                }
             }
-        }
-        let mut h = Fnv::new();
-        h.bytes(&payload);
-        payload.extend_from_slice(&h.finish().to_le_bytes());
+        });
         std::fs::create_dir_all(&self.dir)?;
         eos_trace::write_atomic(&self.cell_path(fp), &payload)?;
         Ok(payload.len() as u64)
@@ -119,62 +107,27 @@ impl Journal {
 }
 
 fn parse(fp: u64, bytes: &[u8]) -> io::Result<Rows> {
-    if bytes.len() < 8 {
-        return Err(bad("entry shorter than its checksum"));
+    let mut r = open(bytes, MAGIC, VERSION)?;
+    if r.u64()? != fp {
+        return Err(invalid(
+            "fingerprint mismatch (entry stored under wrong name)",
+        ));
     }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored_sum = u64::from_le_bytes(tail.try_into().unwrap());
-    let mut h = Fnv::new();
-    h.bytes(payload);
-    if h.finish() != stored_sum {
-        return Err(bad("checksum mismatch (truncated or corrupt entry)"));
-    }
-    let mut r = payload;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EOSJ journal entry"));
-    }
-    let version = read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(bad(format!("unsupported EOSJ version {version}")));
-    }
-    let stored_fp = read_u64(&mut r)?;
-    if stored_fp != fp {
-        return Err(bad("fingerprint mismatch (entry stored under wrong name)"));
-    }
-    let n_rows = read_u64(&mut r)? as usize;
+    let n_rows = r.u64()?;
     let mut rows = Vec::new();
     for _ in 0..n_rows {
-        let n_cells = read_u64(&mut r)? as usize;
+        let n_cells = r.u64()?;
         let mut row = Vec::new();
         for _ in 0..n_cells {
-            let len = read_u64(&mut r)? as usize;
-            if len > r.len() {
-                return Err(bad("string length exceeds entry"));
-            }
-            let (s, rest) = r.split_at(len);
-            row.push(String::from_utf8(s.to_vec()).map_err(|_| bad("cell text is not UTF-8"))?);
-            r = rest;
+            let len = r.u64()? as usize;
+            let text = std::str::from_utf8(r.bytes(len)?)
+                .map_err(|_| invalid("cell text is not UTF-8"))?;
+            row.push(text.to_owned());
         }
         rows.push(row);
     }
-    if !r.is_empty() {
-        return Err(bad("trailing bytes after the row block"));
-    }
+    r.end("the row block")?;
     Ok(rows)
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Encodes an `f64` as its exact 16-hex-digit bit pattern for a journal
@@ -188,7 +141,7 @@ pub fn enc_f64(v: f64) -> String {
 pub fn dec_f64(s: &str) -> io::Result<f64> {
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
-        .map_err(|_| bad(format!("'{s}' is not an f64 bit pattern")))
+        .map_err(|_| invalid(format!("'{s}' is not an f64 bit pattern")))
 }
 
 #[cfg(test)]
@@ -228,16 +181,23 @@ mod tests {
         j.store(fp, &sample_rows()).unwrap();
         let path = j.cell_path(fp);
         let good = std::fs::read(&path).unwrap();
-        for cut in [3, good.len() / 2, good.len() - 2] {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            assert!(j.load(fp).is_err(), "cut at {cut} accepted");
+        let kind = |bytes: &[u8]| parse(fp, bytes).unwrap_err().kind();
+        for cut in 0..good.len() {
+            assert_eq!(
+                kind(&good[..cut]),
+                io::ErrorKind::InvalidData,
+                "cut at {cut}"
+            );
         }
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        std::fs::write(&path, &flipped).unwrap();
+        for pos in 0..good.len() {
+            let mut flipped = good.clone();
+            flipped[pos] ^= 1 << (pos % 8);
+            assert_eq!(kind(&flipped), io::ErrorKind::InvalidData, "flip at {pos}");
+        }
+        // Through the file API: a torn file fails, the intact one loads,
+        // and an entry stored under the wrong fingerprint is rejected.
+        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
         assert!(j.load(fp).is_err());
-        // An entry stored under the wrong fingerprint is rejected too.
         std::fs::write(&path, &good).unwrap();
         assert!(j.load(fp).unwrap().is_some());
         std::fs::rename(&path, j.cell_path(8)).unwrap();
@@ -263,5 +223,17 @@ mod tests {
         }
         assert!(dec_f64("not-hex").is_err());
         assert!(dec_f64("0.731").is_err());
+    }
+
+    #[test]
+    fn fingerprint_and_record_bytes_are_pinned() {
+        let j = temp_journal("pinned");
+        let fp = cell_fingerprint("table2", "celeba/Ce", "smoke", 42);
+        j.store(fp, &sample_rows()).unwrap();
+        let bytes = std::fs::read(j.cell_path(fp)).unwrap();
+        assert_eq!(fp, 0x00dc7e6344314d94);
+        assert_eq!(bytes.len(), 136);
+        assert_eq!(eos_tensor::record::fnv1a(&bytes), 0xd09c53813b0e6bcb);
+        let _ = std::fs::remove_dir_all(j.dir());
     }
 }

@@ -25,5 +25,5 @@ pub use args::Args;
 pub use exp::{ArtifactCache, BackbonePlan, Engine, EngineError, ExperimentSpec, SamplerSpec};
 pub use host::{host_cores, record_host_facts};
 pub use report::{write_csv, MarkdownTable};
-pub use runner::{name_hash, prepared_dataset, samplers_for_table2};
+pub use runner::{prepared_dataset, samplers_for_table2};
 pub use timing::{bench, bench_stats, format_duration, percentile, BenchStats, JsonRecord};

@@ -34,13 +34,6 @@ pub fn samplers_for_table2() -> Vec<Box<dyn Oversampler>> {
     ]
 }
 
-/// FNV-1a hash of a name — used to derive per-cell RNG streams.
-pub fn name_hash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,21 +1,24 @@
 //! Model weight serialization.
 //!
-//! Two small self-describing binary formats:
+//! Two small self-describing binary formats, both built on the
+//! [`eos_tensor::record`] writer and cursor:
 //!
 //! * `EOSW` — trainable parameters in the layer's stable order plus
 //!   non-trainable state (batch-norm running statistics), so a saved
 //!   network reproduces inference exactly. This is what lets phase one
 //!   of the framework be trained once and the classifier head
-//!   fine-tuned many times in later processes.
+//!   fine-tuned many times in later processes. Its header is unsealed:
+//!   the blob travels inside sealed EOST and EOSC records.
 //! * `EOST` — a full mid-training snapshot ([`TrainState`]): an `EOSW`
 //!   blob plus SGD momentum velocity, the shuffle RNG, the cumulative
 //!   sample order, the epoch counter / LR position / DRW flag and the
-//!   per-epoch history, closed by an FNV-1a checksum. Restoring one
-//!   continues training bit-identically from the epoch boundary it was
-//!   taken at — the substrate of the crash-safe resume contract.
+//!   per-epoch history, as a sealed record. Restoring one continues
+//!   training bit-identically from the epoch boundary it was taken at —
+//!   the substrate of the crash-safe resume contract.
 
 use crate::layer::Layer;
 use crate::trainer::EpochStats;
+use eos_tensor::record::{invalid, open, seal, Reader, Writer};
 use eos_tensor::Tensor;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -27,199 +30,128 @@ const VERSION: u32 = 1;
 /// multi-gigabyte dims allocation before the shape check can reject it.
 const MAX_RANK: usize = 8;
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f32s(w: &mut impl Write, vs: &[f32]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(vs.len() * 4);
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    w.write_all(&buf)
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f32s(r: &mut impl Read, n: usize) -> io::Result<Vec<f32>> {
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Writes a layer's parameters and extra state to `writer`.
 pub fn save_weights(layer: &mut dyn Layer, mut writer: impl Write) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    write_u32(&mut writer, VERSION)?;
-    let params = layer.params();
-    write_u64(&mut writer, params.len() as u64)?;
-    for p in &params {
-        let dims = p.value.dims();
-        write_u32(&mut writer, dims.len() as u32)?;
-        for &d in dims {
-            write_u64(&mut writer, d as u64)?;
-        }
-        write_f32s(&mut writer, p.value.data())?;
-    }
-    let extra = layer.extra_state();
-    write_u64(&mut writer, extra.len() as u64)?;
-    write_f32s(&mut writer, &extra)?;
-    Ok(())
+    writer.write_all(&save_weights_bytes(layer))
 }
 
 /// Restores parameters and extra state written by [`save_weights`] into a
 /// structurally identical layer. Fails loudly on any shape mismatch.
 pub fn load_weights(layer: &mut dyn Layer, mut reader: impl Read) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EOSW weight file"));
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    let mut r = Reader::new(&bytes);
+    if r.bytes(4)? != MAGIC {
+        return Err(invalid("not an EOSW weight file"));
     }
-    let version = read_u32(&mut reader)?;
+    let version = r.u32()?;
     if version != VERSION {
-        return Err(bad(format!("unsupported EOSW version {version}")));
+        return Err(invalid(format!("unsupported EOSW version {version}")));
     }
-    let count = read_u64(&mut reader)? as usize;
+    let count = r.u64()? as usize;
     let mut params = layer.params();
     if count != params.len() {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "file has {count} parameters, model has {}",
             params.len()
         )));
     }
-    for (i, p) in params.iter_mut().enumerate() {
-        let rank = read_u32(&mut reader)? as usize;
-        if rank > MAX_RANK {
-            return Err(bad(format!(
-                "parameter {i} claims rank {rank} (corrupt length field?)"
-            )));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u64(&mut reader)? as usize);
-        }
-        if dims != p.value.dims() {
-            return Err(bad(format!(
-                "parameter shape mismatch: file {dims:?}, model {:?}",
+    for p in params.iter_mut() {
+        let t = read_tensor(&mut r)?;
+        if t.dims() != p.value.dims() {
+            return Err(invalid(format!(
+                "parameter shape mismatch: file {:?}, model {:?}",
+                t.dims(),
                 p.value.dims()
             )));
         }
-        let data = read_f32s(&mut reader, p.value.len())?;
-        if data.iter().any(|v| !v.is_finite()) {
-            return Err(bad(format!("non-finite value in parameter {i}")));
-        }
-        p.value.data_mut().copy_from_slice(&data);
+        p.value.data_mut().copy_from_slice(t.data());
     }
-    let extra_len = read_u64(&mut reader)? as usize;
+    let extra_len = r.u64()? as usize;
     let expected = layer.extra_state().len();
     if extra_len != expected {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "extra state length mismatch: file {extra_len}, model {expected}"
         )));
     }
-    let extra = read_f32s(&mut reader, extra_len)?;
+    let extra = r.f32s(extra_len)?;
     if extra.iter().any(|v| !v.is_finite()) {
-        return Err(bad("non-finite value in extra state"));
+        return Err(invalid("non-finite value in extra state"));
     }
     layer.load_extra_state(&extra);
     // A well-formed file ends exactly at the extra state; anything after
     // it means the file and the model disagree about the structure in a
     // way the per-parameter checks happened not to catch.
-    let mut one = [0u8; 1];
-    loop {
-        match reader.read(&mut one) {
-            Ok(0) => return Ok(()),
-            Ok(_) => return Err(bad("trailing bytes after the last tensor")),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
+    r.end("the last tensor")
 }
 
 /// [`save_weights`] rendered into a byte buffer — the in-memory half of
 /// the checkpoint round-trip API used by artifact caches.
 pub fn save_weights_bytes(layer: &mut dyn Layer) -> Vec<u8> {
-    let mut buf = Vec::new();
-    save_weights(layer, &mut buf).expect("writing to a Vec cannot fail");
-    buf
+    let mut w = Writer::new();
+    w.bytes(MAGIC).u32(VERSION);
+    let params = layer.params();
+    w.u64(params.len() as u64);
+    for p in &params {
+        write_tensor(&mut w, &p.value);
+    }
+    let extra = layer.extra_state();
+    w.u64(extra.len() as u64).f32s(&extra);
+    w.into_bytes()
 }
 
 /// Writes one tensor (rank, dims, f32 payload) in EOSW's wire encoding.
 /// Together with [`read_tensor`] this lets callers persist auxiliary
 /// arrays (extracted embeddings, cached statistics) next to a weight
 /// blob without inventing a second format.
-pub fn write_tensor(mut writer: impl Write, t: &Tensor) -> io::Result<()> {
-    let dims = t.dims();
-    write_u32(&mut writer, dims.len() as u32)?;
-    for &d in dims {
-        write_u64(&mut writer, d as u64)?;
+pub fn write_tensor(w: &mut Writer, t: &Tensor) {
+    w.u32(t.dims().len() as u32);
+    for &d in t.dims() {
+        w.u64(d as u64);
     }
-    write_f32s(&mut writer, t.data())
+    w.f32s(t.data());
 }
 
-/// Reads a tensor written by [`write_tensor`], with the same corruption
-/// guards as weight loading: bounded rank, bounded element count and a
+/// Reads a tensor written by [`write_tensor`], with the corruption guards
+/// of weight loading: bounded rank, bounded element count and a
 /// finiteness check on every value.
-pub fn read_tensor(mut reader: impl Read) -> io::Result<Tensor> {
-    let rank = read_u32(&mut reader)? as usize;
+pub fn read_tensor(r: &mut Reader) -> io::Result<Tensor> {
+    let rank = r.u32()? as usize;
     if rank > MAX_RANK {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "tensor claims rank {rank} (corrupt length field?)"
         )));
     }
     let mut dims = Vec::with_capacity(rank);
     let mut len = 1usize;
     for _ in 0..rank {
-        let d = read_u64(&mut reader)? as usize;
+        let d = r.u64()? as usize;
         len = len
             .checked_mul(d)
             .filter(|&l| l <= MAX_TENSOR_ELEMS)
-            .ok_or_else(|| bad("tensor dims overflow (corrupt dim field?)"))?;
+            .ok_or_else(|| invalid("tensor dims overflow (corrupt dim field?)"))?;
         dims.push(d);
     }
-    let data = read_f32s(&mut reader, len)?;
+    let data = r.f32s(len)?;
     if data.iter().any(|v| !v.is_finite()) {
-        return Err(bad("non-finite value in tensor"));
+        return Err(invalid("non-finite value in tensor"));
     }
     Ok(Tensor::from_vec(data, &dims))
 }
 
 /// Element cap for [`read_tensor`]: nothing persisted in this workspace
-/// approaches it, and it stops a corrupt dim field from driving a
-/// multi-gigabyte allocation before the read fails.
+/// approaches it, and it rejects a corrupt dim field by name before the
+/// payload read fails on the short buffer.
 const MAX_TENSOR_ELEMS: usize = 1 << 31;
 
 /// [`save_weights`] to a file path.
 pub fn save_weights_file(layer: &mut dyn Layer, path: &Path) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    save_weights(layer, io::BufWriter::new(file))
+    std::fs::write(path, save_weights_bytes(layer))
 }
 
 /// [`load_weights`] from a file path.
 pub fn load_weights_file(layer: &mut dyn Layer, path: &Path) -> io::Result<()> {
-    let file = std::fs::File::open(path)?;
-    load_weights(layer, io::BufReader::new(file))
+    load_weights(layer, std::fs::read(path)?.as_slice())
 }
 
 // ---------------------------------------------------------------------------
@@ -227,25 +159,9 @@ pub fn load_weights_file(layer: &mut dyn Layer, path: &Path) -> io::Result<()> {
 
 const TRAIN_MAGIC: &[u8; 4] = b"EOST";
 const TRAIN_VERSION: u32 = 1;
-/// Caps on per-section counts, sized far above anything the workspace
-/// trains but small enough that a corrupt length field fails the read
-/// instead of driving a giant allocation.
-const MAX_VELOCITY_BUFFERS: usize = 1 << 20;
+/// Cap on the epoch counter, far above anything the workspace trains, so
+/// a corrupt field is reported by name.
 const MAX_EPOCHS: usize = 1 << 20;
-const MAX_ORDER: usize = MAX_TENSOR_ELEMS;
-const MAX_WEIGHTS_BYTES: usize = 1 << 33;
-
-/// FNV-1a over `bytes`. Same constants as the experiment engine's cache
-/// checksums, so an `EOST` file's trailing hash validates under either
-/// implementation.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Everything [`crate::trainer::try_train_epochs_resumable`] needs to
 /// continue a run bit-identically from an epoch boundary.
@@ -281,50 +197,34 @@ pub struct TrainState {
     pub history: Vec<EpochStats>,
 }
 
-/// Serialises a [`TrainState`] into an `EOST` byte buffer ending in an
-/// FNV-1a checksum of everything before it.
+/// Serialises a [`TrainState`] into a sealed `EOST` record.
 pub fn save_train_state_bytes(state: &TrainState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let w = &mut buf;
-    w.extend_from_slice(TRAIN_MAGIC);
-    write_u32(w, TRAIN_VERSION).unwrap();
-    write_u64(w, state.epochs_done as u64).unwrap();
-    w.extend_from_slice(&state.lr.to_le_bytes());
-    w.push(state.drw_installed as u8);
-    w.push(state.rng_spare.is_some() as u8);
-    for word in state.rng_words {
-        write_u64(w, word).unwrap();
-    }
-    write_u64(w, state.rng_spare.unwrap_or(0.0).to_bits()).unwrap();
-    write_u64(w, state.weights.len() as u64).unwrap();
-    w.extend_from_slice(&state.weights);
-    write_u64(w, state.velocity.len() as u64).unwrap();
-    for v in &state.velocity {
-        write_u64(w, v.len() as u64).unwrap();
-        write_f32s(w, v).unwrap();
-    }
-    write_u64(w, state.order.len() as u64).unwrap();
-    for &i in &state.order {
-        write_u32(w, i).unwrap();
-    }
-    write_u64(w, state.history.len() as u64).unwrap();
-    for h in &state.history {
-        write_u64(w, h.epoch as u64).unwrap();
-        w.extend_from_slice(&h.loss.to_le_bytes());
-        w.extend_from_slice(&h.accuracy.to_le_bytes());
-    }
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
+    seal(TRAIN_MAGIC, TRAIN_VERSION, |w| {
+        w.u64(state.epochs_done as u64)
+            .f32(state.lr)
+            .bytes(&[state.drw_installed as u8, state.rng_spare.is_some() as u8]);
+        for word in state.rng_words {
+            w.u64(word);
+        }
+        w.u64(state.rng_spare.unwrap_or(0.0).to_bits())
+            .u64(state.weights.len() as u64)
+            .bytes(&state.weights)
+            .u64(state.velocity.len() as u64);
+        for v in &state.velocity {
+            w.u64(v.len() as u64).f32s(v);
+        }
+        w.u64(state.order.len() as u64);
+        for &i in &state.order {
+            w.u32(i);
+        }
+        w.u64(state.history.len() as u64);
+        for h in &state.history {
+            w.u64(h.epoch as u64).f32(h.loss).f32(h.accuracy);
+        }
+    })
 }
 
-fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-/// Parses an `EOST` buffer back into a [`TrainState`].
+/// Parses an `EOST` record back into a [`TrainState`].
 ///
 /// The trailing checksum is verified before anything else, so a
 /// truncated or bit-flipped file fails cleanly here — the checkpointer
@@ -333,109 +233,68 @@ fn read_f32(r: &mut impl Read) -> io::Result<f32> {
 /// embedded weights blob is validated later by [`load_weights`] when
 /// it is restored into a concrete network.
 pub fn load_train_state_bytes(bytes: &[u8]) -> io::Result<TrainState> {
-    if bytes.len() < 8 {
-        return Err(bad("EOST file shorter than its checksum"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(bad(format!(
-            "EOST checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    let r = &mut &body[..];
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != TRAIN_MAGIC {
-        return Err(bad("not an EOST training checkpoint"));
-    }
-    let version = read_u32(r)?;
-    if version != TRAIN_VERSION {
-        return Err(bad(format!("unsupported EOST version {version}")));
-    }
-    let epochs_done = read_u64(r)? as usize;
+    let mut r = open(bytes, TRAIN_MAGIC, TRAIN_VERSION)?;
+    let epochs_done = r.u64()? as usize;
     if epochs_done > MAX_EPOCHS {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "EOST claims {epochs_done} completed epochs (corrupt field?)"
         )));
     }
-    let lr = read_f32(r)?;
+    let lr = r.f32()?;
     if !lr.is_finite() {
-        return Err(bad("non-finite learning rate in EOST"));
+        return Err(invalid("non-finite learning rate in EOST"));
     }
-    let mut flags = [0u8; 2];
-    r.read_exact(&mut flags)?;
+    let flags = r.bytes(2)?;
     if flags[0] > 1 || flags[1] > 1 {
-        return Err(bad("EOST boolean flag out of range"));
+        return Err(invalid("EOST boolean flag out of range"));
     }
     let drw_installed = flags[0] == 1;
     let has_spare = flags[1] == 1;
     let mut rng_words = [0u64; 4];
     for word in &mut rng_words {
-        *word = read_u64(r)?;
+        *word = r.u64()?;
     }
-    let spare_bits = read_u64(r)?;
+    let spare_bits = r.u64()?;
     let rng_spare = has_spare.then(|| f64::from_bits(spare_bits));
-    if let Some(s) = rng_spare {
-        if !s.is_finite() {
-            return Err(bad("non-finite RNG spare in EOST"));
-        }
+    if rng_spare.is_some_and(|s| !s.is_finite()) {
+        return Err(invalid("non-finite RNG spare in EOST"));
     }
-    let weights_len = read_u64(r)? as usize;
-    if weights_len > MAX_WEIGHTS_BYTES {
-        return Err(bad(format!(
-            "EOST claims a {weights_len}-byte weights blob (corrupt field?)"
-        )));
-    }
-    let mut weights = vec![0u8; weights_len];
-    r.read_exact(&mut weights)?;
-    let n_vel = read_u64(r)? as usize;
-    if n_vel > MAX_VELOCITY_BUFFERS {
-        return Err(bad(format!(
-            "EOST claims {n_vel} velocity buffers (corrupt field?)"
-        )));
-    }
-    let mut velocity = Vec::with_capacity(n_vel);
+    let weights_len = r.u64()? as usize;
+    let weights = r.bytes(weights_len)?.to_vec();
+    // Counts are not trusted for preallocation: every element read is
+    // bounds-checked, so a corrupt count fails at the end of the record.
+    let n_vel = r.u64()?;
+    let mut velocity = Vec::new();
     for i in 0..n_vel {
-        let len = read_u64(r)? as usize;
-        if len > MAX_TENSOR_ELEMS {
-            return Err(bad(format!(
-                "velocity buffer {i} claims {len} elements (corrupt field?)"
-            )));
-        }
-        let v = read_f32s(r, len)?;
+        let len = r.u64()? as usize;
+        let v = r.f32s(len)?;
         if v.iter().any(|x| !x.is_finite()) {
-            return Err(bad(format!("non-finite value in velocity buffer {i}")));
+            return Err(invalid(format!("non-finite value in velocity buffer {i}")));
         }
         velocity.push(v);
     }
-    let order_len = read_u64(r)? as usize;
-    if order_len > MAX_ORDER {
-        return Err(bad(format!(
-            "EOST claims a {order_len}-element sample order (corrupt field?)"
-        )));
-    }
-    let mut order = Vec::with_capacity(order_len);
-    for _ in 0..order_len {
-        order.push(read_u32(r)?);
-    }
-    let n_hist = read_u64(r)? as usize;
+    let order_len = r.u64()?;
+    let order = (0..order_len)
+        .map(|_| r.u32())
+        .collect::<io::Result<Vec<u32>>>()?;
+    let n_hist = r.u64()? as usize;
     if n_hist != epochs_done {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "EOST history has {n_hist} entries for {epochs_done} completed epochs"
         )));
     }
     let mut history = Vec::with_capacity(n_hist);
     for i in 0..n_hist {
-        let epoch = read_u64(r)? as usize;
-        let loss = read_f32(r)?;
-        let accuracy = read_f32(r)?;
+        let epoch = r.u64()? as usize;
+        let loss = r.f32()?;
+        let accuracy = r.f32()?;
         if epoch != i {
-            return Err(bad(format!("EOST history entry {i} claims epoch {epoch}")));
+            return Err(invalid(format!(
+                "EOST history entry {i} claims epoch {epoch}"
+            )));
         }
         if !loss.is_finite() || !accuracy.is_finite() {
-            return Err(bad(format!("non-finite stats in history entry {i}")));
+            return Err(invalid(format!("non-finite stats in history entry {i}")));
         }
         history.push(EpochStats {
             epoch,
@@ -443,9 +302,7 @@ pub fn load_train_state_bytes(bytes: &[u8]) -> io::Result<TrainState> {
             accuracy,
         });
     }
-    if !r.is_empty() {
-        return Err(bad("trailing bytes before the EOST checksum"));
-    }
+    r.end("the EOST history")?;
     Ok(TrainState {
         epochs_done,
         lr,
@@ -463,6 +320,7 @@ pub fn load_train_state_bytes(bytes: &[u8]) -> io::Result<TrainState> {
 mod tests {
     use super::*;
     use crate::models::{Architecture, ConvNet};
+    use eos_tensor::record::fnv1a;
     use eos_tensor::{normal, Rng64};
 
     fn tiny_net(seed: u64) -> ConvNet {
@@ -604,9 +462,9 @@ mod tests {
     fn tensor_roundtrip_is_bit_exact() {
         let mut rng = Rng64::new(9);
         let t = normal(&[5, 7], 0.0, 3.0, &mut rng);
-        let mut buf = Vec::new();
-        write_tensor(&mut buf, &t).unwrap();
-        let back = read_tensor(buf.as_slice()).unwrap();
+        let mut w = Writer::new();
+        write_tensor(&mut w, &t);
+        let back = read_tensor(&mut Reader::new(&w.into_bytes())).unwrap();
         assert_eq!(back.dims(), t.dims());
         assert_eq!(back.data(), t.data());
     }
@@ -614,22 +472,24 @@ mod tests {
     #[test]
     fn tensor_read_rejects_truncation_and_garbage() {
         let t = Tensor::ones(&[3, 4]);
-        let mut buf = Vec::new();
-        write_tensor(&mut buf, &t).unwrap();
+        let mut w = Writer::new();
+        write_tensor(&mut w, &t);
+        let buf = w.into_bytes();
+        let read_tensor = |b: &[u8]| read_tensor(&mut Reader::new(b));
         // Truncated payload.
         let err = read_tensor(&buf[..buf.len() - 2]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         // Garbage rank.
         let mut corrupt = buf.clone();
         corrupt[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_tensor(corrupt.as_slice())
+        assert!(read_tensor(&corrupt)
             .unwrap_err()
             .to_string()
             .contains("rank"));
         // Garbage dim driving an absurd allocation.
         let mut huge = buf.clone();
         huge[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_tensor(huge.as_slice())
+        assert!(read_tensor(&huge)
             .unwrap_err()
             .to_string()
             .contains("overflow"));
@@ -637,7 +497,7 @@ mod tests {
         let mut nan = buf.clone();
         let end = nan.len();
         nan[end - 4..].copy_from_slice(&f32::NAN.to_le_bytes());
-        assert!(read_tensor(nan.as_slice())
+        assert!(read_tensor(&nan)
             .unwrap_err()
             .to_string()
             .contains("non-finite"));
@@ -691,27 +551,23 @@ mod tests {
 
     #[test]
     fn train_state_rejects_truncation_and_bit_flips() {
-        let bytes = save_train_state_bytes(&sample_state());
+        // A small record (the weights blob is opaque to EOST), so every
+        // cut and every byte position is cheap to try.
+        let mut state = sample_state();
+        state.weights.truncate(64);
+        let bytes = save_train_state_bytes(&state);
         // Any truncation breaks the checksum (or leaves less than one).
-        for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             let err = load_train_state_bytes(&bytes[..cut]).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
         }
-        // A single flipped bit anywhere in the body breaks the checksum.
-        for pos in [4, 12, bytes.len() / 3, bytes.len() - 9] {
+        // A single flipped bit anywhere, the checksum included, is caught.
+        for pos in 0..bytes.len() {
             let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x40;
+            corrupt[pos] ^= 1 << (pos % 8);
             let err = load_train_state_bytes(&corrupt).unwrap_err();
             assert!(err.to_string().contains("checksum"), "flip at {pos}: {err}");
         }
-        // A flipped checksum itself is also caught.
-        let mut corrupt = bytes.clone();
-        let end = corrupt.len();
-        corrupt[end - 1] ^= 1;
-        assert!(load_train_state_bytes(&corrupt)
-            .unwrap_err()
-            .to_string()
-            .contains("checksum"));
     }
 
     #[test]
@@ -766,15 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors; the cache layer computes
-        // the same function independently, so pin the constants here.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("eos_weights_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -785,5 +632,15 @@ mod tests {
         load_weights_file(&mut b, &path).unwrap();
         let x = normal(&[2, 3 * 64], 0.0, 1.0, &mut Rng64::new(6));
         assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        let eosw = save_weights_bytes(&mut tiny_net(1));
+        let eost = save_train_state_bytes(&sample_state());
+        assert_eq!(eosw.len(), 21504);
+        assert_eq!(fnv1a(&eosw), 0x15e36939f7c1bcdf);
+        assert_eq!(eost.len(), 21690);
+        assert_eq!(fnv1a(&eost), 0xee7dcf24e2d48e81);
     }
 }

@@ -15,7 +15,9 @@
 //! * axis reductions ([`reduce`]),
 //! * finite-difference gradient checking ([`gradcheck`]),
 //! * a zero-dependency data-parallel execution layer ([`par`]) that the
-//!   hot paths (GEMM, convolution batches, k-NN fan-out) dispatch through.
+//!   hot paths (GEMM, convolution batches, k-NN fan-out) dispatch through,
+//! * artifact records ([`record`]): the workspace's one FNV-1a hasher and
+//!   the one sealed framing of its checksummed on-disk formats.
 //!
 //! The design intentionally avoids views/strides: every tensor owns its
 //! buffer. This keeps the kernel code simple and predictable, which matters
@@ -34,6 +36,7 @@ mod gradcheck;
 mod init;
 mod matmul;
 pub mod par;
+pub mod record;
 mod reduce;
 pub mod scratch;
 mod shape;

@@ -6,6 +6,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+
+# One hash: FNV-1a lives in crates/tensor/src/record.rs. Its offset basis
+# or prime written as a literal anywhere else under crates/ is a second
+# copy of the hash.
+if grep -rniE '0xcbf29ce484222325|0x100000001b3' crates --include='*.rs' \
+    | grep -v '^crates/tensor/src/record\.rs:'; then
+  echo "FAIL: FNV constants outside crates/tensor/src/record.rs (use eos_tensor::record)" >&2
+  exit 1
+fi
+
 cargo clippy --workspace -- -D warnings
 cargo build --release
 cargo test -q
