@@ -1,13 +1,15 @@
-//! CLI arguments shared by all experiment binaries.
+//! The command line of `suite`, the experiment entry point.
 
+use crate::tables;
 use eos_core::Scale;
 use eos_data::DATASET_NAMES;
 
-/// The flags every experiment binary accepts, in usage order.
-const FLAGS: [&str; 9] = [
+/// Every flag `suite` accepts, in usage order.
+const FLAGS: [&str; 10] = [
     "--scale",
     "--seed",
     "--datasets",
+    "--only",
     "--no-cache",
     "--jobs",
     "--skip-runtime",
@@ -17,8 +19,8 @@ const FLAGS: [&str; 9] = [
 ];
 
 /// Parsed command line:
-/// `--scale smoke|small|medium --seed N --datasets a,b --no-cache
-/// --jobs J --skip-runtime --bench --cache-gc --cache-cap BYTES`.
+/// `--scale smoke|small|medium --seed N --datasets a,b --only t,u
+/// --no-cache --jobs J --skip-runtime --bench --cache-gc --cache-cap BYTES`.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Experiment scale.
@@ -27,6 +29,9 @@ pub struct Args {
     pub seed: u64,
     /// Dataset analogues to run (defaults to all four).
     pub datasets: Vec<&'static str>,
+    /// Tables to run, by registry name (defaults to all of
+    /// [`tables::ALL`]); they always run in registry order.
+    pub only: Vec<&'static str>,
     /// Skip the on-disk artifact cache: train every backbone fresh and
     /// store nothing.
     pub no_cache: bool,
@@ -37,11 +42,12 @@ pub struct Args {
     /// Skip the runtime table (its stdout prints wall-clock timings, so
     /// the byte-identity gates exclude it).
     pub skip_runtime: bool,
-    /// Suite only: run the deterministic pipeline serially and at
-    /// `--jobs`, compare outputs, and write `results/BENCH_suite.json`.
+    /// Run the selected deterministic tables serially and at `--jobs`,
+    /// compare outputs, and write `results/BENCH_suite.json` (implies
+    /// `--skip-runtime`).
     pub bench: bool,
-    /// Suite only: sweep the cache directory (orphans, stale locks,
-    /// corrupt entries) and exit.
+    /// Sweep the cache directory (orphans, stale locks, corrupt
+    /// entries) and exit.
     pub cache_gc: bool,
     /// With `--cache-gc`: evict oldest entries until the cache fits
     /// under this many bytes.
@@ -54,6 +60,7 @@ impl Default for Args {
             scale: Scale::Small,
             seed: 42,
             datasets: DATASET_NAMES.to_vec(),
+            only: table_names(),
             no_cache: false,
             jobs: 1,
             skip_runtime: false,
@@ -64,6 +71,32 @@ impl Default for Args {
     }
 }
 
+fn table_names() -> Vec<&'static str> {
+    tables::ALL.iter().map(|t| t.name).collect()
+}
+
+/// Parses `flag`'s comma-separated list of `what` names, each one of
+/// `choices` and none twice.
+fn parse_list(
+    flag: &str,
+    what: &str,
+    list: &str,
+    choices: &[&'static str],
+) -> Result<Vec<&'static str>, String> {
+    let mut names = Vec::new();
+    for part in list.split(',') {
+        let name = choices
+            .iter()
+            .find(|&&n| n == part)
+            .ok_or_else(|| format!("unknown {what} '{part}' (choices: {})", choices.join(", ")))?;
+        if names.contains(name) {
+            return Err(format!("duplicate {what} '{part}' in {flag}"));
+        }
+        names.push(*name);
+    }
+    Ok(names)
+}
+
 impl Args {
     /// Parses `std::env::args()`, exiting with a usage message on error.
     pub fn parse() -> Args {
@@ -71,12 +104,7 @@ impl Args {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("error: {e}");
-                eprintln!(
-                    "usage: <bin> [--scale {}] [--seed N] [--datasets {}] [--no-cache] \
-                     [--jobs J] [--skip-runtime] [--bench] [--cache-gc] [--cache-cap BYTES]",
-                    Scale::NAMES.join("|"),
-                    DATASET_NAMES.join(",")
-                );
+                eprintln!("{}", usage());
                 std::process::exit(2);
             }
         }
@@ -101,21 +129,11 @@ impl Args {
                 }
                 "--datasets" => {
                     let v = value("--datasets")?;
-                    let mut names = Vec::new();
-                    for part in v.split(',') {
-                        let canonical =
-                            DATASET_NAMES.iter().find(|&&n| n == part).ok_or_else(|| {
-                                format!(
-                                    "unknown dataset '{part}' (choices: {})",
-                                    DATASET_NAMES.join(", ")
-                                )
-                            })?;
-                        names.push(*canonical);
-                    }
-                    if names.is_empty() {
-                        return Err("--datasets needs at least one name".into());
-                    }
-                    out.datasets = names;
+                    out.datasets = parse_list("--datasets", "dataset", &v, &DATASET_NAMES)?;
+                }
+                "--only" => {
+                    let v = value("--only")?;
+                    out.only = parse_list("--only", "table", &v, &table_names())?;
                 }
                 "--no-cache" => out.no_cache = true,
                 "--jobs" => {
@@ -141,8 +159,25 @@ impl Args {
                 }
             }
         }
+        // The bench compares deterministic output only.
+        out.skip_runtime |= out.bench;
+        if tables::selected(&out).next().is_none() {
+            return Err(
+                "--only selects only runtime, which --skip-runtime and --bench drop".into(),
+            );
+        }
         Ok(out)
     }
+}
+
+fn usage() -> String {
+    format!(
+        "usage: suite [--scale {}] [--seed N] [--datasets {}] [--only {}] [--no-cache] \
+         [--jobs J] [--skip-runtime] [--bench] [--cache-gc] [--cache-cap BYTES]",
+        Scale::NAMES.join("|"),
+        DATASET_NAMES.join(","),
+        table_names().join(","),
+    )
 }
 
 #[cfg(test)]
@@ -237,5 +272,56 @@ mod tests {
         assert!(Args::try_parse(strings(&["--jobs", "0"])).is_err());
         assert!(Args::try_parse(strings(&["--jobs", "many"])).is_err());
         assert!(Args::try_parse(strings(&["--cache-cap", "big"])).is_err());
+    }
+
+    #[test]
+    fn only_selects_known_tables() {
+        let a = Args::try_parse(strings(&["--only", "fig7,table2"])).unwrap();
+        assert_eq!(a.only, vec!["fig7", "table2"]);
+        assert_eq!(Args::default().only.len(), tables::ALL.len());
+    }
+
+    #[test]
+    fn rejects_unknown_table_listing_every_name() {
+        let e = Args::try_parse(strings(&["--only", "table9"])).unwrap_err();
+        assert!(e.contains("table9"));
+        for t in &tables::ALL {
+            assert!(e.contains(t.name), "choices missing {}: {e}", t.name);
+        }
+    }
+
+    #[test]
+    fn rejects_an_empty_only_list() {
+        assert!(Args::try_parse(strings(&["--only", ""])).is_err());
+        assert!(Args::try_parse(strings(&["--only"])).is_err());
+    }
+
+    #[test]
+    fn rejects_duplicate_names() {
+        let e = Args::try_parse(strings(&["--datasets", "celeba,celeba"])).unwrap_err();
+        assert!(e.contains("duplicate") && e.contains("celeba"), "{e}");
+        let e = Args::try_parse(strings(&["--only", "fig3,table1,fig3"])).unwrap_err();
+        assert!(e.contains("duplicate") && e.contains("fig3"), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_selection_skip_runtime_empties() {
+        let e = Args::try_parse(strings(&["--only", "runtime", "--skip-runtime"])).unwrap_err();
+        assert!(e.contains("--skip-runtime"), "{e}");
+        assert!(Args::try_parse(strings(&["--only", "runtime", "--bench"])).is_err());
+        assert!(Args::try_parse(strings(&["--only", "runtime,fig4", "--skip-runtime"])).is_ok());
+    }
+
+    #[test]
+    fn usage_names_suite_and_every_flag() {
+        let u = usage();
+        assert!(
+            u.starts_with("usage: suite ") && !u.contains("<bin>"),
+            "{u}"
+        );
+        assert!(FLAGS.contains(&"--only"));
+        for flag in FLAGS {
+            assert!(u.contains(flag), "usage missing {flag}: {u}");
+        }
     }
 }

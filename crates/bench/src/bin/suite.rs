@@ -1,27 +1,32 @@
-//! The full paper reproduction in one command: every table, every
-//! figure, the ablations and the run-time study.
+//! The paper reproduction's one entry point: every table, every figure,
+//! the ablations and the run-time study, in the registry order of
+//! [`tables::ALL`] — or just the entries `--only table2,fig4` names, still
+//! in registry order.
 //!
-//! The suite first collects every table's backbone plan, dedupes the
-//! shared trainings and prewarms the artifact cache (e.g. the per-dataset
-//! × per-loss backbones of Tables II/III and Figures 3/5 are each trained
-//! once, not four times), then runs the tables in paper order. On a rerun
+//! The suite first collects the selected tables' backbone plans, dedupes
+//! the shared trainings and prewarms the artifact cache (e.g. the
+//! per-dataset × per-loss backbones of Tables II/III and Figures 3/5 are
+//! each trained once, not four times), then runs the tables. On a rerun
 //! every backbone comes out of the cache and only the cheap head
 //! fine-tunes execute; outputs are byte-identical either way — including
 //! under `--jobs N`, where independent trainings and table groups run
-//! concurrently on the job scheduler.
+//! concurrently on the job scheduler. A table's stdout and CSVs are the
+//! same whether it runs alone or with the others.
 //!
 //! ```text
 //! cargo run --release --bin suite -- --scale small --seed 42 --jobs 4
+//! cargo run --release --bin suite -- --only table2 --datasets celeba
 //! ```
 //!
 //! Special modes:
 //!
-//! - `--bench` runs the whole deterministic pipeline twice in-process —
+//! - `--bench` runs the selected deterministic tables twice in-process —
 //!   serial, then at `--jobs` — each pass against its own cold throwaway
-//!   cache, compares every produced CSV byte-for-byte, and writes the
-//!   wall-clock split and the host facts to `results/BENCH_suite.json`.
-//!   When the parallel pass runs more threads than the host has cores it
-//!   warns, and the record says `"oversubscribed": true`.
+//!   cache, compares every CSV they write byte-for-byte (a CSV missing
+//!   after either pass fails the bench), and writes the wall-clock split
+//!   and the host facts to `results/BENCH_suite.json`. When the parallel
+//!   pass runs more threads than the host has cores it warns, and the
+//!   record says `"oversubscribed": true`.
 //! - `--cache-gc [--cache-cap BYTES]` sweeps `$EOS_CACHE_DIR` and its
 //!   `ckpt/` and `journal/` subdirectories (orphaned temp files, stale
 //!   `.lock` files, corrupt entries, oldest entries over the cap), prints
@@ -32,60 +37,17 @@ use eos_bench::{
     format_duration, host_cores, record_host_facts, tables, Args, ArtifactCache, BackbonePlan,
     Engine, EngineError, JsonRecord, MarkdownTable,
 };
+use std::path::Path;
 use std::time::Instant;
 
-/// Every CSV the deterministic pipeline writes (runtime's timing CSVs are
-/// excluded — that table is skipped under `--bench`).
-const CSV_NAMES: [&str; 16] = [
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6_summary",
-    "fig6_coords",
-    "fig7",
-    "gap_eos",
-    "pixel_eos",
-    "ablation_direction",
-    "ablation_gap_definition",
-    "ablation_decoupling",
-];
-
-fn collect_plans(args: &Args) -> Vec<BackbonePlan> {
-    let mut plans: Vec<BackbonePlan> = Vec::new();
-    for plan in [
-        tables::table1::plan,
-        tables::table2::plan,
-        tables::table3::plan,
-        tables::table4::plan,
-        tables::table5::plan,
-        tables::fig3::plan,
-        tables::fig4::plan,
-        tables::fig5::plan,
-        tables::fig6::plan,
-        tables::fig7::plan,
-        tables::gap_eos::plan,
-        tables::pixel_eos::plan,
-        tables::ablations::plan,
-    ] {
-        plans.extend(plan(args));
-    }
-    plans
-}
-
-/// One table module's `run` entry point.
-type TableRun = fn(&Engine, &Args) -> Result<(), EngineError>;
-
-/// Prewarms and runs every table in paper order. A failed table is
-/// isolated: its surviving cells are journaled, its error is collected,
-/// and the remaining tables still run. Returns the (prewarm, tables)
-/// wall-clock split in seconds plus the per-table failures.
+/// Prewarms and runs the selected tables in registry order. A failed
+/// table is isolated: its surviving cells are journaled, its error is
+/// collected, and the remaining tables still run. Returns the (prewarm,
+/// tables) wall-clock split in seconds plus the per-table failures.
 fn run_suite(eng: &Engine, args: &Args) -> (f64, f64, Vec<(&'static str, EngineError)>) {
-    let plans = collect_plans(args);
+    let plans: Vec<BackbonePlan> = tables::selected(args)
+        .flat_map(|t| (t.plan)(args))
+        .collect();
     eprintln!(
         "[suite] prewarming {} planned backbones (deduped through the cache, {} job{}) ...",
         plans.len(),
@@ -98,32 +60,14 @@ fn run_suite(eng: &Engine, args: &Args) -> (f64, f64, Vec<(&'static str, EngineE
     eprintln!("[suite] backbones ready; producing tables and figures ...");
     let t1 = Instant::now();
     let mut failures: Vec<(&'static str, EngineError)> = Vec::new();
-    let runs: [(&'static str, TableRun); 13] = [
-        ("table1", tables::table1::run),
-        ("table2", tables::table2::run),
-        ("table3", tables::table3::run),
-        ("table4", tables::table4::run),
-        ("table5", tables::table5::run),
-        ("fig3", tables::fig3::run),
-        ("fig4", tables::fig4::run),
-        ("fig5", tables::fig5::run),
-        ("fig6", tables::fig6::run),
-        ("fig7", tables::fig7::run),
-        ("gap_eos", tables::gap_eos::run),
-        ("pixel_eos", tables::pixel_eos::run),
-        ("ablations", tables::ablations::run),
-    ];
-    for (name, run) in runs {
-        if let Err(e) = run(eng, args) {
-            eprintln!("[suite] {name} FAILED; continuing with the remaining tables");
-            failures.push((name, e));
+    for table in tables::selected(args) {
+        if let Err(e) = (table.run)(eng, args) {
+            eprintln!(
+                "[suite] {} FAILED; continuing with the remaining tables",
+                table.name
+            );
+            failures.push((table.name, e));
         }
-    }
-    // Last: the run-time study times fresh trainings by design, and its
-    // stdout carries wall-clock numbers — skippable so byte-identity
-    // comparisons across job counts stay meaningful.
-    if !args.skip_runtime {
-        tables::runtime::run(args);
     }
     (prewarm, t1.elapsed().as_secs_f64(), failures)
 }
@@ -172,13 +116,40 @@ fn run_cache_gc(args: &Args) {
     );
 }
 
-/// `--bench`: the deterministic pipeline serially and at `--jobs`, each
-/// pass on a cold private cache; byte-compares the CSVs and records the
-/// wall-clock split and host facts in `results/BENCH_suite.json`, flagging
-/// a parallel pass that runs more threads than the host has cores.
+/// Each named CSV's bytes after one pass (`None`: the pass did not
+/// write it).
+type Csvs = [Option<Vec<u8>>];
+
+/// True when every CSV was written by both passes with identical bytes;
+/// names each missing or mismatched file on stderr.
+fn csvs_identical(names: &[&str], serial: &Csvs, parallel: &Csvs) -> bool {
+    let mut identical = true;
+    for ((name, serial), parallel) in names.iter().zip(serial).zip(parallel) {
+        match (serial, parallel) {
+            (Some(a), Some(b)) if a == b => {}
+            (Some(_), Some(_)) => {
+                identical = false;
+                eprintln!("[suite] bench: MISMATCH in {name}.csv between serial and parallel");
+            }
+            _ => {
+                identical = false;
+                eprintln!("[suite] bench: {name}.csv MISSING after a pass");
+            }
+        }
+    }
+    identical
+}
+
+/// `--bench`: the selected deterministic tables serially and at
+/// `--jobs`, each pass on a cold private cache and with their CSVs
+/// deleted first; byte-compares the CSVs and records the wall-clock
+/// split and host facts in `results/BENCH_suite.json`, flagging a
+/// parallel pass that runs more threads than the host has cores.
 fn run_bench(args: &Args) {
-    let mut args = args.clone();
-    args.skip_runtime = true;
+    let csv_names: Vec<&str> = tables::selected(args)
+        .flat_map(|t| t.csvs.iter().copied())
+        .collect();
+    let csv_path = |name: &str| Path::new("results").join(format!("{name}.csv"));
     let threads = eos_tensor::par::num_threads();
     let jobs = args.jobs.max(1);
     let (in_flight, cores) = (jobs * job_budget(threads, jobs), host_cores());
@@ -197,12 +168,15 @@ fn run_bench(args: &Args) {
         let dir =
             std::env::temp_dir().join(format!("eos_suite_bench_{}_{label}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        for name in &csv_names {
+            let _ = std::fs::remove_file(csv_path(name));
+        }
         let eng = Engine::with_cache(args.scale, args.seed, Some(ArtifactCache::at(&dir)))
             .with_jobs(jobs);
         eprintln!("[suite] bench pass '{label}' (jobs {jobs}, cold cache) ...");
         let before = trained(&eos_trace::snapshot());
         let t0 = Instant::now();
-        let (prewarm, tables_s, failures) = run_suite(&eng, &args);
+        let (prewarm, tables_s, failures) = run_suite(&eng, args);
         if !failures.is_empty() {
             for (name, e) in &failures {
                 report_failure(name, e);
@@ -213,12 +187,9 @@ fn run_bench(args: &Args) {
         let total = t0.elapsed().as_secs_f64();
         let trained_now = trained(&eos_trace::snapshot()) - before;
         let _ = std::fs::remove_dir_all(&dir);
-        let csvs: Vec<(String, Option<Vec<u8>>)> = CSV_NAMES
+        let csvs: Vec<Option<Vec<u8>>> = csv_names
             .iter()
-            .map(|name| {
-                let path = std::path::Path::new("results").join(format!("{name}.csv"));
-                (name.to_string(), std::fs::read(path).ok())
-            })
+            .map(|name| std::fs::read(csv_path(name)).ok())
             .collect();
         eprintln!(
             "[suite] bench pass '{label}': prewarm {prewarm:.2}s, tables {tables_s:.2}s, \
@@ -229,18 +200,7 @@ fn run_bench(args: &Args) {
 
     let (s_prewarm, s_tables, s_total, s_trained, s_csvs) = pass("serial", 1);
     let (p_prewarm, p_tables, p_total, p_trained, p_csvs) = pass("parallel", args.jobs);
-
-    let mut identical = true;
-    for ((name, serial), (_, parallel)) in s_csvs.iter().zip(&p_csvs) {
-        match (serial, parallel) {
-            (Some(a), Some(b)) if a == b => {}
-            (None, None) => eprintln!("[suite] bench: {name}.csv missing in both passes"),
-            _ => {
-                identical = false;
-                eprintln!("[suite] bench: MISMATCH in {name}.csv between serial and parallel");
-            }
-        }
-    }
+    let identical = csvs_identical(&csv_names, &s_csvs, &p_csvs);
 
     let speedup = if p_total > 0.0 {
         s_total / p_total
@@ -265,7 +225,7 @@ fn run_bench(args: &Args) {
         .int("parallel_backbones_trained", p_trained)
         .num("speedup", speedup)
         .bool("csv_identical", identical)
-        .int("csv_files", CSV_NAMES.len() as u64);
+        .int("csv_files", csv_names.len() as u64);
     rec.write("BENCH_suite");
     println!(
         "suite bench — serial {s_total:.2}s vs {} jobs {p_total:.2}s: {speedup:.2}x speedup, \
@@ -305,5 +265,29 @@ fn main() {
             failures.len()
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn same(serial: &[Option<&[u8]>], parallel: &[Option<&[u8]>]) -> bool {
+        let own = |pass: &[Option<&[u8]>]| -> Vec<Option<Vec<u8>>> {
+            pass.iter().map(|c| c.map(<[u8]>::to_vec)).collect()
+        };
+        let names = vec!["t"; serial.len()];
+        csvs_identical(&names, &own(serial), &own(parallel))
+    }
+
+    #[test]
+    fn a_csv_must_exist_in_both_passes_with_equal_bytes() {
+        let (a, b): (&[u8], &[u8]) = (b"a,b", b"a,c");
+        assert!(same(&[Some(a)], &[Some(a)]));
+        assert!(!same(&[Some(a)], &[Some(b)]));
+        assert!(!same(&[None], &[None]));
+        assert!(!same(&[Some(a)], &[None]));
+        assert!(!same(&[None], &[Some(a)]));
+        assert!(!same(&[Some(a), Some(a)], &[Some(a), None]));
     }
 }

@@ -35,8 +35,8 @@ pub type CellTask<'s> = Box<dyn FnOnce() -> Result<Rows, EngineError> + Send + '
 
 /// One backbone a table needs: which dataset analogue, which training
 /// loss, and (for Table V) which architecture if not the scale default.
-/// Tables expose their full list via a `plan()` function so the suite can
-/// dedupe trainings across tables before running any of them.
+/// Each [`tables::ALL`](crate::tables::ALL) entry lists its plans so the
+/// suite can dedupe trainings across tables before running any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackbonePlan {
     /// Dataset analogue name.

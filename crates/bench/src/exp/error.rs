@@ -159,8 +159,8 @@ impl std::error::Error for EngineError {
     }
 }
 
-/// Prints the structured failure report the table binaries and the suite
-/// emit before exiting nonzero. Completed cells stay journaled — the
+/// Prints the structured failure report the suite emits for a failed
+/// table before exiting nonzero. Completed cells stay journaled — the
 /// report says so, because the whole point is that a rerun resumes.
 pub fn report_failure(tag: &str, err: &EngineError) {
     eprintln!("[{tag}] FAILURE REPORT");

@@ -1,9 +1,8 @@
 //! The spec-driven experiment engine.
 //!
 //! The paper's efficiency claim (§V-E2) rests on training one backbone
-//! and reusing it across many oversampler evaluations. The per-table
-//! binaries share backbones *within* a process; this module extends the
-//! reuse *across* processes and across tables:
+//! and reusing it across many oversampler evaluations. This module
+//! extends that reuse across tables and across processes:
 //!
 //! - [`spec`] — declarative experiment cells ([`ExperimentSpec`]:
 //!   dataset × loss × sampler × scale × seed) with stable FNV

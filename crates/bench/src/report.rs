@@ -83,14 +83,6 @@ impl MarkdownTable {
     }
 }
 
-/// Writes a table's CSV form under `results/<name>.csv` via the shared
-/// `eos-trace` results writer, and reports where it went.
-pub fn write_csv(table: &MarkdownTable, name: &str) {
-    if let Some(path) = eos_trace::write_results(&format!("{name}.csv"), &table.to_csv()) {
-        println!("\n[csv written to {}]", path.display());
-    }
-}
-
 /// Formats a metric in the paper's `.1234` style (`1.000` when saturated).
 pub fn paper_fmt(v: f64) -> String {
     if v >= 0.99995 {

@@ -10,12 +10,10 @@
 //! 4. Undersampling vs oversampling the embeddings.
 //! 5. Step vs exponential imbalance profiles.
 
-use crate::exp::{
-    mix_rng, run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{mix_rng, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_core::{
     decoupling_eval, evaluate, feature_deviation, generalization_gap, DecouplingMethod, Direction,
 };
@@ -24,18 +22,14 @@ use eos_nn::{train_epochs, CrossEntropyLoss, Linear, LossKind, TrainConfig};
 use eos_resample::RandomUndersampler;
 use std::sync::Arc;
 
-/// Standard backbones: cifar10 / CE. (The step-imbalance backbone of §5
-/// is derived data; it caches by content inside `run`.)
-pub fn plan(_args: &Args) -> Vec<BackbonePlan> {
-    vec![BackbonePlan::new("cifar10", LossKind::Ce)]
-}
-
 /// Runs all five ablations. Each ablation is one journaled cell that
-/// re-acquires the shared backbone from the cache (a hit after the first
-/// training — each mutates its own copy's head) and returns
-/// pre-formatted rows, so a replayed run prints identical bytes. The
-/// cells run serially (`run_jobs(1, ..)`): five live backbone copies at
-/// once would dwarf the suite's peak memory for no wall-clock win.
+/// re-acquires the shared backbone (the plan: cifar10 / CE; the
+/// step-imbalance backbone of §5 is derived data and caches by content)
+/// from the cache (a hit after the first training — each mutates its own
+/// copy's head) and returns pre-formatted rows, so a replayed run prints
+/// identical bytes. The cells run serially (`jobs = 1`): five live
+/// backbone copies at once would dwarf the suite's peak memory for no
+/// wall-clock win.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let pair = eng.dataset("cifar10");
@@ -49,14 +43,12 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
         seed,
     };
 
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
 
     // --- 1. direction × r-range grid ------------------------------------
     {
         let pair = Arc::clone(&pair);
-        labels.push("direction".into());
-        tasks.push(eng.cell("ablations", "direction".to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[ablations] direction grid ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -86,14 +78,14 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 }
             }
             Ok(rows)
-        }));
+        });
+        cells.push(("direction".to_string(), task));
     }
 
     // --- 2. gap definition vs per-class recall --------------------------
     {
         let pair = Arc::clone(&pair);
-        labels.push("gap".into());
-        tasks.push(eng.cell("ablations", "gap".to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[ablations] gap definitions ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -129,14 +121,14 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                     format!("{:.3}", corr(&mean_dev.per_class)),
                 ],
             ])
-        }));
+        });
+        cells.push(("gap".to_string(), task));
     }
 
     // --- 3. decoupling methods vs oversampled fine-tuning ----------------
     {
         let pair = Arc::clone(&pair);
-        labels.push("decoupling".into());
-        tasks.push(eng.cell("ablations", "decoupling".to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[ablations] decoupling family ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -175,14 +167,14 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 ]);
             }
             Ok(rows)
-        }));
+        });
+        cells.push(("decoupling".to_string(), task));
     }
 
     // --- 4. undersampling the embeddings ---------------------------------
     {
         let pair = Arc::clone(&pair);
-        labels.push("undersample".into());
-        tasks.push(eng.cell("ablations", "undersample".to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[ablations] undersampled head ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -213,13 +205,13 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 tp.train_y.len().to_string(),
                 paper_fmt(under.bac),
             ]])
-        }));
+        });
+        cells.push(("undersample".to_string(), task));
     }
 
     // --- 5. step vs exponential imbalance --------------------------------
     {
-        labels.push("step".into());
-        tasks.push(eng.cell("ablations", "step".to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             eprintln!("[ablations] step imbalance ...");
             let mut step_rng = mix_rng(eng.seed, &["ablations", "step"]);
             let spec = SynthSpec::cifar10_like(args.scale.data_scale());
@@ -246,10 +238,11 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 paper_fmt(step_base.bac),
                 paper_fmt(step_eos.bac),
             ]])
-        }));
+        });
+        cells.push(("step".to_string(), task));
     }
 
-    let mut results = gather("ablations", &labels, run_jobs(1, tasks))?;
+    let mut results = run_cells(eng, "ablations", 1, cells)?;
     let step_row = results.pop().expect("step rows");
     let under_row = results.pop().expect("undersample rows");
     let dec_rows = results.pop().expect("decoupling rows");
@@ -260,25 +253,34 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     for row in dir_rows {
         dir_table.row(row);
     }
-    println!("\nAblation 1 — EOS interpolation direction and range\n");
-    println!("{}", dir_table.render());
-    write_csv(&dir_table, "ablation_direction");
+    emit(
+        "Ablation 1 — EOS interpolation direction and range",
+        &dir_table,
+        "",
+        "ablation_direction",
+    )?;
 
     let mut gap_table = MarkdownTable::new(&["Gap definition", "corr(gap, recall)"]);
     for row in gap_rows {
         gap_table.row(row);
     }
-    println!("\nAblation 2 — gap definition as a recall predictor (more negative = better)\n");
-    println!("{}", gap_table.render());
-    write_csv(&gap_table, "ablation_gap_definition");
+    emit(
+        "Ablation 2 — gap definition as a recall predictor (more negative = better)",
+        &gap_table,
+        "",
+        "ablation_gap_definition",
+    )?;
 
     let mut dec_table = MarkdownTable::new(&["Method", "BAC", "GM", "FM"]);
     for row in dec_rows {
         dec_table.row(row);
     }
-    println!("\nAblation 3 — decoupling-family repairs vs oversampled fine-tuning\n");
-    println!("{}", dec_table.render());
-    write_csv(&dec_table, "ablation_decoupling");
+    emit(
+        "Ablation 3 — decoupling-family repairs vs oversampled fine-tuning",
+        &dec_table,
+        "",
+        "ablation_decoupling",
+    )?;
 
     let under = &under_row[0];
     println!(

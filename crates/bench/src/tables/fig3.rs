@@ -7,11 +7,9 @@
 //! module also prints the mean-based feature-deviation alternative for
 //! the gap-definition ablation.
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_core::{feature_deviation, generalization_gap, ThreePhase};
 use eos_nn::LossKind;
 use eos_resample::balance_with;
@@ -39,15 +37,8 @@ fn gap_with(
     generalization_gap(&fe, &y, test_fe, test_y, tp.num_classes).per_class
 }
 
-/// Standard backbones: every dataset × every loss.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .flat_map(|&d| LossKind::ALL.map(|loss| BackbonePlan::new(d, loss)))
-        .collect()
-}
-
-/// Produces the figure's CSV. One journaled cell per dataset × loss group.
+/// Produces the figure's CSV (plan: every dataset × every loss). One
+/// journaled cell per dataset × loss group.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&[
@@ -60,15 +51,12 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
         "EOS",
         "FeatDev",
     ]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
         for loss in LossKind::ALL {
             let pair = Arc::clone(&pair);
-            let label = format!("{dataset}/{}", loss.name());
-            labels.push(label.clone());
-            tasks.push(eng.cell("fig3", label, move || {
+            let task: CellTask<'_> = Box::new(move || {
                 let (train, test) = (&pair.0, &pair.1);
                 let counts = train.class_counts();
                 eprintln!("[fig3] {dataset} / {} ...", loss.name());
@@ -113,19 +101,18 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                     tail(&eos)
                 );
                 Ok(rows)
-            }));
+            });
+            cells.push((format!("{dataset}/{}", loss.name()), task));
         }
     }
-    for rows in gather("fig3", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "fig3", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nFigure 3 reproduction — per-class generalization gap (scale {:?}, seed {})\n",
+    let title = format!(
+        "Figure 3 reproduction — per-class generalization gap (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "fig3");
-    Ok(())
+    emit(&title, &table, "", "fig3")
 }

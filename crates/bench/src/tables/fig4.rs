@@ -4,32 +4,22 @@
 //! Paper shape: the FP gap is 2–4× the TP gap on every dataset — models
 //! generalize (TPs) exactly where train and test embedding ranges align.
 
-use crate::exp::{run_jobs, BackbonePlan, CellTask, Engine, EngineError};
-use crate::tables::gather;
-use crate::{write_csv, Args, MarkdownTable};
+use crate::exp::{CellTask, Engine, EngineError};
+use crate::tables::{emit, run_cells};
+use crate::{Args, MarkdownTable};
 use eos_core::{evaluate, tp_fp_gap};
 use eos_nn::LossKind;
 
-/// Standard backbones: one CE backbone per dataset.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .map(|&d| BackbonePlan::new(d, LossKind::Ce))
-        .collect()
-}
-
-/// Produces the figure's CSV. Fully deterministic given the backbone —
-/// no per-cell randomness at all. One journaled cell per dataset.
+/// Produces the figure's CSV (plan: one CE backbone per dataset). Fully
+/// deterministic given the backbone — no per-cell randomness at all. One
+/// journaled cell per dataset.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&["Dataset", "TP gap", "FP gap", "FP/TP"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
-        let label = dataset.to_string();
-        labels.push(label.clone());
-        tasks.push(eng.cell("fig4", label, move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[fig4] {dataset} ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -54,18 +44,17 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 format!("{:.3}", report.fp_gap),
                 format!("{:.2}x", ratio),
             ]])
-        }));
+        });
+        cells.push((dataset.to_string(), task));
     }
-    for rows in gather("fig4", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "fig4", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nFigure 4 reproduction — FP vs TP generalization gap (scale {:?}, seed {})\n",
+    let title = format!(
+        "Figure 4 reproduction — FP vs TP generalization gap (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "fig4");
-    Ok(())
+    emit(&title, &table, "", "fig4")
 }

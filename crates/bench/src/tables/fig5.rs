@@ -5,39 +5,27 @@
 //! norms toward the minority classes; oversampled heads flatten them, and
 //! EOS usually shows the largest, most even norms.
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_core::head_weight_norms;
 use eos_nn::LossKind;
 use std::sync::Arc;
 
-/// Standard backbones: every dataset × every loss.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .flat_map(|&d| LossKind::ALL.map(|loss| BackbonePlan::new(d, loss)))
-        .collect()
-}
-
-/// Produces the figure's CSV. One journaled cell per dataset × loss
-/// group; the fine-tunes inside a group stay sequential on its own
-/// backbone (each re-initialises the head from its cell's stream, so the
-/// order cannot matter — but the rows must come out in method order).
+/// Produces the figure's CSV (plan: every dataset × every loss). One
+/// journaled cell per dataset × loss group; the fine-tunes inside a group
+/// stay sequential on its own backbone (each re-initialises the head from
+/// its cell's stream, so the order cannot matter — but the rows must come
+/// out in method order).
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&["Dataset", "Algo", "Method", "Class", "Norm"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
         for loss in LossKind::ALL {
             let pair = Arc::clone(&pair);
-            let label = format!("{dataset}/{}", loss.name());
-            labels.push(label.clone());
-            tasks.push(eng.cell("fig5", label, move || {
+            let task: CellTask<'_> = Box::new(move || {
                 let train = &pair.0;
                 eprintln!("[fig5] {dataset} / {} ...", loss.name());
                 let mut tp = eng.backbone(train, loss, &cfg)?;
@@ -70,19 +58,18 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                     record(sampler.name(), &head_weight_norms(&tp.net), &mut rows);
                 }
                 Ok(rows)
-            }));
+            });
+            cells.push((format!("{dataset}/{}", loss.name()), task));
         }
     }
-    for rows in gather("fig5", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "fig5", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nFigure 5 reproduction — classifier weight norms per class (scale {:?}, seed {})\n",
+    let title = format!(
+        "Figure 5 reproduction — classifier weight norms per class (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "fig5");
-    Ok(())
+    emit(&title, &table, "", "fig5")
 }

@@ -10,26 +10,20 @@
 //! distance over intra-class spread). Paper shape: EOS yields the
 //! densest, most uniform minority structure with the widest margin.
 
-use crate::exp::{
-    mix_rng, run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::exp::{mix_rng, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
+use crate::tables::{emit, run_cells, write_csv, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 use eos_resample::balance_with;
 use eos_tensor::Tensor;
 use eos_tsne::{density_uniformity, separation_score, tsne, TsneConfig};
 
-/// Standard backbones: cifar10 / CE.
-pub fn plan(_args: &Args) -> Vec<BackbonePlan> {
-    vec![BackbonePlan::new("cifar10", LossKind::Ce)]
-}
-
-/// Produces the figure's CSVs. One shared backbone; one journaled cell
-/// per method (each only reads the backbone's train embeddings and seeds
-/// its own t-SNE stream, so cells are independent — the network itself
-/// holds non-`Sync` trait objects and stays on this thread). A cell's
-/// first journal row is the summary line; the rest are 2-D coordinates.
+/// Produces the figure's CSVs. One shared backbone (the plan: cifar10 /
+/// CE); one journaled cell per method (each only reads the backbone's
+/// train embeddings and seeds its own t-SNE stream, so cells are
+/// independent — the network itself holds non-`Sync` trait objects and
+/// stays on this thread). A cell's first journal row is the summary line;
+/// the rest are 2-D coordinates.
 pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let pair = eng.dataset("cifar10");
@@ -56,11 +50,9 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     let mut summary =
         MarkdownTable::new(&["Method", "Points", "Separation", "Minority density CV"]);
     let mut coords = MarkdownTable::new(&["Method", "Class", "x", "y"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for sampler in methods {
-        labels.push(sampler.name().to_string());
-        tasks.push(eng.cell("fig6", sampler.name().to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             let name = sampler.name();
             let spec = ExperimentSpec {
                 table: "fig6",
@@ -117,21 +109,20 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
                 ]);
             }
             Ok(rows)
-        }));
+        });
+        cells.push((sampler.name().to_string(), task));
     }
-    for rows in gather("fig6", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "fig6", eng.jobs, cells)? {
         let mut rows = rows.into_iter();
         summary.row(rows.next().expect("cells emit the summary row first"));
         for row in rows {
             coords.row(row);
         }
     }
-    println!(
-        "\nFigure 6 reproduction — t-SNE of majority/minority pair (scale {:?}, seed {})\n",
+    let title = format!(
+        "Figure 6 reproduction — t-SNE of majority/minority pair (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", summary.render());
-    write_csv(&summary, "fig6_summary");
-    write_csv(&coords, "fig6_coords");
-    Ok(())
+    emit(&title, &summary, "", "fig6_summary")?;
+    write_csv(&coords, "fig6_coords")
 }

@@ -5,12 +5,9 @@
 //! chosen budget); EOS gains marginally from longer retraining, SMOTE
 //! does not.
 
-use crate::exp::{
-    dec_f64, enc_f64, run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec,
-    SamplerSpec,
-};
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::exp::{dec_f64, enc_f64, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 use std::sync::Arc;
 
@@ -22,22 +19,18 @@ fn dec(s: &str) -> Result<f64, EngineError> {
     dec_f64(s).map_err(|e| EngineError::corrupt("fig7 epoch trace", e.to_string()))
 }
 
-/// Standard backbones: cifar10 / CE.
-pub fn plan(_args: &Args) -> Vec<BackbonePlan> {
-    vec![BackbonePlan::new("cifar10", LossKind::Ce)]
-}
-
 /// Produces the figure's CSV. One journaled cell per traced method; each
-/// cell takes its own copy of the shared backbone (a cache hit after the
-/// first training) because the epoch trace mutates the head in place.
-/// The per-epoch BAC pairs journal as f64 bit patterns, so a replayed
-/// cell renders the exact same digits as a computed one.
+/// cell takes its own copy of the shared backbone (the plan: cifar10 /
+/// CE; a cache hit after the first training) because the epoch trace
+/// mutates the head in place. The per-epoch BAC pairs journal as f64 bit
+/// patterns, so a replayed cell renders the exact same digits as a
+/// computed one.
 pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let pair = eng.dataset("cifar10");
     let trace_of = |label: &str, sampler: SamplerSpec| {
         let pair = Arc::clone(&pair);
-        eng.cell("fig7", label.to_string(), move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
             let spec = ExperimentSpec {
@@ -55,10 +48,10 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
                 .iter()
                 .map(|&(train_bac, test_bac)| vec![enc_f64(train_bac), enc_f64(test_bac)])
                 .collect())
-        })
+        });
+        (label.to_string(), task)
     };
-    let labels = vec!["smote".to_string(), "eos".to_string()];
-    let tasks: Vec<CellTask<'_>> = vec![
+    let cells = vec![
         trace_of("smote", SamplerSpec::Smote { k: 5 }),
         trace_of("eos", SamplerSpec::eos(10)),
     ];
@@ -67,7 +60,7 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
             .map(|r| Ok((dec(&r[0])?, dec(&r[1])?)))
             .collect()
     };
-    let mut traces = gather("fig7", &labels, run_jobs(eng.jobs, tasks))?;
+    let mut traces = run_cells(eng, "fig7", eng.jobs, cells)?;
     let eos = decode(&traces.pop().expect("eos trace"))?;
     let smote = decode(&traces.pop().expect("smote trace"))?;
     let mut table = MarkdownTable::new(&[
@@ -86,19 +79,17 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
             format!("{:.4}", eos[e].1),
         ]);
     }
-    println!(
-        "\nFigure 7 reproduction — retraining-epoch trace (scale {:?}, seed {})\n",
+    let title = format!(
+        "Figure 7 reproduction — retraining-epoch trace (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
     let at = |trace: &[(f64, f64)], e: usize| trace[e.min(trace.len() - 1)].1;
-    println!(
+    let plateau = format!(
         "plateau check — test BAC at epoch 10 vs 30: SMOTE {:.4} -> {:.4}, EOS {:.4} -> {:.4}",
         at(&smote, 9),
         at(&smote, 29),
         at(&eos, 9),
         at(&eos, 29)
     );
-    write_csv(&table, "fig7");
-    Ok(())
+    emit(&title, &table, &plateau, "fig7")
 }

@@ -7,34 +7,22 @@
 //! understanding ... the generalization gap can lead to effective
 //! over-sampling".
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 
-/// Standard backbones: one CE backbone per dataset.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .map(|&d| BackbonePlan::new(d, LossKind::Ce))
-        .collect()
-}
-
-/// Produces the table. One journaled cell per dataset: its backbone, the
-/// baseline eval and the three method fine-tunes.
+/// Produces the table (plan: one CE backbone per dataset). One journaled
+/// cell per dataset: its backbone, the baseline eval and the three method
+/// fine-tunes.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&["Dataset", "Method", "BAC", "GM", "FM"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
-        let label = dataset.to_string();
-        labels.push(label.clone());
-        tasks.push(eng.cell("gap_eos", label, move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[gap_eos] {dataset} backbone ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -68,18 +56,17 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 push(sampler.name(), r.bac, r.gm, r.f1, &mut rows);
             }
             Ok(rows)
-        }));
+        });
+        cells.push((dataset.to_string(), task));
     }
-    for rows in gather("gap_eos", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "gap_eos", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nExtension — gap-aware EOS (future work, §VII) (scale {:?}, seed {})\n",
+    let title = format!(
+        "Extension — gap-aware EOS (future work, §VII) (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "gap_eos");
-    Ok(())
+    emit(&title, &table, "", "gap_eos")
 }

@@ -8,27 +8,20 @@
 //! convex combination) with the literal Algorithm 2 formula
 //! (away-from-enemy extrapolation).
 
-use crate::exp::{
-    dec_f64, enc_f64, run_jobs, BackbonePlan, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{dec_f64, enc_f64, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_core::Direction;
 use eos_nn::LossKind;
 use std::sync::Arc;
 
-/// Standard backbones: cifar10 / CE (the embedding-space arm).
-pub fn plan(_args: &Args) -> Vec<BackbonePlan> {
-    vec![BackbonePlan::new("cifar10", LossKind::Ce)]
-}
-
-/// Produces the table. Two journaled cells — the pixel-space arm (its
-/// own enlarged backbone) and the embedding-space arm (shared backbone
-/// plus both direction fine-tunes). Each cell's first journal row is a
-/// meta row holding its headline BAC as an f64 bit pattern, so the
-/// advantage line prints identical digits on replay; the remaining rows
-/// are the table rows.
+/// Produces the table. Two journaled cells — the pixel-space arm (its own
+/// enlarged backbone) and the embedding-space arm (the planned cifar10 /
+/// CE backbone plus both direction fine-tunes). Each cell's first journal
+/// row is a meta row holding its headline BAC as an f64 bit pattern, so
+/// the advantage line prints identical digits on replay; the remaining
+/// rows are the table rows.
 pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let pair = eng.dataset("cifar10");
@@ -44,7 +37,7 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     };
 
     let pixel_pair = Arc::clone(&pair);
-    let pixel_arm = eng.cell("pixel_eos", "pixel".to_string(), move || {
+    let pixel_arm: CellTask<'_> = Box::new(move || {
         let (train, test) = (&pixel_pair.0, &pixel_pair.1);
         eprintln!("[pixel_eos] EOS as pixel-space pre-processing ...");
         let enlarged =
@@ -63,7 +56,7 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     });
 
     let emb_pair = Arc::clone(&pair);
-    let emb_arm = eng.cell("pixel_eos", "embedding".to_string(), move || {
+    let emb_arm: CellTask<'_> = Box::new(move || {
         let (train, test) = (&emb_pair.0, &emb_pair.1);
         eprintln!("[pixel_eos] EOS in embedding space ...");
         let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -99,12 +92,11 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
         Ok(rows)
     });
 
-    let labels = vec!["pixel".to_string(), "embedding".to_string()];
-    let mut results = gather(
-        "pixel_eos",
-        &labels,
-        run_jobs(eng.jobs, vec![pixel_arm, emb_arm]),
-    )?;
+    let cells = vec![
+        ("pixel".to_string(), pixel_arm),
+        ("embedding".to_string(), emb_arm),
+    ];
+    let mut results = run_cells(eng, "pixel_eos", eng.jobs, cells)?;
     let headline = |rows: &mut Rows| -> Result<f64, EngineError> {
         let meta = rows.remove(0);
         dec_f64(&meta[0]).map_err(|e| EngineError::corrupt("pixel_eos headline BAC", e.to_string()))
@@ -117,15 +109,13 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
         table.row(row);
     }
 
-    println!(
-        "\n§V-E3 reproduction — EOS pixel vs embedding space (scale {:?}, seed {})\n",
+    let title = format!(
+        "§V-E3 reproduction — EOS pixel vs embedding space (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    println!(
+    let advantage = format!(
         "embedding-space advantage: {:+.1} BAC points (paper: ~+7)",
         (fe_bac - pixel_bac) * 100.0
     );
-    write_csv(&table, "pixel_eos");
-    Ok(())
+    emit(&title, &table, &advantage, "pixel_eos")
 }

@@ -13,9 +13,10 @@
 //! the CSV carries wall-clock columns (and is therefore the one output
 //! exempt from the byte-identical warm-rerun guarantee).
 
-use crate::exp::mix_rng;
+use crate::exp::{mix_rng, EngineError};
 use crate::runner::prepared_dataset;
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::emit;
+use crate::{Args, MarkdownTable};
 use eos_core::{preprocess_and_train, Eos, ThreePhase};
 use eos_nn::{train_epochs, ConvNet, LossKind, TrainConfig};
 use eos_resample::balance_with;
@@ -29,7 +30,7 @@ fn timed(f: impl FnOnce()) -> f64 {
 }
 
 /// Runs the timing comparison (always cache-free).
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Result<(), EngineError> {
     let cfg = args.scale.pipeline();
     let (train, test) = prepared_dataset("cifar10", args.scale, args.seed);
 
@@ -97,9 +98,12 @@ pub fn run(args: &Args) {
             format!("{:.2}x", serial / parallel.max(1e-9)),
         ]);
     }
-    println!("\nExecution layer — serial vs parallel wall-clock\n");
-    println!("{}", thr_table.render());
-    write_csv(&thr_table, "runtime_threading");
+    emit(
+        "Execution layer — serial vs parallel wall-clock",
+        &thr_table,
+        "",
+        "runtime_threading",
+    )?;
 
     let mut table = MarkdownTable::new(&["Pipeline", "BAC", "Seconds"]);
 
@@ -137,23 +141,20 @@ pub fn run(args: &Args) {
         format!("{:.2}", r.seconds),
     ]);
 
-    println!(
-        "\n§V-E2 reproduction — pipeline run time (scale {:?}, seed {})\n",
+    let title = format!(
+        "§V-E2 reproduction — pipeline run time (scale {:?}, seed {})",
         args.scale, args.seed
-    );
-    println!("{}", table.render());
-    println!(
-        "pre-processing avg {:.2}s vs EOS {:.2}s -> ratio {:.2}x (paper: 126.9 vs 43.9 min = 2.9x)",
-        pre_avg,
-        r.seconds,
-        pre_avg / r.seconds.max(1e-9)
     );
     // The parameter-count side of the §V-E2 argument.
     let head_params = tp.net.head.weight().len() + tp.net.head.bias().map_or(0, |b| b.len());
-    println!(
-        "backbone params: {}, retrained head params: {}",
+    let notes = format!(
+        "pre-processing avg {:.2}s vs EOS {:.2}s -> ratio {:.2}x (paper: 126.9 vs 43.9 min = 2.9x)\n\
+         backbone params: {}, retrained head params: {}",
+        pre_avg,
+        r.seconds,
+        pre_avg / r.seconds.max(1e-9),
         tp.net.param_count(),
         head_params
     );
-    write_csv(&table, "runtime");
+    emit(&title, &table, &notes, "runtime")
 }

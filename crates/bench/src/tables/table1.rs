@@ -7,32 +7,21 @@
 //! variant wins in most dataset × method cells (7 of 9); Remix appears
 //! only as pre-processing (balancing twice would be double-counting).
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 use std::sync::Arc;
 
-/// Standard backbones: one CE backbone per dataset (the Post- arm).
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .map(|&d| BackbonePlan::new(d, LossKind::Ce))
-        .collect()
-}
-
-/// Produces the table. Each pre-processing arm (one full training on its
-/// pixel-enlarged set) and each post arm (backbone + head fine-tunes) is
-/// an independent journaled cell; rows land in the same order as the
-/// serial loop.
+/// Produces the table (plan: one CE backbone per dataset, the Post- arm).
+/// Each pre-processing arm (one full training on its pixel-enlarged set)
+/// and each post arm (backbone + head fine-tunes) is an independent
+/// journaled cell; rows land in the same order as the serial loop.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&["Dataset", "Descr", "BAC", "GM", "FM"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
         // Pre-processing arm: one full training run per oversampler, on
@@ -42,8 +31,7 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
         for sampler in pre {
             let pair = Arc::clone(&pair);
             let label = format!("{dataset}/pre-{}", sampler.name());
-            labels.push(label.clone());
-            tasks.push(eng.cell("table1", label, move || {
+            let task: CellTask<'_> = Box::new(move || {
                 let (train, test) = (&pair.0, &pair.1);
                 let spec = ExperimentSpec {
                     table: "table1-pre",
@@ -64,12 +52,11 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                     paper_fmt(r.gm),
                     paper_fmt(r.f1),
                 ]])
-            }));
+            });
+            cells.push((label, task));
         }
         // Post arm: one backbone, one head fine-tune per oversampler.
-        let label = format!("{dataset}/post");
-        labels.push(label.clone());
-        tasks.push(eng.cell("table1", label, move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[table1] {dataset} / Post backbone ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -94,18 +81,17 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 ]);
             }
             Ok(rows)
-        }));
+        });
+        cells.push((format!("{dataset}/post"), task));
     }
-    for rows in gather("table1", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "table1", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nTable I reproduction — pixel vs embedding-space oversampling (CE, scale {:?}, seed {})\n",
+    let title = format!(
+        "Table I reproduction — pixel vs embedding-space oversampling (CE, scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "table1");
-    Ok(())
+    emit(&title, &table, "", "table1")
 }

@@ -6,37 +6,25 @@
 //! feature-embedding space. Paper shape: EOS wins most cells; the
 //! backbone loss matters (LDAM embeddings are the strongest pairing).
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 use std::sync::Arc;
 
-/// Standard backbones: every dataset × every loss.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .flat_map(|&d| LossKind::ALL.map(|loss| BackbonePlan::new(d, loss)))
-        .collect()
-}
-
-/// Produces the table. One journaled cell per dataset × loss group: the
-/// group's backbone, its baseline eval and its head fine-tunes.
+/// Produces the table (plan: every dataset × every loss). One journaled
+/// cell per dataset × loss group: the group's backbone, its baseline eval
+/// and its head fine-tunes.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&["Dataset", "Algo", "Method", "BAC", "GM", "FM"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
         for loss in LossKind::ALL {
             let pair = Arc::clone(&pair);
-            let label = format!("{dataset}/{}", loss.name());
-            labels.push(label.clone());
-            tasks.push(eng.cell("table2", label, move || {
+            let task: CellTask<'_> = Box::new(move || {
                 let (train, test) = (&pair.0, &pair.1);
                 eprintln!("[table2] {dataset} / {} ...", loss.name());
                 let mut tp = eng.backbone(train, loss, &cfg)?;
@@ -69,19 +57,18 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                     push(sampler.name(), r.bac, r.gm, r.f1);
                 }
                 Ok(rows)
-            }));
+            });
+            cells.push((format!("{dataset}/{}", loss.name()), task));
         }
     }
-    for rows in gather("table2", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "table2", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nTable II reproduction (scale {:?}, seed {})\n",
+    let title = format!(
+        "Table II reproduction (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "table2");
-    Ok(())
+    emit(&title, &table, "", "table2")
 }

@@ -10,40 +10,28 @@
 //! competitive but far more expensive, especially on the many-class
 //! dataset.
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Standard backbones: every dataset × every loss.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .flat_map(|&d| LossKind::ALL.map(|loss| BackbonePlan::new(d, loss)))
-        .collect()
-}
-
-/// Produces the table. One journaled cell per dataset × loss group; the
-/// measured oversampling seconds stay on stderr, so the rows are
-/// identical at any job count (and on journal replay).
+/// Produces the table (plan: every dataset × every loss). One journaled
+/// cell per dataset × loss group; the measured oversampling seconds stay
+/// on stderr, so the rows are identical at any job count (and on journal
+/// replay).
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table =
         MarkdownTable::new(&["Dataset", "Algo", "Method", "BAC", "GM", "FM", "SynthRows"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
         for loss in LossKind::ALL {
             let pair = Arc::clone(&pair);
-            let label = format!("{dataset}/{}", loss.name());
-            labels.push(label.clone());
-            tasks.push(eng.cell("table3", label, move || {
+            let task: CellTask<'_> = Box::new(move || {
                 let (train, test) = (&pair.0, &pair.1);
                 eprintln!("[table3] {dataset} / {} ...", loss.name());
                 let mut tp = eng.backbone(train, loss, &cfg)?;
@@ -96,19 +84,18 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                     ]);
                 }
                 Ok(rows)
-            }));
+            });
+            cells.push((format!("{dataset}/{}", loss.name()), task));
         }
     }
-    for rows in gather("table3", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "table3", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nTable III reproduction — GAN-based oversampling vs EOS (scale {:?}, seed {})\n",
+    let title = format!(
+        "Table III reproduction — GAN-based oversampling vs EOS (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "table3");
-    Ok(())
+    emit(&title, &table, "", "table3")
 }

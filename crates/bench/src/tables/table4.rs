@@ -4,36 +4,23 @@
 //! improves with K and plateaus by K ≈ 200–300 (a larger enemy
 //! neighbourhood gives a more diverse range expansion).
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::{gather, Rows};
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells, Rows};
+use crate::{Args, MarkdownTable};
 use eos_nn::LossKind;
 
 const KS: [usize; 5] = [10, 50, 100, 200, 300];
 
-/// Standard backbones: one CE backbone per dataset.
-pub fn plan(args: &Args) -> Vec<BackbonePlan> {
-    args.datasets
-        .iter()
-        .map(|&d| BackbonePlan::new(d, LossKind::Ce))
-        .collect()
-}
-
-/// Produces the table. One journaled cell per dataset: its backbone plus
-/// the K sweep.
+/// Produces the table (plan: one CE backbone per dataset). One journaled
+/// cell per dataset: its backbone plus the K sweep.
 pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
     let cfg = eng.cfg();
     let mut table = MarkdownTable::new(&["Dataset", "K", "BAC", "GM", "FM"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for &dataset in &args.datasets {
         let pair = eng.dataset(dataset);
-        let label = dataset.to_string();
-        labels.push(label.clone());
-        tasks.push(eng.cell("table4", label, move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             eprintln!("[table4] {dataset} backbone ...");
             let mut tp = eng.backbone(train, LossKind::Ce, &cfg)?;
@@ -60,18 +47,17 @@ pub fn run(eng: &Engine, args: &Args) -> Result<(), EngineError> {
                 ]);
             }
             Ok(rows)
-        }));
+        });
+        cells.push((dataset.to_string(), task));
     }
-    for rows in gather("table4", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "table4", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nTable IV reproduction — EOS neighbourhood-size sweep (scale {:?}, seed {})\n",
+    let title = format!(
+        "Table IV reproduction — EOS neighbourhood-size sweep (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "table4");
-    Ok(())
+    emit(&title, &table, "", "table4")
 }

@@ -4,12 +4,10 @@
 //! Paper shape: EOS improves every architecture family (ResNet-56,
 //! WideResNet, DenseNet) over its end-to-end baseline.
 
-use crate::exp::{
-    run_jobs, BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec,
-};
+use crate::exp::{BackbonePlan, CellTask, Engine, EngineError, ExperimentSpec, SamplerSpec};
 use crate::report::paper_fmt;
-use crate::tables::gather;
-use crate::{write_csv, Args, MarkdownTable};
+use crate::tables::{emit, run_cells};
+use crate::{Args, MarkdownTable};
 use eos_nn::{Architecture, LossKind};
 use std::sync::Arc;
 
@@ -58,15 +56,13 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
     let base_cfg = eng.cfg();
     let pair = eng.dataset("cifar10");
     let mut table = MarkdownTable::new(&["Network", "BAC", "GM", "FM"]);
-    let mut labels: Vec<String> = Vec::new();
-    let mut tasks: Vec<CellTask<'_>> = Vec::new();
+    let mut cells: Vec<(String, CellTask<'_>)> = Vec::new();
     for (name, tag, arch) in archs() {
         let pair = Arc::clone(&pair);
         // The cell tag already carries the table prefix; the cell label
         // is just the architecture part ("resnet", "wrn", "densenet").
         let label = tag.rsplit('/').next().unwrap_or(tag).to_string();
-        labels.push(label.clone());
-        tasks.push(eng.cell("table5", label, move || {
+        let task: CellTask<'_> = Box::new(move || {
             let (train, test) = (&pair.0, &pair.1);
             let mut cfg = base_cfg;
             cfg.arch = arch;
@@ -97,18 +93,17 @@ pub fn run(eng: &Engine, _args: &Args) -> Result<(), EngineError> {
                     paper_fmt(eos.f1),
                 ],
             ])
-        }));
+        });
+        cells.push((label, task));
     }
-    for rows in gather("table5", &labels, run_jobs(eng.jobs, tasks))? {
+    for rows in run_cells(eng, "table5", eng.jobs, cells)? {
         for row in rows {
             table.row(row);
         }
     }
-    println!(
-        "\nTable V reproduction — architectures with & without EOS (scale {:?}, seed {})\n",
+    let title = format!(
+        "Table V reproduction — architectures with & without EOS (scale {:?}, seed {})",
         eng.scale, eng.seed
     );
-    println!("{}", table.render());
-    write_csv(&table, "table5");
-    Ok(())
+    emit(&title, &table, "", "table5")
 }

@@ -33,7 +33,7 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # tracked results/ untouched. To re-record one, run the binary from the
 # repository root.
 cargo build --release -q -p eos-bench --bin bench_gemm --bin train_step \
-  --bin check_numerics --bin trace_train --bin serve_bench --bin table2 --bin suite
+  --bin check_numerics --bin trace_train --bin serve_bench --bin suite
 bin_dir="$PWD/target/release"
 gate_dir="$(mktemp -d)"
 trap 'rm -rf "$gate_dir"' EXIT
@@ -56,22 +56,22 @@ trap 'rm -rf "$gate_dir"' EXIT
 # adds no allocations to the steady-state step.)
 ( cd "$gate_dir" && "$bin_dir/trace_train" --smoke )
 
-# Cache-equivalence gate: a warm rerun of a table binary must train zero
+# Cache-equivalence gate: a warm rerun of one table must train zero
 # backbones (everything served from the artifact cache) and still produce
 # a byte-identical CSV. Runs in the throwaway working dir with its own
 # cache dir so it cannot disturb a developer's real cache.
-table2_bin="$bin_dir/table2"
+suite_bin="$bin_dir/suite"
 (
   cd "$gate_dir"
   export EOS_CACHE_DIR="$gate_dir/cache"
-  "$table2_bin" --scale smoke --seed 42 --datasets celeba \
+  "$suite_bin" --only table2 --scale smoke --seed 42 --datasets celeba \
     > cold.out 2> cold.err
   cp results/table2.csv cold.csv
-  "$table2_bin" --scale smoke --seed 42 --datasets celeba \
+  "$suite_bin" --only table2 --scale smoke --seed 42 --datasets celeba \
     > warm.out 2> warm.err
   grep -q 'backbones trained: 0,' warm.err || {
     echo "FAIL: warm rerun retrained backbones:" >&2
-    grep '\[exp:table2\]' warm.err >&2
+    grep '\[exp:suite\]' warm.err >&2
     exit 1
   }
   cmp cold.csv results/table2.csv || {
@@ -91,7 +91,6 @@ echo "cache-equivalence gate: warm rerun trained 0 backbones, output byte-identi
 # the serial pass's artifacts. (The speedup itself is hardware-dependent
 # and recorded by `suite --bench` into results/BENCH_suite.json; this
 # gate pins the determinism contract.)
-suite_bin="$bin_dir/suite"
 (
   cd "$gate_dir"
   rm -rf serial parallel
@@ -276,13 +275,13 @@ echo "mid-training-kill gate: epoch-boundary abort resumed from its checkpoint b
   rm -rf faults && mkdir -p faults/clean faults/storm faults/broken
   (
     cd faults/clean
-    EOS_CACHE_DIR="$PWD/cache" "$table2_bin" --scale smoke --seed 42 \
+    EOS_CACHE_DIR="$PWD/cache" "$suite_bin" --only table2 --scale smoke --seed 42 \
       --datasets celeba > table2.out 2> table2.err
   )
   (
     cd faults/storm
     EOS_FAULTS='cache.read:2:io,cache.write:1:io,cache.claim:1:io' \
-      EOS_CACHE_DIR="$PWD/cache" "$table2_bin" --scale smoke --seed 42 \
+      EOS_CACHE_DIR="$PWD/cache" "$suite_bin" --only table2 --scale smoke --seed 42 \
       --datasets celeba > table2.out 2> table2.err
     if grep -q 'faults injected: 0,' table2.err; then
       echo "FAIL: the fault storm injected nothing" >&2
@@ -303,8 +302,8 @@ echo "mid-training-kill gate: epoch-boundary abort resumed from its checkpoint b
   }
   (
     cd faults/broken
-    if EOS_FAULTS='cell:table2:panic' EOS_CACHE_DIR="$PWD/cache" "$table2_bin" \
-        --scale smoke --seed 42 --datasets celeba > broken.out 2> broken.err; then
+    if EOS_FAULTS='cell:table2:panic' EOS_CACHE_DIR="$PWD/cache" "$suite_bin" \
+        --only table2 --scale smoke --seed 42 --datasets celeba > broken.out 2> broken.err; then
       echo "FAIL: a persistently panicking table exited zero" >&2
       exit 1
     fi
@@ -317,7 +316,7 @@ echo "mid-training-kill gate: epoch-boundary abort resumed from its checkpoint b
       exit 1
     }
     # The storm gone, the same cache dir heals to a clean run.
-    EOS_CACHE_DIR="$PWD/cache" "$table2_bin" --scale smoke --seed 42 \
+    EOS_CACHE_DIR="$PWD/cache" "$suite_bin" --only table2 --scale smoke --seed 42 \
       --datasets celeba > table2.out 2> table2.err
   )
   cmp faults/clean/table2.out faults/broken/table2.out || {
