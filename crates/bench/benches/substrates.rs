@@ -9,8 +9,8 @@ use eos_bench::{bench, prepared_dataset};
 use eos_core::{generalization_gap, Scale};
 use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{
-    col2im_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into, normal, pad_images_into,
-    Conv2dGeometry, Rng64,
+    conv_input_grad_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into, normal,
+    pad_images_into, Conv2dGeometry, Rng64,
 };
 use eos_tsne::{tsne, TsneConfig};
 
@@ -28,7 +28,8 @@ fn bench_conv_lowering() {
     // a batch of 32 into reused buffers, as a training conv pass runs it:
     // the forward pads the batch and packs its GEMM's patch tiles straight
     // from the padded planes, and the backward re-packs them for the
-    // weight gradient and folds the input gradient back image by image.
+    // weight gradient, and computes the input gradient image by image,
+    // folding each tile of its patch gradient back as it is produced.
     let mut rng = Rng64::new(1);
     let (batch, out_channels) = (32usize, 8usize);
     let geom = Conv2dGeometry {
@@ -57,16 +58,9 @@ fn bench_conv_lowering() {
         200,
         || gemm_patches_segmented_acc_into(g.data(), &padded, &geom, &mut dw),
     );
-    let cols = normal(&[batch * osp * plen], 0.0, 1.0, &mut rng);
     let mut dx = vec![0.0f32; batch * in_len];
-    bench("tensor/col2im_into-b32-8x8x8-k3", 200, || {
-        for (c, img) in cols
-            .data()
-            .chunks_exact(osp * plen)
-            .zip(dx.chunks_exact_mut(in_len))
-        {
-            col2im_into(c, &geom, img);
-        }
+    bench("tensor/conv_input_grad_into-b32-8x8x8-k3-o8", 200, || {
+        conv_input_grad_into(g.data(), w.data(), &geom, &mut dx)
     });
 }
 

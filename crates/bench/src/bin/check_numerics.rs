@@ -451,7 +451,7 @@ fn train_digest(threads: usize, force_scalar: bool) -> u64 {
         net.zero_grad();
         let logits = net.forward(&x, true);
         let (l, dl) = loss.loss_and_grad(&logits, &y);
-        let _ = net.backward(&dl);
+        net.backward(&dl);
         opt.step_visit(&mut net);
         digest.fold(l.to_bits() as u64);
         digest.fold(logits.bits_digest());

@@ -71,7 +71,7 @@ impl StepState {
         self.net.zero_grad();
         let logits = self.net.forward(&bx, true);
         let (l, dlogits) = self.loss.loss_and_grad(&logits, &self.by);
-        let _ = self.net.backward(&dlogits);
+        self.net.backward(&dlogits);
         self.opt.step_visit(&mut self.net);
         logits.argmax_rows_into(&mut self.preds);
         l
@@ -95,7 +95,7 @@ impl StepState {
         let t3 = read();
         let (l, dlogits) = self.loss.loss_and_grad(&logits, &self.by);
         let t4 = read();
-        let _ = self.net.backward(&dlogits);
+        self.net.backward(&dlogits);
         let t5 = read();
         self.opt.step_visit(&mut self.net);
         let t6 = read();

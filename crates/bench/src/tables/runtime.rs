@@ -38,10 +38,13 @@ pub fn run(args: &Args) -> Result<(), EngineError> {
     // The same workload at `EOS_NUM_THREADS = 1` and at the ambient budget;
     // the execution layer guarantees identical outputs, so only the clock
     // may move.
-    // On a single-core machine the ambient budget is 1; still drive the
-    // pool with 4 time-sharing threads so the dispatch path is measured
-    // (the speedup column only means something with real cores).
-    let ambient = par::num_threads().max(4);
+    // The parallel pass runs the ambient budget clamped to the host's
+    // cores, as the serving engine does: threads past the cores only
+    // time-share them, and a "speedup" measured that way reports the
+    // oversubscription. With one usable thread there is no speedup to
+    // report.
+    let ambient = par::num_threads();
+    let threads = eos_serve::effective_threads(ambient);
     let one_epoch = || {
         let mut rng = Rng64::new(args.seed);
         let mut net = ConvNet::new(cfg.arch, train.shape, train.num_classes, &mut rng);
@@ -78,13 +81,15 @@ pub fn run(args: &Args) -> Result<(), EngineError> {
         );
     };
     eprintln!(
-        "[runtime] timing one training epoch + one EOS pass, serial vs {ambient} threads ..."
+        "[runtime] timing one training epoch + one EOS pass, serial vs {threads} threads ..."
     );
     par::set_num_threads(1);
     let (epoch_serial, eos_serial) = (timed(one_epoch), timed(eos_pass));
-    par::set_num_threads(ambient);
+    par::set_num_threads(threads);
     let (epoch_par, eos_par) = (timed(one_epoch), timed(eos_pass));
-    let par_header = format!("Parallel s ({ambient} threads)");
+    par::set_num_threads(ambient);
+    let plural = if threads == 1 { "" } else { "s" };
+    let par_header = format!("Parallel s ({threads} thread{plural})");
     let mut thr_table =
         MarkdownTable::new(&["Workload", "Serial s", par_header.as_str(), "Speedup"]);
     for (name, serial, parallel) in [
@@ -95,7 +100,11 @@ pub fn run(args: &Args) -> Result<(), EngineError> {
             name.into(),
             format!("{serial:.3}"),
             format!("{parallel:.3}"),
-            format!("{:.2}x", serial / parallel.max(1e-9)),
+            if threads > 1 {
+                format!("{:.2}x", serial / parallel.max(1e-9))
+            } else {
+                "n/a".into()
+            },
         ]);
     }
     emit(

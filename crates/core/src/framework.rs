@@ -350,7 +350,7 @@ impl ThreePhase {
                 head.zero_grad();
                 let logits = head.forward(&cx, true);
                 let (_, dl) = ce.loss_and_grad(&logits, &cy);
-                let _ = head.backward(&dl);
+                head.backward_params(&dl);
                 opt.step(&mut head.params());
             }
             let train_pred = head.forward(&self.train_fe, false).argmax_rows();

@@ -4,8 +4,8 @@
 
 use crate::layer::{Layer, Param};
 use eos_tensor::{
-    col2im_into, conv2d_direct_fits, conv2d_direct_into, gemm_patches_nt_into,
-    gemm_patches_segmented_acc_into, gemm_tn_into, kaiming_uniform, pad_images_into, par, scratch,
+    conv2d_direct_fits, conv2d_direct_into, conv_input_grad_into, gemm_patches_nt_into,
+    gemm_patches_segmented_acc_into, kaiming_uniform, pad_images_into, par, scratch,
     Conv2dGeometry, Rng64, Tensor,
 };
 
@@ -163,6 +163,25 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_params(grad);
+        // dx_i = col2im(g_iᵀ (H'W'×O) · W (O×CKK)) for every image, each
+        // position tile of the patch gradient folded back as it is
+        // produced; the kernel zeroes and fills every row of `dx`.
+        let n = grad.dim(0);
+        let mut dx = Tensor::from_vec(scratch::take_stale(n * self.in_len()), &[n, self.in_len()]);
+        conv_input_grad_into(
+            grad.data(),
+            self.weight.value.data(),
+            &self.geom,
+            dx.data_mut(),
+        );
+        dx
+    }
+
+    /// The weight and bias gradients only: no patch gradient, no fold and
+    /// no `dx`. A network's first convolution (the stem) takes this path,
+    /// since nothing reads the gradient with respect to the images.
+    fn backward_params(&mut self, grad: &Tensor) {
         let cache = self
             .cache
             .as_ref()
@@ -170,8 +189,7 @@ impl Layer for Conv2d {
         let n = cache.n;
         assert_eq!(grad.dims(), &[n, self.out_len()]);
         let geom = self.geom;
-        let (out_spatial, patch_len) = (geom.patch_count(), geom.patch_len());
-        let cols_len = out_spatial * patch_len;
+        let out_spatial = geom.patch_count();
         let oc = self.out_channels;
         // `grad` stacks one (O × H'W') block per image.
         let g = grad.data();
@@ -194,28 +212,6 @@ impl Layer for Conv2d {
                 }
             }
         }
-        // dcols = gᵀ (H'W'×O) · W (O×CKK) for every image in one GEMM with
-        // W packed once, then each image's patch gradients fold back into
-        // its input-gradient row.
-        let mut dcols = scratch::take_zeroed(n * cols_len);
-        gemm_tn_into(
-            g,
-            self.weight.value.data(),
-            &mut dcols,
-            oc,
-            out_spatial,
-            patch_len,
-        );
-        let mut dx = Tensor::zeros(&[n, self.in_len()]);
-        par::par_chunks_mut2(
-            dx.data_mut(),
-            self.in_len(),
-            &mut dcols,
-            cols_len,
-            |_, dxrow, dc| col2im_into(dc, &geom, dxrow),
-        );
-        scratch::give(dcols);
-        dx
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

@@ -60,6 +60,15 @@ pub trait Layer {
     /// gradients and returning ∂loss/∂input.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that discards ∂loss/∂input: it
+    /// must accumulate exactly the parameter gradients `backward` would,
+    /// bit for bit, and may skip computing the input gradient. Containers
+    /// call it on their first layer, and trainers on the whole network,
+    /// since nothing reads the gradient with respect to the data.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let _ = self.backward(grad);
+    }
+
     /// Forward-only inference entry: eval-mode behaviour (batch norm uses
     /// running statistics, dropout is the identity) with no backward
     /// caching. This is the path the serving engine drives; it must leave

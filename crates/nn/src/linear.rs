@@ -104,17 +104,22 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_params(grad);
+        grad.matmul(&self.weight.value)
+    }
+
+    /// dW and db only, without the `grad · W` product for `dx`.
+    fn backward_params(&mut self, grad: &Tensor) {
         let x = self
             .cache_x
             .as_ref()
             .expect("Linear::backward without a training forward");
         assert_eq!(grad.dims(), &[x.dim(0), self.out_features]);
-        // dW = grad^T x ; dx = grad W ; db = column sums of grad.
+        // dW = grad^T x ; db = column sums of grad.
         self.weight.grad.add_assign_(&grad.matmul_tn(x));
         if let Some(b) = &mut self.bias {
             b.grad.add_assign_(&grad.sum_rows());
         }
-        grad.matmul(&self.weight.value)
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

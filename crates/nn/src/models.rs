@@ -121,10 +121,14 @@ impl ConvNet {
         self.forward(x, false)
     }
 
-    /// Backward pass from ∂loss/∂logits through head and features.
-    pub fn backward(&mut self, dlogits: &Tensor) -> Tensor {
+    /// Backward pass from ∂loss/∂logits through head and features,
+    /// accumulating every parameter gradient. Training discards the
+    /// gradient with respect to the images, so it is not computed: the
+    /// features' first layer runs [`Layer::backward_params`].
+    /// [`Layer::backward`] on a `ConvNet` returns that gradient too.
+    pub fn backward(&mut self, dlogits: &Tensor) {
         let dfe = self.head.backward(dlogits);
-        self.features.backward(&dfe)
+        self.features.backward_params(&dfe);
     }
 
     /// All trainable parameters (features then head).
@@ -163,7 +167,12 @@ impl Layer for ConvNet {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        ConvNet::backward(self, grad)
+        let dfe = self.head.backward(grad);
+        self.features.backward(&dfe)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        ConvNet::backward(self, grad);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -231,7 +240,7 @@ mod tests {
         let mut net = ConvNet::new(tiny(), (3, 8, 8), 3, &mut rng);
         let x = normal(&[2, 3 * 64], 0.0, 1.0, &mut rng);
         let logits = net.forward(&x, true);
-        let dx = net.backward(&Tensor::ones(logits.dims()));
+        let dx = Layer::backward(&mut net, &Tensor::ones(logits.dims()));
         assert_eq!(dx.dims(), x.dims());
         assert!(dx.all_finite());
     }

@@ -52,6 +52,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// [`Layer::backward`] through every layer but the first, which only
+    /// accumulates its parameter gradients.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad));
+    }
+
     fn params(&mut self) -> Vec<&mut Param> {
         self.layers.iter_mut().flat_map(|l| l.params()).collect()
     }

@@ -6,8 +6,10 @@
 //! zero-padded once ([`pad_images_into`]) and the GEMM core packs its A
 //! tiles straight from the padded planes ([`pack_patch_rows`] for the
 //! forward, [`pack_patch_cols`] for the weight gradient). `col2im` is the
-//! adjoint (scatter-add) used for the input gradient; [`im2col_into`]
-//! stays as the oracle the packers are tested against.
+//! adjoint (scatter-add); the input gradient folds its patch gradient
+//! tile by tile through [`fold_positions`] as the GEMM produces it
+//! ([`crate::conv_input_grad_into`]). [`im2col_into`] and [`col2im_into`]
+//! stay as the oracles the packers and the fused fold are tested against.
 
 use crate::matmul::MR;
 use crate::tensor::Tensor;
@@ -796,9 +798,7 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
     image
 }
 
-/// [`col2im`] into a caller-owned `C×H×W` buffer (fully overwritten), so
-/// batch-parallel backward passes can scatter straight into their slice of
-/// the input-gradient matrix.
+/// [`col2im`] into a caller-owned `C×H×W` buffer (fully overwritten).
 pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
     geom.check();
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
@@ -808,14 +808,26 @@ pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
         "cols size mismatch"
     );
     assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
+    image.fill(0.0);
+    fold_positions(cols, geom, image, 0);
+}
+
+/// Scatter-adds the patch-gradient rows `cols` of the consecutive output
+/// positions `q0 ..` (one `C·K·K` row each) into `image`, on top of what
+/// it holds. Folding every position of an image into a zeroed buffer,
+/// in ascending runs, is [`col2im_into`] bit for bit: a pixel's sum is
+/// fixed by the order of the positions that reach it (see [`fold_rows`]),
+/// and the runs keep that order.
+pub(crate) fn fold_positions(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], q0: usize) {
+    debug_assert!(cols.len() / geom.patch_len() + q0 <= geom.patch_count());
     match geom.kernel {
-        1 => fold_rows(cols, geom, image, 1),
-        3 => fold_rows(cols, geom, image, 3),
-        k => fold_rows(cols, geom, image, k),
+        1 => fold_rows(cols, geom, image, q0, 1),
+        3 => fold_rows(cols, geom, image, q0, 3),
+        k => fold_rows(cols, geom, image, q0, k),
     }
 }
 
-/// Body of [`col2im_into`] for kernel width `k`: the traversal of
+/// Body of [`fold_positions`] for kernel width `k`: the traversal of
 /// [`unfold_rows`] with each in-row run scatter-added instead of copied.
 ///
 /// Bit-identical to the per-tap loop it replaces. Within one output
@@ -824,32 +836,28 @@ pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
 /// before, from the same `+0.0`. A tap-outer traversal would visit those
 /// positions in descending order and change the rounding.
 #[inline(always)]
-fn fold_rows(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], k: usize) {
+fn fold_rows(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], q0: usize, k: usize) {
     let (h, w) = (geom.height, geom.width);
-    let (oh, ow) = (geom.out_height(), geom.out_width());
+    let ow = geom.out_width();
     let (s, p) = (geom.stride, geom.pad);
-    image.fill(0.0);
-    let mut patches = cols.chunks_exact(geom.in_channels * k * k);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let patch = patches.next().unwrap();
-            let (ix0, lo, hi) = window_span(ox, geom, k);
-            let interior = lo == 0 && hi == k;
-            for (plane, cpatch) in image.chunks_exact_mut(h * w).zip(patch.chunks_exact(k * k)) {
-                for (ky, src) in cpatch.chunks_exact(k).enumerate() {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
+    for (q, patch) in (q0..).zip(cols.chunks_exact(geom.in_channels * k * k)) {
+        let (oy, ox) = (q / ow, q % ow);
+        let (ix0, lo, hi) = window_span(ox, geom, k);
+        let interior = lo == 0 && hi == k;
+        for (plane, cpatch) in image.chunks_exact_mut(h * w).zip(patch.chunks_exact(k * k)) {
+            for (ky, src) in cpatch.chunks_exact(k).enumerate() {
+                let iy = (oy * s + ky) as isize - p as isize;
+                if iy < 0 || iy >= h as isize {
+                    continue;
+                }
+                let dst = &mut plane[iy as usize * w..][..w];
+                if interior {
+                    for (d, &v) in dst[ix0 as usize..][..k].iter_mut().zip(src) {
+                        *d += v;
                     }
-                    let dst = &mut plane[iy as usize * w..][..w];
-                    if interior {
-                        for (d, &v) in dst[ix0 as usize..][..k].iter_mut().zip(src) {
-                            *d += v;
-                        }
-                    } else {
-                        for kx in lo..hi {
-                            dst[(ix0 + kx as isize) as usize] += src[kx];
-                        }
+                } else {
+                    for kx in lo..hi {
+                        dst[(ix0 + kx as isize) as usize] += src[kx];
                     }
                 }
             }

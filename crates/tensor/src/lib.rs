@@ -10,8 +10,8 @@
 //! * element-wise and broadcasting arithmetic ([`Tensor`] methods),
 //! * blocked matrix multiplication ([`matmul`]),
 //! * convolution lowering: patch-matrix GEMMs whose tiles are packed
-//!   straight from the images, `col2im` for the input gradient, and a
-//!   direct kernel ([`conv`]),
+//!   straight from the images, an input gradient folded back tile by tile
+//!   as its GEMM produces it, and a direct kernel ([`conv`]),
 //! * axis reductions ([`reduce`]),
 //! * finite-difference gradient checking ([`gradcheck`]),
 //! * a zero-dependency data-parallel execution layer ([`par`]) that the
@@ -52,8 +52,8 @@ pub use conv::{
 pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
-    avx512_kernel_enabled, gemm_nt_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into,
-    gemm_tn_into, set_force_scalar_kernel, wide_kernel_enabled,
+    avx512_kernel_enabled, conv_input_grad_into, gemm_nt_into, gemm_patches_nt_into,
+    gemm_patches_segmented_acc_into, gemm_tn_into, set_force_scalar_kernel, wide_kernel_enabled,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -12,6 +12,9 @@
 //! for convolutions, [`pack_patch_rows`]/[`pack_patch_cols`], which read
 //! the tiles of a patch matrix straight from the images. Edge tiles
 //! (m or n not multiples of `MR`/`NR`) fall back to masked scalar tails.
+//! The convolution's input gradient ([`conv_input_grad_into`]) runs the
+//! same core one position tile at a time and folds each tile back into
+//! the image gradient as it is produced.
 //!
 //! Every output element is still accumulated over the reduction index in
 //! ascending order with a single carried accumulator — the same sequence
@@ -22,7 +25,9 @@
 //! adds the segment sums in order. See DESIGN.md for the layout and the
 //! determinism argument.
 
-use crate::conv::{pack_patch_cols, pack_patch_rows, transpose_into, Conv2dGeometry};
+use crate::conv::{
+    fold_positions, pack_patch_cols, pack_patch_rows, transpose_into, Conv2dGeometry,
+};
 use crate::par;
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -64,6 +69,10 @@ thread_local! {
     /// side. Grows to `k * MR` once per thread and is then reused by every
     /// subsequent GEMM, keeping the hot path allocation-free.
     static A_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch for one position tile of an image's patch
+    /// gradient in [`conv_input_grad_into`]; grows once per thread, like
+    /// [`A_PACK`].
+    static FOLD_TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Packs the logical right-hand side `B̂ (k×n)` into `NR`-wide column
@@ -546,44 +555,19 @@ where
     scratch::give(packed_b);
 }
 
-/// `out = aᵀ · b` into a caller-owned buffer, where `a` stacks one or
-/// more row-major `m×k` blocks and `b` is `m×n`: block `s` fills rows
-/// `s·k .. (s+1)·k` of `out` with `a_sᵀ (k×m) · b (m×n)`.
-///
-/// One call packs `b` once and splits every stacked output row over
-/// shape-only chunks, so a batch of per-image transposed products (the
-/// convolution's input gradient) is one GEMM, bit-identical to one call
-/// per block and the same at every thread count. [`Tensor::matmul_tn`] is
-/// the single-block case into a pooled buffer.
+/// `out (k×n) = aᵀ · b` into a caller-owned buffer, where `a` is row-major
+/// `m×k` and `b` is `m×n`, without materialising the transpose.
+/// Row-parallel over shape-only chunks, so the result is the same at every
+/// thread count; [`Tensor::matmul_tn`] is this call into a pooled buffer.
 pub fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let blocks = a.len().checked_div(m * k).unwrap_or(1);
-    assert_eq!(
-        a.len(),
-        blocks * m * k,
-        "lhs not a whole number of m×k blocks"
-    );
-    assert_eq!(out.len(), blocks * k * n, "output size mismatch");
+    assert_eq!(a.len(), m * k, "lhs size mismatch");
+    assert_eq!(out.len(), k * n, "output size mismatch");
     assert_eq!(b.len(), m * n, "rhs size mismatch");
-    let out_rows = blocks * k;
-    trace_gemm(out_rows, m, n);
+    trace_gemm(k, m, n);
     let packed_b = pack_b(|i, j| b[i * n + j], m, n);
     let pb = &packed_b[..];
-    // Row `r` of the stacked Âᵀ is column `r % k` of block `r / k`; a
-    // tile inside one block packs like any transposed operand.
-    let pack_a = |r0: usize, h: usize, dst: &mut [f32]| {
-        if r0 % k + h <= k {
-            pack_cols(&a[(r0 / k) * m * k..][..m * k], k)(r0 % k, h, dst);
-        } else {
-            for ir in 0..h {
-                let (r, col) = ((r0 + ir) / k, (r0 + ir) % k);
-                let block = &a[r * m * k..][..m * k];
-                for (p, d) in dst[ir..].iter_mut().step_by(MR).enumerate() {
-                    *d = block[p * k + col];
-                }
-            }
-        }
-    };
-    let chunk = tile_rows_per_chunk(out_rows, m * n);
+    let pack_a = pack_cols(a, k);
+    let chunk = tile_rows_per_chunk(k, m * n);
     par::par_chunks_mut(out, chunk * n, |ci, rows| {
         packed_gemm_rows(&pack_a, pb, rows, ci * chunk, m, m, n, false);
     });
@@ -614,6 +598,68 @@ pub fn gemm_patches_segmented_acc_into(
     let (plen, osp) = (geom.patch_len(), geom.patch_count());
     let n = padded.len() / geom.padded_len();
     gemm_segmented_acc_with(&pack_patch_cols(padded, geom), g, dw, osp, plen, n * osp);
+}
+
+/// Floats one position tile of [`conv_input_grad_into`]'s patch gradient
+/// holds (32 KiB): a whole image at every layer of the 8×8 ResNets.
+const FOLD_TILE_FLOATS: usize = 8192;
+
+/// The convolution's input gradient over a whole batch:
+/// `dx_i = col2im(g_iᵀ · w)` for every image `i`. `g` stacks the images'
+/// `O × H'W'` output gradients, `w` is the flattened `O × C·K·K` kernel,
+/// and `dx` (fully overwritten) holds one `C·H·W` row per image.
+///
+/// The `n·H'W' × C·K·K` patch gradient is never built. `w` is packed once
+/// per call; then, image by image in parallel, the patch-gradient rows
+/// `g_iᵀ · w` are computed one tile of output positions at a time into a
+/// per-thread buffer, and each tile is folded into the image's zeroed
+/// `dx_i` at once, tiles in ascending position order. Bit-identical to
+/// [`gemm_tn_into`] per image followed by [`col2im_into`]: each element of
+/// the product is one ascending accumulator whatever the tiling, and the
+/// fold keeps each pixel's position order.
+///
+/// [`col2im_into`]: crate::col2im_into
+pub fn conv_input_grad_into(g: &[f32], w: &[f32], geom: &Conv2dGeometry, dx: &mut [f32]) {
+    let plen = geom.patch_len();
+    let tile = (FOLD_TILE_FLOATS / plen).max(MR) / MR * MR;
+    conv_input_grad_tiled(g, w, geom, dx, tile);
+}
+
+/// [`conv_input_grad_into`] with `tile` output positions per tile.
+pub(crate) fn conv_input_grad_tiled(
+    g: &[f32],
+    w: &[f32],
+    geom: &Conv2dGeometry,
+    dx: &mut [f32],
+    tile: usize,
+) {
+    let (plen, osp, ilen) = (geom.patch_len(), geom.patch_count(), geom.image_len());
+    assert_eq!(w.len() % plen, 0, "weight not whole O×CKK rows");
+    assert_eq!(dx.len() % ilen, 0, "input gradient not whole images");
+    let (oc, n) = (w.len() / plen, dx.len() / ilen);
+    assert_eq!(g.len(), n * oc * osp, "output gradient size mismatch");
+    assert!(tile > 0, "empty position tile");
+    trace_gemm(n * osp, oc, plen);
+    let packed_w = pack_b(|o, j| w[o * plen + j], oc, plen);
+    let pw = &packed_w[..];
+    par::par_chunks_mut(dx, ilen, |i, dxi| {
+        // Row `q` of g_iᵀ is column `q` of the image's `O × H'W'` block.
+        let pack_a = pack_cols(&g[i * oc * osp..][..oc * osp], osp);
+        dxi.fill(0.0);
+        FOLD_TILE.with(|cell| {
+            let mut buf = cell.borrow_mut();
+            let need = tile.min(osp) * plen;
+            if buf.len() < need {
+                buf.resize(need, 0.0);
+            }
+            for q0 in (0..osp).step_by(tile) {
+                let rows = &mut buf[..tile.min(osp - q0) * plen];
+                packed_gemm_rows(&pack_a, pw, rows, q0, oc, oc, plen, false);
+                fold_positions(rows, geom, dxi, q0);
+            }
+        });
+    });
+    scratch::give(packed_w);
 }
 
 /// `out += Σ_s a_s · b_s` into a caller-owned `m×n` buffer, with the
@@ -871,22 +917,6 @@ mod tests {
         let mut out_tn = vec![f32::NAN; 7 * 4];
         gemm_tn_into(a.data(), c.data(), &mut out_tn, 5, 7, 4);
         assert_eq!(out_tn, a.matmul_tn(&c).data());
-    }
-
-    #[test]
-    fn stacked_tn_matches_one_call_per_block() {
-        // Three stacked 6×5 blocks against one 6×9 rhs: every block's rows
-        // must carry the bits of its own single-block call.
-        let (blocks, m, k, n) = (3usize, 6usize, 5usize, 9usize);
-        let a = seq(&[blocks * m, k]);
-        let b = seq(&[m, n]);
-        let mut out = vec![f32::NAN; blocks * k * n];
-        gemm_tn_into(a.data(), b.data(), &mut out, m, k, n);
-        for s in 0..blocks {
-            let block = Tensor::from_vec(a.data()[s * m * k..(s + 1) * m * k].to_vec(), &[m, k]);
-            let want = block.matmul_tn(&b);
-            assert_eq!(&out[s * k * n..(s + 1) * k * n], want.data(), "block {s}");
-        }
     }
 
     /// The segmented core over a row-major `(S·seg)×n` matrix `b`.

@@ -16,12 +16,16 @@
 //! straddle output rows and images, and a batch of `n·H'W'` positions or
 //! `C·K·K` patch indices that is not a multiple of `MR` ends in an edge
 //! tile with `h < MR`.
+//!
+//! The fused input gradient is checked over the same geometries against
+//! the unfused pair it replaces: `matmul_tn` per image, then `col2im_into`.
 
 use crate::conv::{pack_patch_cols, pack_patch_rows, transpose_into};
-use crate::matmul::{pack_cols, pack_rows, MR};
+use crate::matmul::{conv_input_grad_tiled, pack_cols, pack_rows, MR};
 use crate::{
-    gemm_nt_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into, im2col_into,
-    pad_images_into, par, Conv2dGeometry, Rng64,
+    col2im_into, conv_input_grad_into, gemm_nt_into, gemm_patches_nt_into,
+    gemm_patches_segmented_acc_into, im2col_into, pad_images_into, par, set_force_scalar_kernel,
+    Conv2dGeometry, Rng64, Tensor,
 };
 
 fn geom(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> Conv2dGeometry {
@@ -216,6 +220,60 @@ fn patch_gemms_match_the_gemms_over_the_unfolded_matrix() {
         }
     }
     par::set_num_threads(restore);
+}
+
+/// Weights whose patch gradients fold to order-sensitive sums: ±1e8
+/// swamps 1.0 in `f32`, so a pixel that received its contributions in
+/// another position order would round differently.
+fn order_sensitive(len: usize, rng: &mut Rng64) -> Vec<f32> {
+    (0..len)
+        .map(|_| match rng.below(4) {
+            0 => 1e8,
+            1 => -1e8,
+            2 => 1.0,
+            _ => rng.range_f32(-2.0, 2.0),
+        })
+        .collect()
+}
+
+#[test]
+fn fused_input_grad_matches_gemm_tn_then_col2im() {
+    // Every geometry at batch 1, 2 and 3, against each image's patch
+    // gradient `g_iᵀ · w` from `matmul_tn` folded by `col2im_into`. The
+    // kernel runs at its own tile length and at tiles of 1, 3, MR and
+    // 2·MR + 1 positions, so images straddle tiles at every offset; the
+    // wide and the portable GEMM kernels both run.
+    let mut rng = Rng64::new(8);
+    let mut straddled = 0;
+    for (gi, g) in geometries().into_iter().enumerate() {
+        let (plen, osp, ilen, oc) = (g.patch_len(), g.patch_count(), g.image_len(), 1 + gi % 5);
+        let w = order_sensitive(oc * plen, &mut rng);
+        let wt = Tensor::from_vec(w.clone(), &[oc, plen]);
+        for n in 1..=3 {
+            let grad: Vec<f32> = (0..n * oc * osp)
+                .map(|_| rng.range_f32(-1.0, 1.0))
+                .collect();
+            let mut want = vec![0.0f32; n * ilen];
+            for (gi, dxi) in grad.chunks_exact(oc * osp).zip(want.chunks_exact_mut(ilen)) {
+                let dcols = Tensor::from_vec(gi.to_vec(), &[oc, osp]).matmul_tn(&wt);
+                col2im_into(dcols.data(), &g, dxi);
+            }
+            let force_scalar = (gi + n) % 2 == 1;
+            set_force_scalar_kernel(force_scalar);
+            let mut got = vec![f32::NAN; n * ilen];
+            conv_input_grad_into(&grad, &w, &g, &mut got);
+            let label = format!("dx {g:?} n={n} scalar={force_scalar}");
+            assert_bits(&got, &want, &label);
+            for tile in [1, 3, MR, 2 * MR + 1] {
+                straddled += usize::from(tile < osp);
+                let mut got = vec![f32::NAN; n * ilen];
+                conv_input_grad_tiled(&grad, &w, &g, &mut got, tile);
+                assert_bits(&got, &want, &format!("dx {g:?} n={n} tile={tile}"));
+            }
+            set_force_scalar_kernel(false);
+        }
+    }
+    assert!(straddled > 10_000, "only {straddled} straddling runs");
 }
 
 #[test]
