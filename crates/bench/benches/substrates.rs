@@ -8,6 +8,7 @@
 use eos_bench::{bench, prepared_dataset};
 use eos_core::{generalization_gap, Scale};
 use eos_neighbors::{BruteForceKnn, Metric};
+use eos_resample::{deficient_class_neighbors, deficits, indices_by_class};
 use eos_tensor::{
     conv_input_grad_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into, normal,
     pad_images_into, Conv2dGeometry, Rng64,
@@ -83,26 +84,30 @@ fn bench_knn() {
     bench("neighbors/query_rows_batch-k10/brute/d192", 10, || {
         brute.query_rows_batch(&rows, 10)
     });
-    // EOS's per-class enemy tables on the CIFAR-10 analogue itself, whose
-    // rows are ordered by class: every minority query's neighbours come
-    // after the majority class's rows in the scan.
+    // EOS's enemy tables on the CIFAR-10 analogue itself, whose rows are
+    // ordered by class: every minority query's neighbours come after the
+    // majority class's rows in the scan. One call per deficient class, as
+    // EOS once ran them, and the one call over every deficient class that
+    // EOS runs now.
     let (train, _) = prepared_dataset("cifar10", Scale::Small, 7);
     let brute = BruteForceKnn::new(&train.x, Metric::Euclidean);
-    let mut by_class = vec![Vec::new(); train.num_classes];
-    for (row, &c) in train.y.iter().enumerate() {
-        by_class[c].push(row);
-    }
-    let majority = (0..train.num_classes).max_by_key(|&c| by_class[c].len());
+    let idx = indices_by_class(&train.y, train.num_classes);
+    let needs = deficits(&train.y, train.num_classes);
     for k in [5usize, 10] {
         bench(
             &format!("neighbors/enemy-tables-k{k}/brute/cifar10"),
             10,
             || {
                 (0..train.num_classes)
-                    .filter(|&c| Some(c) != majority)
-                    .map(|c| brute.query_rows_batch(&by_class[c], k))
+                    .filter(|&c| needs[c] > 0)
+                    .map(|c| brute.query_rows_batch(&idx[c], k))
                     .collect::<Vec<_>>()
             },
+        );
+        bench(
+            &format!("neighbors/enemy-tables-merged-k{k}/brute/cifar10"),
+            10,
+            || deficient_class_neighbors(&brute, &idx, &needs, k),
         );
     }
 }

@@ -8,8 +8,8 @@
 //! expand the class's embedding-space footprint toward the decision
 //! boundary — which is what closes the generalization gap.
 
-use eos_neighbors::{BruteForceKnn, Metric};
-use eos_resample::{deficits, indices_by_class, Oversampler, Smote};
+use eos_neighbors::{BruteForceKnn, Metric, Neighbor};
+use eos_resample::{deficient_class_neighbors, deficits, indices_by_class, Oversampler, Smote};
 use eos_tensor::{Rng64, Tensor};
 
 /// Which way the synthetic sample moves from the base.
@@ -89,21 +89,17 @@ impl Eos {
     }
 
     /// Finds, for each sample of `class`, the enemy members of its
-    /// K-neighbourhood. Returns `(base_row, enemy_rows)` pairs for samples
-    /// that have at least one enemy neighbour.
+    /// K-neighbourhood, `hits_per_row`, given in the order of
+    /// `class_rows`. Returns `(base_row, enemy_rows)` pairs for samples
+    /// that have at least one enemy neighbour, in member order.
     fn enemy_table(
-        &self,
-        index: &BruteForceKnn,
         y: &[usize],
         class: usize,
         class_rows: &[usize],
+        hits_per_row: &[Vec<Neighbor>],
     ) -> Vec<(usize, Vec<usize>)> {
-        // One K-neighbourhood scan per class member, fanned out across the
-        // worker pool; the enemy filter preserves member order, so the
-        // table matches the serial scan exactly.
-        let hits_per_row = index.query_rows_batch(class_rows, self.k);
         let mut table = Vec::new();
-        for (&row, hits) in class_rows.iter().zip(&hits_per_row) {
+        for (&row, hits) in class_rows.iter().zip(hits_per_row) {
             let enemies: Vec<usize> = hits
                 .iter()
                 .filter(|h| y[h.index] != class)
@@ -135,6 +131,9 @@ impl Oversampler for Eos {
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
         let index = BruteForceKnn::new(x, Metric::Euclidean);
+        // Every deficient class member's K-neighbourhood in one scan,
+        // fanned out across the worker pool.
+        let hits = deficient_class_neighbors(&index, &idx, &needs, self.k);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {
@@ -151,7 +150,7 @@ impl Oversampler for Eos {
                 // deficient class per oversample, never in a hot loop).
                 eos_trace::counter(&format!("eos.synthetic.class{class}")).add(need as u64);
             }
-            let table = self.enemy_table(&index, y, class, &idx[class]);
+            let table = Self::enemy_table(y, class, &idx[class], &hits[class]);
             eos_trace::count!("eos.borderline_bases", table.len() as u64);
             if table.is_empty() {
                 // No borderline samples at all (isolated class): fall back
@@ -341,8 +340,8 @@ mod tests {
         let (x, y) = scene(&mut rng);
         let index = BruteForceKnn::new(&x, Metric::Euclidean);
         let idx = indices_by_class(&y, 2);
-        let small = Eos::new(3).enemy_table(&index, &y, 1, &idx[1]);
-        let large = Eos::new(30).enemy_table(&index, &y, 1, &idx[1]);
+        let table = |k| Eos::enemy_table(&y, 1, &idx[1], &index.query_rows_batch(&idx[1], k));
+        let (small, large) = (table(3), table(30));
         assert!(large.len() >= small.len());
         let total_small: usize = small.iter().map(|(_, e)| e.len()).sum();
         let total_large: usize = large.iter().map(|(_, e)| e.len()).sum();

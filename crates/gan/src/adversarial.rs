@@ -84,10 +84,10 @@ pub fn train_gan(
         discriminator.zero_grad();
         let logits_real = discriminator.forward(&real_batch, true);
         let (_, d_real) = bce_with_logits(&logits_real, &vec![1.0; b]);
-        let _ = discriminator.backward(&d_real);
+        discriminator.backward_params(&d_real);
         let logits_fake = discriminator.forward(&fake_batch, true);
         let (_, d_fake) = bce_with_logits(&logits_fake, &vec![0.0; b]);
-        let _ = discriminator.backward(&d_fake);
+        discriminator.backward_params(&d_fake);
         d_opt.step(&mut discriminator.params());
         // --- Generator step: make D call fakes real (non-saturating).
         let z = normal(&[b, cfg.latent], 0.0, 1.0, rng);
@@ -96,7 +96,7 @@ pub fn train_gan(
         let logits = discriminator.forward(&fake, true);
         let (_, dl) = bce_with_logits(&logits, &vec![1.0; b]);
         let dfake = discriminator.backward(&dl);
-        let _ = generator.backward(&dfake);
+        generator.backward_params(&dfake);
         g_opt.step(&mut generator.params());
     }
 }

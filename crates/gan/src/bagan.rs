@@ -83,7 +83,7 @@ impl BaganLite {
                 let (_, grad) = mse_loss_and_grad(&recon, &batch);
                 debug_assert!(grad.all_finite(), "autoencoder gradient diverged");
                 let dz = decoder.backward(&grad);
-                let _ = encoder.backward(&dz);
+                encoder.backward_params(&dz);
                 let mut params = encoder.params();
                 params.extend(decoder.params());
                 // MSE + plain SGD diverges when the reconstruction error

@@ -11,25 +11,37 @@ const LANES: usize = 16;
 /// independent accumulators in flight.
 const TILE: usize = 4;
 
-/// Indexed rows per filter micro-tile on the AVX-512 tier: eight 512-bit
-/// accumulators. A dot product is one operation per coordinate where a
-/// distance is three, so the filter runs twice as many rows per tile to
-/// keep as many operations in flight.
+/// Indexed rows per filter micro-tile on the AVX-512 tier. A dot product
+/// is one operation per coordinate where a distance is three, so the
+/// filter runs twice as many rows per tile to keep as many operations in
+/// flight.
 const DOT_TILE_AVX512: usize = 8;
+
+/// Query blocks per filter pass on the AVX-512 tier: each broadcast row
+/// value feeds this many panel rows, all held in registers, so a tile
+/// keeps `PANELS_AVX512 × DOT_TILE_AVX512` 512-bit accumulators and loads
+/// `PANELS_AVX512` panel rows per coordinate (DESIGN.md, "Brute-force kNN
+/// kernel", records the sweep that picked it).
+const PANELS_AVX512: usize = 2;
 
 /// Indexed rows per filter micro-tile on the AVX2 and portable tiers,
 /// where a sixteen-lane row takes two or four registers: eight rows would
 /// hold every AVX2 register in accumulators and spill, and measured slower.
+/// These tiers filter one query block per pass.
 const DOT_TILE: usize = 4;
 
 /// One query of a block: the point, and the indexed row to leave out of
 /// its neighbourhood (the query row itself for [`BruteForceKnn::query_row`]).
 type Query<'a> = (&'a [f32], Option<usize>);
 
+/// One block's lists, and the number of rows its exact pass re-scored.
+type Scanned = (Vec<Vec<Neighbor>>, usize);
+
 /// The tiers of the brute-force distance kernel, widest first. All three
 /// compile the same generic scan, so they return the same bits; the tier
 /// sets the register width the compiler may use and, for the filter pass
-/// alone, whether its dot products fuse and how many rows a tile holds.
+/// alone, whether its dot products fuse, how many rows a tile holds and
+/// how many query blocks one pass serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KnnKernel {
     /// 512-bit registers: a 16-lane panel row is one register.
@@ -61,6 +73,14 @@ impl KnnKernel {
             KnnKernel::Scalar => "scalar",
         }
     }
+
+    /// Query blocks one filter pass serves on this tier.
+    fn panels(self) -> usize {
+        match self {
+            KnnKernel::Avx512 => PANELS_AVX512,
+            KnnKernel::Avx2 | KnnKernel::Scalar => 1,
+        }
+    }
 }
 
 /// Exact k-NN by a query-blocked linear scan with a bounded sorted list.
@@ -73,7 +93,8 @@ impl KnnKernel {
 /// A Euclidean block runs in two passes. The filter computes every row's
 /// approximate squared distance `‖q‖² + ‖x‖² − 2·q·x` from dot products
 /// and the row norms taken once here, and keeps each query's k-th smallest
-/// value. Every row within a proven rounding-error bound of it is then
+/// value; on the AVX-512 tier one filter pass serves two blocks at once.
+/// Every row within a proven rounding-error bound of it is then
 /// re-scored by the exact kernel, which sums each distance's coordinate
 /// terms in order from the first coordinate, with a separate multiply and
 /// add, and takes the square root last: every distance is bit-identical to
@@ -126,25 +147,38 @@ impl BruteForceKnn {
     }
 
     /// The `k` nearest indexed rows of each query, in query order. The
-    /// blocks fan out across the worker pool; every query's result depends
-    /// only on that query, so the output is the same at any thread count
-    /// and for any grouping of queries into blocks. Every public query
-    /// method makes exactly one call, which counts its resolved queries,
-    /// the distance kernel it dispatches to, the rows the exact pass
-    /// re-scored and the exact distances that took.
+    /// queries split into blocks of [`LANES`], the blocks into groups of
+    /// the tier's [`KnnKernel::panels`] and a last few single blocks, and
+    /// the groups fan out across the worker pool; every query's result
+    /// depends only on that query, so the output is the same at any thread
+    /// count and for any grouping of queries into blocks or of blocks into
+    /// groups. Every public query method makes exactly one call, which
+    /// counts its resolved queries, the distance kernel it dispatches to,
+    /// the rows each block's exact pass re-scored and the exact distances
+    /// that took.
     fn scan<'q>(
         &self,
         n: usize,
         query: impl Fn(usize) -> Query<'q> + Sync,
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
-        let blocks = par::par_map_range(n.div_ceil(LANES), |b| {
-            let block: Vec<Query<'q>> = (b * LANES..n.min(b * LANES + LANES)).map(&query).collect();
-            self.scan_block(&block, k)
+        let tier = KnnKernel::current();
+        let (blocks, panels) = (n.div_ceil(LANES), tier.panels());
+        let groups = blocks / panels;
+        let scanned = par::par_map_range(groups + blocks % panels, |g| {
+            let (first, count) = if g < groups {
+                (g * panels, panels)
+            } else {
+                (groups * panels + g - groups, 1)
+            };
+            let end = n.min((first + count) * LANES);
+            let group: Vec<Query<'q>> = (first * LANES..end).map(&query).collect();
+            self.scan_group(tier, &group, k)
         });
+        let blocks: Vec<Scanned> = scanned.into_iter().flatten().collect();
         if eos_trace::enabled() {
             eos_trace::count!("neighbors.brute_queries", n as u64);
-            match KnnKernel::current() {
+            match tier {
                 KnnKernel::Avx512 => eos_trace::count!("neighbors.dispatch.avx512", 1),
                 KnnKernel::Avx2 => eos_trace::count!("neighbors.dispatch.avx2", 1),
                 KnnKernel::Scalar => eos_trace::count!("neighbors.dispatch.scalar", 1),
@@ -157,40 +191,51 @@ impl BruteForceKnn {
         blocks.into_iter().flat_map(|(lists, _)| lists).collect()
     }
 
-    /// Runs one block of at most [`LANES`] queries; a lone query gets a
-    /// one-lane panel rather than fifteen lanes of padding. Returns the
-    /// lists and the number of rows the exact pass re-scored.
-    fn scan_block(&self, block: &[Query<'_>], k: usize) -> (Vec<Vec<Neighbor>>, usize) {
+    /// Runs one group of whole [`LANES`]-query blocks, the last of which
+    /// may be short: one block, or the tier's [`KnnKernel::panels`]
+    /// blocks, which share one filter pass. A lone query gets a one-lane
+    /// panel rather than fifteen lanes of padding.
+    fn scan_group(&self, tier: KnnKernel, group: &[Query<'_>], k: usize) -> Vec<Scanned> {
         let d = self.data.dim(1);
-        for (point, _) in block {
+        for (point, _) in group {
             assert_eq!(point.len(), d, "query dimension mismatch");
         }
         if k == 0 {
-            return (vec![Vec::new(); block.len()], 0);
+            return group
+                .chunks(LANES)
+                .map(|b| (vec![Vec::new(); b.len()], 0))
+                .collect();
         }
-        match block.len() {
-            1 => self.scan_lanes::<1>(block, k),
-            _ => self.scan_lanes::<LANES>(block, k),
+        match group.len() {
+            1 => self.scan_panels::<1, 1>(tier, [group], k).into(),
+            2..=LANES => self.scan_panels::<LANES, 1>(tier, [group], k).into(),
+            len => {
+                let whole = len.div_ceil(LANES) == PANELS_AVX512;
+                assert!(whole, "a group is one block or a whole group");
+                let blocks = std::array::from_fn(|p| &group[p * LANES..len.min(p * LANES + LANES)]);
+                self.scan_panels::<LANES, PANELS_AVX512>(tier, blocks, k)
+                    .into()
+            }
         }
     }
 
-    /// Runs [`scan_rows`] over the block's `L`-lane panel on the widest
-    /// tier the CPU supports.
-    fn scan_lanes<const L: usize>(
+    /// Runs [`scan_rows`] over `P` blocks of at most `L` queries on the
+    /// given tier, which the CPU must support.
+    fn scan_panels<const L: usize, const P: usize>(
         &self,
-        block: &[Query<'_>],
+        tier: KnnKernel,
+        blocks: [&[Query<'_>]; P],
         k: usize,
-    ) -> (Vec<Vec<Neighbor>>, usize) {
-        let panel = transpose::<L>(block, self.data.dim(1));
-        match KnnKernel::current() {
-            // SAFETY: `KnnKernel::current` just checked for avx512f at
-            // runtime, and every AVX-512F CPU has FMA.
+    ) -> [Scanned; P] {
+        match tier {
+            // SAFETY: `KnnKernel::current` checked for avx512f at runtime,
+            // and every AVX-512F CPU has FMA.
             #[cfg(target_arch = "x86_64")]
-            KnnKernel::Avx512 => unsafe { scan_rows_avx512::<L>(self, &panel, block, k) },
-            // SAFETY: `KnnKernel::current` just checked for avx2 at runtime.
+            KnnKernel::Avx512 => unsafe { scan_rows_avx512::<L, P>(self, blocks, k) },
+            // SAFETY: `KnnKernel::current` checked for avx2 at runtime.
             #[cfg(target_arch = "x86_64")]
-            KnnKernel::Avx2 => unsafe { scan_rows_avx2::<L>(self, &panel, block, k) },
-            _ => scan_rows::<L, false, DOT_TILE>(self, &panel, block, k),
+            KnnKernel::Avx2 => unsafe { scan_rows_avx2::<L, P>(self, blocks, k) },
+            _ => scan_rows::<L, P, false, DOT_TILE>(self, blocks, k),
         }
     }
 
@@ -256,54 +301,84 @@ fn transpose<const L: usize>(block: &[Query<'_>], d: usize) -> Vec<f32> {
 /// [`scan_rows`] compiled with AVX-512F and FMA enabled, so a sixteen-lane
 /// panel row is one vector register, a row's admission test is one compare
 /// into a mask register, and the filter's dot products run as fused
-/// multiply-adds.
+/// multiply-adds in [`approximate_avx512`]'s multi-panel tile.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
-fn scan_rows_avx512<const L: usize>(
+fn scan_rows_avx512<const L: usize, const P: usize>(
     index: &BruteForceKnn,
-    panel: &[f32],
-    block: &[Query<'_>],
+    blocks: [&[Query<'_>]; P],
     k: usize,
-) -> (Vec<Vec<Neighbor>>, usize) {
-    scan_rows::<L, true, DOT_TILE_AVX512>(index, panel, block, k)
+) -> [Scanned; P] {
+    scan_rows::<L, P, true, DOT_TILE_AVX512>(index, blocks, k)
 }
 
 /// [`scan_rows`] compiled with AVX2 enabled, so a sixteen-lane panel row
 /// is two vector registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn scan_rows_avx2<const L: usize>(
+fn scan_rows_avx2<const L: usize, const P: usize>(
     index: &BruteForceKnn,
-    panel: &[f32],
-    block: &[Query<'_>],
+    blocks: [&[Query<'_>]; P],
     k: usize,
-) -> (Vec<Vec<Neighbor>>, usize) {
-    scan_rows::<L, false, DOT_TILE>(index, panel, block, k)
+) -> [Scanned; P] {
+    scan_rows::<L, P, false, DOT_TILE>(index, blocks, k)
 }
 
 /// A row to offer, with bit `l` set for the lanes it may enter.
 type Candidate = (usize, u32);
 
-/// The blocked kernel. Pass 1, [`filter_rows`], picks the candidate rows
-/// and the lanes each may enter (every row and lane when the filter cannot
-/// run); pass 2 computes the exact distances from the `L`-lane query
-/// `panel` to a [`TILE`] of candidates at a time and offers them to fresh
-/// lists in ascending row order. Returns the lists and the number of
-/// candidates. `FMA` selects fused multiply-adds for the filter's dot
-/// products only, and `R` is the filter's rows per tile.
+/// Every row, offered to every lane: the candidates when the filter
+/// cannot run.
+fn every_row(n: usize) -> Vec<Candidate> {
+    (0..n).map(|row| (row, u32::MAX)).collect()
+}
+
+/// The blocked kernel over `P` blocks of at most `L` queries. Pass 1,
+/// [`filter_rows`], picks each block's candidate rows and the lanes each
+/// may enter (every row and lane when the filter cannot run), all `P`
+/// blocks in one walk over the rows; pass 2 computes the exact distances
+/// from each block's `L`-lane query panel to a [`TILE`] of its candidates
+/// at a time and offers them to fresh lists in ascending row order.
+/// Returns each block's lists and number of candidates. `AVX512` marks the
+/// AVX-512 tier, whose filter fuses its dot products' multiply-adds, and
+/// `R` is the filter's rows per tile.
 #[inline(always)]
-fn scan_rows<const L: usize, const FMA: bool, const R: usize>(
+fn scan_rows<const L: usize, const P: usize, const AVX512: bool, const R: usize>(
+    index: &BruteForceKnn,
+    blocks: [&[Query<'_>]; P],
+    k: usize,
+) -> [Scanned; P] {
+    let (data, n) = (&index.data, index.data.dim(0));
+    let panels = blocks.map(|block| transpose::<L>(block, data.dim(1)));
+    let candidates: [Vec<Candidate>; P] = match &index.norms {
+        // With `k + 1 >= n` some list stays short or takes every row.
+        Some(norms) if k + 1 < n => {
+            let panels = panels.each_ref().map(Vec::as_slice);
+            filter_rows::<L, P, AVX512, R>(data, norms, panels, blocks, k)
+        }
+        _ => std::array::from_fn(|_| every_row(n)),
+    };
+    // Loops rather than closures: a closure's body may compile without the
+    // tier's target features.
+    let mut scanned: [Scanned; P] = std::array::from_fn(|_| (Vec::new(), 0));
+    for (p, out) in scanned.iter_mut().enumerate() {
+        *out = exact_pass::<L>(index, &panels[p], blocks[p], &candidates[p], k);
+    }
+    scanned
+}
+
+/// Pass 2 of one block: the exact distances from its `L`-lane query
+/// `panel` to a [`TILE`] of `candidates` at a time, offered to fresh lists
+/// in ascending row order. Returns the lists and the number of candidates.
+#[inline(always)]
+fn exact_pass<const L: usize>(
     index: &BruteForceKnn,
     panel: &[f32],
     block: &[Query<'_>],
+    candidates: &[Candidate],
     k: usize,
-) -> (Vec<Vec<Neighbor>>, usize) {
-    let (data, n) = (&index.data, index.data.dim(0));
-    let candidates: Vec<Candidate> = match &index.norms {
-        // With `k + 1 >= n` some list stays short or takes every row.
-        Some(norms) if k + 1 < n => filter_rows::<L, FMA, R>(data, norms, panel, block, k),
-        _ => (0..n).map(|row| (row, u32::MAX)).collect(),
-    };
+) -> Scanned {
+    let data = &index.data;
     let mut lists = Lists::<L>::new(block, k);
     let mut tiles = candidates.chunks_exact(TILE);
     for tile in &mut tiles {
@@ -317,43 +392,78 @@ fn scan_rows<const L: usize, const FMA: bool, const R: usize>(
     (lists.best, candidates.len())
 }
 
-/// Pass 1 of a Euclidean block: the rows, in ascending order, whose
-/// approximate squared distance `a = (‖q‖² + ‖x‖²) − 2·q·x` lies within
-/// some query's [`threshold`], leaving out each query's excluded row for
-/// its own lane; every row when some query's [`error_bound`] cannot be
-/// formed. Every row's `a` goes into an `[n][L]` buffer, the excluded rows
-/// at `+∞`; each lane's k-th smallest value is picked from all of it, and
-/// the rows are tested against the final thresholds in one pass. The
-/// values are finite (`error_bound` has bounded the scale), so the
-/// candidates depend only on them, not on the order the rows arrive in.
+/// Pass 1 of `P` Euclidean blocks: for each block, the rows, in ascending
+/// order, whose approximate squared distance `a = (‖q‖² + ‖x‖²) − 2·q·x`
+/// lies within some query's [`threshold`], leaving out each query's
+/// excluded row for its own lane; every row when some query's
+/// [`error_bound`] cannot be formed. Every row's `a` goes into one `[n][L]`
+/// buffer per block, the excluded rows at `+∞`; each lane's k-th smallest
+/// value is picked from all of it, and the rows are tested against the
+/// final thresholds in one pass. The values are finite (`error_bound` has
+/// bounded the scale), so the candidates depend only on them, not on the
+/// order the rows arrive in or on the blocks that share the walk.
 #[inline(always)]
-fn filter_rows<const L: usize, const FMA: bool, const R: usize>(
+fn filter_rows<const L: usize, const P: usize, const AVX512: bool, const R: usize>(
     data: &Tensor,
     norms: &Norms,
-    panel: &[f32],
+    panels: [&[f32]; P],
+    blocks: [&[Query<'_>]; P],
+    k: usize,
+) -> [Vec<Candidate>; P] {
+    let (n, d) = (data.dim(0), data.dim(1));
+    let qnorm: [[f32; L]; P] =
+        blocks.map(|block| std::array::from_fn(|l| block.get(l).map_or(0.0, |q| sq_norm(q.0))));
+    let slack: [Option<[f64; L]>; P] = std::array::from_fn(|p| {
+        let mut slack = [0.0f64; L];
+        for (l, e) in slack.iter_mut().enumerate().take(blocks[p].len()) {
+            *e = error_bound(d, qnorm[p][l], norms.max)?;
+        }
+        Some(slack)
+    });
+    let mut buffer = vec![0.0f32; P * n * L];
+    let mut parts = buffer.chunks_exact_mut(n * L);
+    let mut a: [&mut [[f32; L]]; P] =
+        std::array::from_fn(|_| parts.next().expect("one part per block").as_chunks_mut().0);
+    let mut first = 0;
+    while first + R <= n {
+        let rows: [&[f32]; R] = std::array::from_fn(|c| data.row_slice(first + c));
+        let out = a
+            .each_mut()
+            .map(|a| <&mut [_; R]>::try_from(&mut a[first..first + R]).unwrap());
+        approximate::<L, P, R, AVX512>(panels, rows, &qnorm, &norms.rows[first..], out);
+        first += R;
+    }
+    for row in first..n {
+        let out = a
+            .each_mut()
+            .map(|a| <&mut [_; 1]>::try_from(&mut a[row..row + 1]).unwrap());
+        approximate::<L, P, 1, AVX512>(
+            panels,
+            [data.row_slice(row)],
+            &qnorm,
+            &norms.rows[row..],
+            out,
+        );
+    }
+    let mut candidates: [Vec<Candidate>; P] = std::array::from_fn(|_| Vec::new());
+    for (p, out) in candidates.iter_mut().enumerate() {
+        *out = match slack[p] {
+            Some(slack) => admit::<L>(a[p], blocks[p], &slack, k),
+            None => every_row(n),
+        };
+    }
+    candidates
+}
+
+/// The rows of one block's approximate values `a` that [`filter_rows`]
+/// admits, each with its lanes, for the lanes' error bounds `slack`.
+#[inline(always)]
+fn admit<const L: usize>(
+    a: &mut [[f32; L]],
     block: &[Query<'_>],
+    slack: &[f64; L],
     k: usize,
 ) -> Vec<Candidate> {
-    let (n, d) = (data.dim(0), data.dim(1));
-    let qnorm: [f32; L] = std::array::from_fn(|l| block.get(l).map_or(0.0, |q| sq_norm(q.0)));
-    let mut slack = [0.0f64; L];
-    for (l, e) in slack.iter_mut().enumerate().take(block.len()) {
-        match error_bound(d, qnorm[l], norms.max) {
-            Some(bound) => *e = bound,
-            None => return (0..n).map(|row| (row, u32::MAX)).collect(),
-        }
-    }
-    let mut buffer = vec![0.0f32; n * L];
-    let (a, _) = buffer.as_chunks_mut::<L>();
-    let (tiles, tail) = a.as_chunks_mut::<R>();
-    for (first, tile) in (0..).step_by(R).zip(tiles) {
-        let rows: [&[f32]; R] = std::array::from_fn(|c| data.row_slice(first + c));
-        approximate::<L, R, FMA>(panel, rows, &qnorm, &norms.rows[first..], tile);
-    }
-    for (row, one) in (n - tail.len()..).zip(tail.as_chunks_mut::<1>().0) {
-        let xnorm = &norms.rows[row..];
-        approximate::<L, 1, FMA>(panel, [data.row_slice(row)], &qnorm, xnorm, one);
-    }
     for (l, &(_, own)) in block.iter().enumerate() {
         if let Some(row) = own {
             a[row][l] = f32::INFINITY;
@@ -423,30 +533,96 @@ fn kth_select<const L: usize>(a: &[[f32; L]], lanes: usize, k: usize) -> [f32; L
 }
 
 /// Writes the approximate squared distances `(‖q‖² + ‖x‖²) − 2·q·x` from
-/// each of the `L` panel lanes, with norms `qnorm`, to each of the `C`
-/// rows, with norms `xnorm`, into `out[row][lane]`. The dot products `q·x`
-/// run as fused multiply-adds when `FMA` is set; the rest is a separate
-/// multiply and add on every tier. The filter's error bound holds for
-/// either rounding. (Writing into `out` rather than returning the
+/// each of the `L` lanes of each of the `P` panels, with norms `qnorm`, to
+/// each of the `C` rows, with norms `xnorm`, into `out[panel][row][lane]`.
+/// The dot products `q·x` run as fused multiply-adds on the AVX-512 tier,
+/// where sixteen-lane panels take [`approximate_avx512`]; the rest is a
+/// separate multiply and add on every tier. The filter's error bound holds
+/// for either rounding. (Writing into `out` rather than returning the
 /// accumulators keeps them in registers through the coordinate loop.)
 #[inline(always)]
-fn approximate<const L: usize, const C: usize, const FMA: bool>(
-    panel: &[f32],
+fn approximate<const L: usize, const P: usize, const C: usize, const AVX512: bool>(
+    panels: [&[f32]; P],
     rows: [&[f32]; C],
-    qnorm: &[f32; L],
+    qnorm: &[[f32; L]; P],
     xnorm: &[f32],
-    out: &mut [[f32; L]; C],
+    out: [&mut [[f32; L]; C]; P],
 ) {
-    let acc: [[f32; L]; C] = accumulate(panel, rows, 0.0, |s, q, x| {
-        if FMA {
-            q.mul_add(x, s)
-        } else {
-            s + q * x
+    #[cfg(target_arch = "x86_64")]
+    if AVX512 && L == LANES {
+        let qnorm = qnorm.each_ref().map(|q| q.as_slice());
+        let out = out.map(|o| o.as_flattened_mut());
+        // SAFETY: `AVX512` is set only by `scan_rows_avx512`, which runs
+        // after `KnnKernel::current` has checked for avx512f at runtime.
+        unsafe { approximate_avx512::<P, C>(panels, rows, qnorm, &xnorm[..C], out) };
+        return;
+    }
+    for ((panel, qnorm), out) in panels.into_iter().zip(qnorm).zip(out) {
+        let acc: [[f32; L]; C] = accumulate(panel, rows, 0.0, |s, q, x| {
+            if AVX512 {
+                q.mul_add(x, s)
+            } else {
+                s + q * x
+            }
+        });
+        for ((out, dot), &x) in out.iter_mut().zip(&acc).zip(xnorm) {
+            for l in 0..L {
+                out[l] = (qnorm[l] + x) - 2.0 * dot[l];
+            }
         }
-    });
-    for ((out, dot), &x) in out.iter_mut().zip(&acc).zip(xnorm) {
-        for l in 0..L {
-            out[l] = (qnorm[l] + x) - 2.0 * dot[l];
+    }
+}
+
+/// [`approximate`] for `P` sixteen-lane panels on the AVX-512 tier, as a
+/// register tile: `P × C` accumulators, and per coordinate `P` panel-row
+/// loads, `C` broadcasts and `P × C` fused multiply-adds, so each
+/// broadcast row value feeds every panel. Written with intrinsics because
+/// the generic code over `[[f32; 16]; C]` arrays, at `P > 1`, compiled to
+/// reload the panel rows from memory for every broadcast. Every lane gets
+/// the bits of the generic code: `_mm512_fmadd_ps(q, x, acc)` rounds as
+/// `q.mul_add(x, acc)` does, from the same `+0.0`, in the same coordinate
+/// order, and the norm terms are the same separate add, multiply and
+/// subtract. `panels[p]` is `[d][16]`, `qnorm[p]` has 16 values, `xnorm`
+/// has `C` and `out[p]` is `[C][16]`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+fn approximate_avx512<const P: usize, const C: usize>(
+    panels: [&[f32]; P],
+    rows: [&[f32]; C],
+    qnorm: [&[f32]; P],
+    xnorm: &[f32],
+    out: [&mut [f32]; P],
+) {
+    use std::arch::x86_64::*;
+    let d = panels[0].len() / LANES;
+    assert!(panels.iter().all(|p| p.len() == d * LANES) && rows.iter().all(|r| r.len() >= d));
+    let mut acc = [[_mm512_setzero_ps(); C]; P];
+    for j in 0..d {
+        // SAFETY: `j < d`, every panel holds `d × 16` values from its start
+        // and every row `d`, as just asserted; unchecked, so the loop holds
+        // no bounds tests.
+        let q: [__m512; P] =
+            std::array::from_fn(|p| unsafe { _mm512_loadu_ps(panels[p].as_ptr().add(j * LANES)) });
+        for c in 0..C {
+            // SAFETY: as above.
+            let x = _mm512_set1_ps(unsafe { *rows[c].get_unchecked(j) });
+            for p in 0..P {
+                acc[p][c] = _mm512_fmadd_ps(q[p], x, acc[p][c]);
+            }
+        }
+    }
+    let two = _mm512_set1_ps(2.0);
+    for ((acc, qnorm), out) in acc.iter().zip(qnorm).zip(out) {
+        let qnorm: &[f32; LANES] = qnorm.try_into().expect("sixteen query norms");
+        // SAFETY: `qnorm` is sixteen values.
+        let qnorm = unsafe { _mm512_loadu_ps(qnorm.as_ptr()) };
+        for ((dot, &x), out) in acc.iter().zip(xnorm).zip(out.as_chunks_mut::<LANES>().0) {
+            let a = _mm512_sub_ps(
+                _mm512_add_ps(qnorm, _mm512_set1_ps(x)),
+                _mm512_mul_ps(two, *dot),
+            );
+            // SAFETY: `out` is sixteen values.
+            unsafe { _mm512_storeu_ps(out.as_mut_ptr(), a) };
         }
     }
 }
@@ -723,37 +899,174 @@ mod tests {
         }
     }
 
+    /// Class-ordered clusters of 40 rows whose queries' neighbours come
+    /// last in the scan.
+    fn clusters(n: usize, d: usize) -> Tensor {
+        let mut rng = Rng64::new(9);
+        let v = (0..n * d).map(|i| (i / d / 40) as f32 + rng.normal_f32(0.0, 0.3));
+        Tensor::from_vec(v.collect(), &[n, d])
+    }
+
+    /// Each list as `(row, distance bits)`.
+    fn bits(scanned: impl IntoIterator<Item = Scanned>) -> Vec<Vec<(usize, u32)>> {
+        let hit = |h: &Neighbor| (h.index, h.distance.to_bits());
+        let lists = scanned.into_iter().flat_map(|(lists, _)| lists);
+        lists.map(|l| l.iter().map(hit).collect()).collect()
+    }
+
+    /// The blocks of `queries` run `P` at a time through `group`, and the
+    /// last few, short of a whole group, one at a time through `one`.
+    fn by_groups<'a, 'q, const P: usize>(
+        queries: &'a [Query<'q>],
+        one: impl Fn(&'a [Query<'q>]) -> Scanned,
+        group: impl Fn([&'a [Query<'q>]; P]) -> [Scanned; P],
+    ) -> Vec<Scanned> {
+        let blocks: Vec<&'a [Query<'q>]> = queries.chunks(LANES).collect();
+        let mut groups = blocks.chunks_exact(P);
+        let mut out: Vec<Scanned> = Vec::new();
+        for g in &mut groups {
+            out.extend(group(g.try_into().expect("P blocks")));
+        }
+        out.extend(groups.remainder().iter().map(|&b| one(b)));
+        out
+    }
+
     #[test]
     fn every_tier_returns_the_same_lists() {
         // Every tier the host has, where the integration tests reach two,
-        // on class-ordered clusters whose queries' neighbours come last.
-        let mut rng = Rng64::new(9);
+        // at one, two and three blocks per filter pass, on class-ordered
+        // clusters whose queries' neighbours come last. The query counts
+        // give odd block counts and groups whose last block holds one
+        // query, and every query leaves its own row out, in every panel.
         let (n, d) = (203, 24);
-        let v = (0..n * d).map(|i| (i / d / 40) as f32 + rng.normal_f32(0.0, 0.3));
-        let data = Tensor::from_vec(v.collect(), &[n, d]);
+        let data = clusters(n, d);
         let index = BruteForceKnn::new(&data, Metric::Euclidean);
-        let block: Vec<Query<'_>> = (n - 16..n).map(|r| (data.row_slice(r), Some(r))).collect();
-        let panel = transpose::<LANES>(&block, d);
-        let bits = |(lists, _): (Vec<Vec<Neighbor>>, usize)| -> Vec<Vec<(usize, u32)>> {
-            let hit = |h: &Neighbor| (h.index, h.distance.to_bits());
-            lists.iter().map(|l| l.iter().map(hit).collect()).collect()
-        };
-        for k in [1, 10, NETWORK_MAX_K, NETWORK_MAX_K + 1, 40] {
-            let want = bits(scan_rows::<LANES, false, DOT_TILE>(
-                &index, &panel, &block, k,
-            ));
-            #[cfg(target_arch = "x86_64")]
+        for q in [17, 31, 32, 33, 48, 49, 65] {
+            let queries: Vec<Query<'_>> =
+                (n - q..n).map(|r| (data.row_slice(r), Some(r))).collect();
+            for k in [1, 10, NETWORK_MAX_K, NETWORK_MAX_K + 1, 40] {
+                let portable = |b: &[Query<'_>]| {
+                    let [s] = scan_rows::<LANES, 1, false, DOT_TILE>(&index, [b], k);
+                    s
+                };
+                let want = bits(queries.chunks(LANES).map(portable));
+                let case = format!("q = {q}, k = {k}");
+                let grouped = |b| scan_rows::<LANES, 2, false, DOT_TILE>(&index, b, k);
+                assert_eq!(
+                    bits(by_groups(&queries, portable, grouped)),
+                    want,
+                    "2, {case}"
+                );
+                let grouped = |b| scan_rows::<LANES, 3, false, DOT_TILE>(&index, b, k);
+                assert_eq!(
+                    bits(by_groups(&queries, portable, grouped)),
+                    want,
+                    "3, {case}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY (each call): avx2 was just detected.
+                        let one = |b| {
+                            let [s] = unsafe { scan_rows_avx2::<LANES, 1>(&index, [b], k) };
+                            s
+                        };
+                        let wide = by_groups(&queries, one, |b| unsafe {
+                            scan_rows_avx2::<LANES, 1>(&index, b, k)
+                        });
+                        assert_eq!(bits(wide), want, "avx2, {case}");
+                    }
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        // SAFETY (each call): avx512f was just detected;
+                        // every AVX-512F CPU has FMA.
+                        let one = |b| {
+                            let [s] = unsafe { scan_rows_avx512::<LANES, 1>(&index, [b], k) };
+                            s
+                        };
+                        let wide = by_groups(&queries, one, |b| unsafe {
+                            scan_rows_avx512::<LANES, PANELS_AVX512>(&index, b, k)
+                        });
+                        assert_eq!(bits(wide), want, "avx512, {case}");
+                        let wide = by_groups(&queries, one, |b| unsafe {
+                            scan_rows_avx512::<LANES, 3>(&index, b, k)
+                        });
+                        assert_eq!(bits(wide), want, "avx512, 3 blocks, {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`filter_rows`] on the AVX-512 tier.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,fma")]
+    fn filter_avx512<const P: usize>(
+        data: &Tensor,
+        norms: &Norms,
+        panels: [&[f32]; P],
+        blocks: [&[Query<'_>]; P],
+        k: usize,
+    ) -> [Vec<Candidate>; P] {
+        filter_rows::<LANES, P, true, DOT_TILE_AVX512>(data, norms, panels, blocks, k)
+    }
+
+    /// The candidates of blocks `first..first + P`, filtered in one pass
+    /// on the portable tier, or on the AVX-512 tier when `avx512` is set.
+    fn filter<const P: usize>(
+        index: &BruteForceKnn,
+        panels: &[Vec<f32>],
+        blocks: &[&[Query<'_>]],
+        first: usize,
+        k: usize,
+        avx512: bool,
+    ) -> Vec<Vec<Candidate>> {
+        let (data, norms) = (&index.data, index.norms.as_ref().expect("finite norms"));
+        let panels = std::array::from_fn(|p| &panels[first + p][..]);
+        let blocks = std::array::from_fn(|p| blocks[first + p]);
+        #[cfg(target_arch = "x86_64")]
+        if avx512 {
+            // SAFETY: `avx512` is set only where `KnnKernel::current`
+            // found avx512f; every AVX-512F CPU has FMA.
+            return unsafe { filter_avx512::<P>(data, norms, panels, blocks, k) }.into();
+        }
+        assert!(!avx512, "no AVX-512 tier off x86-64");
+        filter_rows::<LANES, P, false, DOT_TILE>(data, norms, panels, blocks, k).into()
+    }
+
+    #[test]
+    fn grouped_filter_picks_each_blocks_own_candidates() {
+        // Two and three blocks filtered in one pass give each block the
+        // candidates a pass of its own gives it, on every tier that
+        // groups blocks or could: a last block of one query, own rows left
+        // out in every panel, and a middle block whose NaN query sends it
+        // alone to the every-row path.
+        let (n, d) = (203, 24);
+        let data = clusters(n, d);
+        let index = BruteForceKnn::new(&data, Metric::Euclidean);
+        let nan = vec![f32::NAN; d];
+        let mut queries: Vec<Query<'_>> =
+            (n - 33..n).map(|r| (data.row_slice(r), Some(r))).collect();
+        let tiers = [false, KnnKernel::current() == KnnKernel::Avx512];
+        for nan_block in [false, true] {
+            if nan_block {
+                queries[LANES + 3].0 = &nan;
+            }
+            let blocks: Vec<&[Query<'_>]> = queries.chunks(LANES).collect();
+            let panels: Vec<Vec<f32>> = blocks.iter().map(|b| transpose::<LANES>(b, d)).collect();
+            for (k, avx512) in [1, 10, NETWORK_MAX_K + 1]
+                .into_iter()
+                .flat_map(|k| tiers.map(|t| (k, t)))
             {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: avx2 was just detected.
-                    let wide = unsafe { scan_rows_avx2::<LANES>(&index, &panel, &block, k) };
-                    assert_eq!(bits(wide), want, "avx2, k = {k}");
-                }
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    // SAFETY: avx512f was just detected; every AVX-512F CPU has FMA.
-                    let wide = unsafe { scan_rows_avx512::<LANES>(&index, &panel, &block, k) };
-                    assert_eq!(bits(wide), want, "avx512, k = {k}");
-                }
+                let case = format!("k = {k}, avx512 = {avx512}, NaN = {nan_block}");
+                let want: Vec<Vec<Candidate>> = (0..3)
+                    .flat_map(|p| filter::<1>(&index, &panels, &blocks, p, k, avx512))
+                    .collect();
+                assert_eq!(want[1].len() == n, nan_block, "{case}");
+                assert!(want[0].len() < n && want[2].len() < n, "{case}");
+                let pair = filter::<2>(&index, &panels, &blocks, 0, k, avx512);
+                assert_eq!(pair, want[..2], "pair, {case}");
+                let trio = filter::<3>(&index, &panels, &blocks, 0, k, avx512);
+                assert_eq!(trio, want, "three, {case}");
             }
         }
     }

@@ -13,7 +13,10 @@
 //! `k ≥ n − 1`; and class-ordered clusters whose neighbours all come last
 //! in the scan, `k` at the k-th value selection network's cap and one
 //! past it, the smallest set the filter runs on (`n = k + 2`), and
-//! duplicate rows whose approximate values tie at the k-th.
+//! duplicate rows whose approximate values tie at the k-th; and query
+//! counts that fill whole groups of blocks sharing one filter pass, leave
+//! a last single block, or end a group on a one-query block, with every
+//! query's own row left out.
 
 mod common;
 
@@ -50,8 +53,21 @@ fn ragged(rng: &mut Rng64, max: usize) -> usize {
 /// at every thread budget and on both distance kernels.
 fn check(data: &Tensor, queries: &Tensor, metric: Metric, ks: &[usize], what: &str) {
     let n = data.dim(0);
-    let index = BruteForceKnn::new(data, metric);
     let rows: Vec<usize> = (0..n).rev().step_by(2).chain(0..n).collect();
+    check_rows(data, queries, &rows, metric, ks, what);
+}
+
+/// [`check`] with the indexed rows `query_rows_batch` queries given.
+fn check_rows(
+    data: &Tensor,
+    queries: &Tensor,
+    rows: &[usize],
+    metric: Metric,
+    ks: &[usize],
+    what: &str,
+) {
+    let n = data.dim(0);
+    let index = BruteForceKnn::new(data, metric);
     for &k in ks {
         let want_batch: Vec<Hits> = (0..queries.dim(0))
             .map(|i| reference(data, metric, queries.row_slice(i), k, None))
@@ -74,7 +90,7 @@ fn check(data: &Tensor, queries: &Tensor, metric: Metric, ks: &[usize], what: &s
                     .collect();
                 assert_eq!(batch, want_batch, "query_batch: {case}");
                 let by_row: Vec<Hits> = index
-                    .query_rows_batch(&rows, k)
+                    .query_rows_batch(rows, k)
                     .iter()
                     .map(|h| bits(h))
                     .collect();
@@ -531,6 +547,33 @@ fn oversized_k_returns_every_row_in_order() {
                 assert_eq!(index.query_row(0, k).len(), k.min(n - 1));
             }
         }
+    }
+    par::set_num_threads(restore);
+}
+
+#[test]
+fn grouped_blocks_match_reference() {
+    // On the AVX-512 tier two query blocks share one filter pass, and the
+    // blocks left over run alone. These counts give one to five blocks,
+    // odd block counts, and groups whose last block holds one query. The
+    // row queries are the last rows of class-ordered clusters, so every
+    // panel leaves out its queries' own rows, which lie among their
+    // nearest neighbours.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let restore = par::num_threads();
+    for (case, q) in [17, 31, 32, 33, 48, 49, 65].into_iter().enumerate() {
+        let d = DIMS[case % DIMS.len()];
+        let mut rng = Rng64::new(13_000 + q as u64);
+        let n = 161;
+        let v: Vec<f32> = (0..n * d)
+            .map(|i| 8.0 * (i / d * 5 / n) as f32 + rng.normal_f32(0.0, 1.0))
+            .collect();
+        let data = Tensor::from_vec(v, &[n, d]);
+        let queries = normal(&[q, d], 24.0, 4.0, &mut rng);
+        let rows: Vec<usize> = (n - q..n).collect();
+        let ks = [1, 10, NETWORK_CAP, NETWORK_CAP + 1, 40];
+        let what = format!("grouped blocks, q = {q}, d = {d}");
+        check_rows(&data, &queries, &rows, Metric::Euclidean, &ks, &what);
     }
     par::set_num_threads(restore);
 }

@@ -1,6 +1,6 @@
 //! ADASYN (He et al. 2008).
 
-use crate::{deficits, indices_by_class, Oversampler};
+use crate::{deficient_class_neighbors, deficits, indices_by_class, Oversampler};
 use eos_neighbors::{BruteForceKnn, Metric};
 use eos_tensor::{Rng64, Tensor};
 
@@ -38,6 +38,9 @@ impl Oversampler for Adasyn {
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
         let full_index = BruteForceKnn::new(x, Metric::Euclidean);
+        // Difficulty ratios over the full dataset: every deficient class's
+        // neighbourhood scans in one call, fanned out across the worker pool.
+        let full_hits = deficient_class_neighbors(&full_index, &idx, &needs, self.k);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {
@@ -51,10 +54,7 @@ impl Oversampler for Adasyn {
             let class_rows = x.select_rows(&idx[class]);
             eos_trace::count!("resample.neighbor_queries", idx[class].len() as u64);
             eos_trace::count!("resample.interpolations", need as u64);
-            // Difficulty ratios over the full dataset; the per-member
-            // neighbourhood scans fan out across the worker pool.
-            let ratios: Vec<f32> = full_index
-                .query_rows_batch(&idx[class], self.k)
+            let ratios: Vec<f32> = full_hits[class]
                 .iter()
                 .map(|hits| {
                     let enemies = hits.iter().filter(|h| y[h.index] != class).count();

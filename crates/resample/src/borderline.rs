@@ -1,8 +1,8 @@
 //! Borderline-SMOTE (Han et al. 2005), borderline-1 variant.
 
 use crate::smote::Smote;
-use crate::{deficits, indices_by_class, Oversampler};
-use eos_neighbors::{BruteForceKnn, Metric};
+use crate::{deficient_class_neighbors, deficits, indices_by_class, Oversampler};
+use eos_neighbors::{BruteForceKnn, Metric, Neighbor};
 use eos_tensor::{Rng64, Tensor};
 
 /// Like SMOTE, but bases interpolation only on *borderline* minority
@@ -25,19 +25,10 @@ impl BorderlineSmote {
     }
 
     /// Indices (within the class's own row list) of DANGER samples:
-    /// `m/2 <= enemies < m`, with neighbourhoods taken in `index`, the
-    /// index over the full dataset.
-    fn danger_set(
-        &self,
-        index: &BruteForceKnn,
-        y: &[usize],
-        class: usize,
-        class_rows: &[usize],
-    ) -> Vec<usize> {
-        // One neighbourhood scan per class member, fanned out in parallel;
-        // the DANGER filter itself is order-preserving and serial.
-        let hits_per_row = index.query_rows_batch(class_rows, self.m);
-        eos_trace::count!("resample.neighbor_queries", class_rows.len() as u64);
+    /// `m/2 <= enemies < m`, from each member's `m`-neighbourhood in the
+    /// full dataset, `hits_per_row`, in member order.
+    fn danger_set(y: &[usize], class: usize, hits_per_row: &[Vec<Neighbor>]) -> Vec<usize> {
+        eos_trace::count!("resample.neighbor_queries", hits_per_row.len() as u64);
         let mut danger = Vec::new();
         for (local, hits) in hits_per_row.iter().enumerate() {
             let enemies = hits.iter().filter(|h| y[h.index] != class).count();
@@ -66,6 +57,9 @@ impl Oversampler for BorderlineSmote {
         let idx = indices_by_class(y, num_classes);
         let width = x.dim(1);
         let index = BruteForceKnn::new(x, Metric::Euclidean);
+        // Every deficient class's neighbourhood scans in one call, fanned
+        // out across the worker pool; the DANGER filter is serial.
+        let hits = deficient_class_neighbors(&index, &idx, &needs, self.m);
         let mut data = Vec::new();
         let mut labels = Vec::new();
         for (class, &need) in needs.iter().enumerate() {
@@ -77,7 +71,7 @@ impl Oversampler for BorderlineSmote {
                 "cannot oversample empty class {class}"
             );
             let class_rows = x.select_rows(&idx[class]);
-            let danger = self.danger_set(&index, y, class, &idx[class]);
+            let danger = Self::danger_set(y, class, &hits[class]);
             // Fall back to plain SMOTE when no borderline samples exist.
             let pool: Vec<usize> = if danger.is_empty() {
                 (0..class_rows.dim(0)).collect()

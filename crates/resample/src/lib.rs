@@ -38,6 +38,7 @@ pub use smote::Smote;
 pub use svm::{BalancedSvm, LinearSvm};
 pub use undersample::RandomUndersampler;
 
+use eos_neighbors::{BruteForceKnn, Neighbor};
 use eos_tensor::{Rng64, Tensor};
 
 /// An oversampling algorithm: given labelled samples, produce synthetic
@@ -99,6 +100,33 @@ pub fn indices_by_class(y: &[usize], num_classes: usize) -> Vec<Vec<usize>> {
         idx[l].push(i);
     }
     idx
+}
+
+/// The `k` nearest rows in `index` of every member of each class with a
+/// deficit (`needs[c] > 0`), each member's own row left out, in the
+/// member order of `idx`; no lists for the other classes. One
+/// [`BruteForceKnn::query_rows_batch`] call serves every such class, so
+/// its query blocks fill across class boundaries; each query's list
+/// depends only on that query, so the lists are the ones a call per class
+/// returns.
+pub fn deficient_class_neighbors(
+    index: &BruteForceKnn,
+    idx: &[Vec<usize>],
+    needs: &[usize],
+    k: usize,
+) -> Vec<Vec<Vec<Neighbor>>> {
+    let deficient = || idx.iter().zip(needs).map(|(rows, &need)| (rows, need > 0));
+    let rows: Vec<usize> = deficient()
+        .filter(|&(_, short)| short)
+        .flat_map(|(rows, _)| rows.iter().copied())
+        .collect();
+    let mut hits = index.query_rows_batch(&rows, k).into_iter();
+    deficient()
+        .map(|(rows, short)| match short {
+            true => hits.by_ref().take(rows.len()).collect(),
+            false => Vec::new(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
