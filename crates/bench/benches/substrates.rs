@@ -1,6 +1,6 @@
 //! Microbenchmarks of the substrate layers: GEMM, the convolution
-//! lowering, k-NN queries, the generalization-gap computation, and t-SNE
-//! iterations.
+//! lowering, training batch norm, k-NN queries, the generalization-gap
+//! computation, and t-SNE iterations.
 //!
 //! Plain `fn main()` timing (harness = false): the offline build has no
 //! criterion, so timing goes through `eos_bench::timing`.
@@ -8,6 +8,7 @@
 use eos_bench::{bench, prepared_dataset};
 use eos_core::{generalization_gap, Scale};
 use eos_neighbors::{BruteForceKnn, Metric};
+use eos_nn::{BatchNorm2d, Layer};
 use eos_resample::{deficient_class_neighbors, deficits, indices_by_class};
 use eos_tensor::{
     conv_input_grad_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into, normal,
@@ -49,6 +50,18 @@ fn bench_conv_lowering() {
     bench("tensor/pad_images_into-b32-8x8x8-k3", 200, || {
         pad_images_into(x.data(), &geom, &mut padded)
     });
+    // block3's 2×2 planes: the second conv pads 32 channels of every image.
+    let geom2 = Conv2dGeometry {
+        in_channels: 32,
+        height: 2,
+        width: 2,
+        ..geom
+    };
+    let x2 = normal(&[batch * geom2.image_len()], 0.0, 1.0, &mut rng);
+    let mut padded2 = Vec::new();
+    bench("tensor/pad_images_into-b32-32x2x2-k3", 200, || {
+        pad_images_into(x2.data(), &geom2, &mut padded2)
+    });
     let mut out = vec![0.0f32; batch * out_channels * osp];
     bench("tensor/gemm_patches_nt_into-b32-8x8x8-k3-o8", 200, || {
         gemm_patches_nt_into(&padded, &geom, w.data(), &mut out)
@@ -63,6 +76,25 @@ fn bench_conv_lowering() {
     bench("tensor/conv_input_grad_into-b32-8x8x8-k3-o8", 200, || {
         conv_input_grad_into(g.data(), w.data(), &geom, &mut dx)
     });
+}
+
+fn bench_batchnorm() {
+    // The three `BatchNorm2d` shapes of the ResNet 1×8 on 3×8×8 images at
+    // batch 32: one training forward and its backward per run.
+    let mut rng = Rng64::new(5);
+    for (c, s) in [(8usize, 64usize), (16, 16), (32, 4)] {
+        let x = normal(&[32, c * s], 0.2, 1.3, &mut rng);
+        let g = normal(&[32, c * s], 0.0, 1.0, &mut rng);
+        let mut bn = BatchNorm2d::new(c, s);
+        bench(
+            &format!("nn/batchnorm2d-train-fwd+bwd-b32-c{c}xs{s}"),
+            200,
+            || {
+                let y = bn.forward(&x, true);
+                (y, bn.backward(&g))
+            },
+        );
+    }
 }
 
 fn bench_knn() {
@@ -138,6 +170,7 @@ fn bench_tsne() {
 fn main() {
     bench_matmul();
     bench_conv_lowering();
+    bench_batchnorm();
     bench_knn();
     bench_gap();
     bench_tsne();

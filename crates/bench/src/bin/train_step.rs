@@ -2,13 +2,13 @@
 //!
 //! A debug counting allocator wraps `System` and counts every allocation
 //! (alloc, alloc_zeroed, realloc). After warm-up steps fill the scratch
-//! pool, the per-worker workspaces and the optimiser state, a steady-state
+//! pool, the layers' own buffers and the optimiser state, a steady-state
 //! training step must perform **zero** heap allocations — the audit runs
 //! single-threaded so the count is deterministic, and the binary exits
 //! non-zero if any allocation sneaks back into the hot path. A second
 //! audit repeats the check with two concurrent jobs (each under a scoped
 //! one-thread budget, mirroring the suite scheduler's split) to prove the
-//! process-global scratch pool and the per-state workspaces stay
+//! process-global scratch pool and each state's layer buffers stay
 //! allocation-free under outer parallelism once the pool is stocked to
 //! the concurrent peak working set. Timing is
 //! then measured at the ambient thread budget — with tracing disabled

@@ -5,42 +5,131 @@
 //! load-bearing for the reproduction: they bound and standardise the
 //! feature embeddings whose ranges Algorithm 1 compares.
 //!
-//! Internally both layers view the batch as one flat **channel-major**
-//! buffer (`channels × m` positions, each channel's positions in
-//! image-major order) checked out from the per-thread [`workspace`]. The
-//! per-channel statistics are summed in exactly that fixed order, and the
-//! running-statistics / parameter-gradient updates are applied serially in
-//! channel order after the parallel fan-out — so results are bit-identical
-//! at any thread count and the steady-state step allocates nothing.
+//! Both layers work straight on the row-major `(n, C·S)` batch (`S = H·W`
+//! positions per channel for `BatchNorm2d`, `S = 1` for `BatchNorm1d`), in
+//! two passes per direction:
+//!
+//! 1. **Statistics**, parallel over groups of [`LANES`] channels. Each
+//!    channel sums into its own accumulator lane, so a group keeps that
+//!    many independent add chains in flight, and every lane visits its
+//!    channel's values in ascending (image, position) order.
+//! 2. **Elementwise**, parallel over image rows: `y` and the cached `x̂`
+//!    in the forward, `dx` in the backward.
+//!
+//! Batches under [`PAR_MIN_ELEMS`] elements run each pass as one inline
+//! chunk. Each channel's sums run in one fixed order whatever the
+//! thread count or lane grouping, and the running-statistics and
+//! parameter-gradient updates are applied serially in channel order, so
+//! results are bit-identical at any thread count. The statistics and the
+//! `x̂` cache live in buffers the layer keeps, so the steady-state step
+//! allocates nothing.
 
 use crate::layer::{Layer, Param};
-use crate::workspace::{self, Workspace};
-use eos_tensor::{par, Tensor};
+use eos_tensor::{par, scratch, Tensor};
 
 const EPS: f32 = 1e-5;
 
-/// Shared normalisation core: statistics over groups of positions.
-///
-/// For BatchNorm2d a "channel" covers `N·H·W` positions; for BatchNorm1d it
-/// covers `N` positions. The layout adapter is the only difference.
+/// Weight of the current batch in the running statistics.
+const MOMENTUM: f32 = 0.1;
+
+/// Channels per statistics group: the number of independent accumulator
+/// lanes a group keeps live, and one parallel chunk of the statistics
+/// pass when the batch fans out.
+const LANES: usize = 8;
+
+/// Elements per elementwise-pass chunk (whole rows, at least one).
+const ROW_CHUNK_ELEMS: usize = 1 << 12;
+
+/// Batch elements below which both passes run as one inline chunk: on
+/// smaller batches a pool dispatch costs about as much as it saves
+/// (`size_gate` in `results/BENCH_batchnorm.json`).
+const PAR_MIN_ELEMS: usize = 1 << 15;
+
+/// Shared normalisation core over `channels` channels of `spatial`
+/// positions per image.
 struct BnCore {
     gamma: Param,
     beta: Param,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    momentum: f32,
-    cache: Option<BnCache>,
+    spatial: usize,
+    /// Per-channel triples from the statistics pass: `[mean, var,
+    /// inv_std]` in the forward; the backward writes `[dγ, dβ, _]` and
+    /// reads the training forward's `inv_std` from the third slot, which
+    /// nothing else writes (an eval forward leaves `stats` alone).
+    stats: Vec<f32>,
+    /// The elementwise pass's per-channel parameters, three planes of
+    /// `channels` values: `[mean | inv_std | _]` in the forward, `[dγ | dβ
+    /// | scale]` in the backward.
+    planes: Vec<f32>,
+    /// Row-major `x̂` of the last training forward.
+    x_hat: Vec<f32>,
+    /// Batch rows of the last training forward; `None` before the first.
+    cached_rows: Option<usize>,
 }
 
-struct BnCache {
-    /// Channel-major normalised inputs, `channels × m`.
-    x_hat: Vec<f32>,
-    inv_std: Vec<f32>,
-    /// Positions per channel in this batch.
-    m: usize,
+/// Shape of a row-major batch: `n` rows of `width = C·s` values.
+#[derive(Clone, Copy)]
+struct Geom {
+    n: usize,
+    width: usize,
+    s: usize,
+}
+
+impl Geom {
+    /// Values per channel in the batch.
+    fn m(self) -> f32 {
+        (self.n * self.s) as f32
+    }
+
+    /// Whether the batch is large enough to fan a pass out to the pool.
+    fn fans_out(self) -> bool {
+        self.n * self.width >= PAR_MIN_ELEMS
+    }
+
+    /// Elements per elementwise-pass chunk: whole rows, about
+    /// [`ROW_CHUNK_ELEMS`] values, or the whole batch when it does not
+    /// fan out. A function of the shape only.
+    fn chunk(self) -> usize {
+        let rows = if self.fans_out() {
+            ROW_CHUNK_ELEMS / self.width.max(1)
+        } else {
+            self.n
+        };
+        rows.max(1) * self.width
+    }
+
+    /// Values per statistics-pass chunk: [`LANES`] channel triples, or
+    /// all `channels` when the batch does not fan out.
+    fn stats_chunk(self, channels: usize) -> usize {
+        3 * if self.fans_out() { LANES } else { channels }
+    }
 }
 
 impl BnCore {
+    fn new(channels: usize, spatial: usize) -> Self {
+        assert!(channels > 0 && spatial > 0);
+        BnCore {
+            gamma: Param::new_no_decay(Tensor::ones(&[channels])),
+            beta: Param::new_no_decay(Tensor::zeros(&[channels])),
+            running_mean: vec![0.0; channels],
+            running_var: vec![1.0; channels],
+            spatial,
+            stats: vec![0.0; 3 * channels],
+            planes: vec![0.0; 3 * channels],
+            x_hat: Vec::new(),
+            cached_rows: None,
+        }
+    }
+
+    fn channels(&self) -> usize {
+        self.gamma.value.len()
+    }
+
+    fn width(&self) -> usize {
+        self.channels() * self.spatial
+    }
+
     fn extra_state(&self) -> Vec<f32> {
         let mut v = self.running_mean.clone();
         v.extend_from_slice(&self.running_var);
@@ -54,355 +143,344 @@ impl BnCore {
         self.running_var.copy_from_slice(&state[c..]);
     }
 
-    fn new(channels: usize, momentum: f32) -> Self {
-        BnCore {
-            gamma: Param::new_no_decay(Tensor::ones(&[channels])),
-            beta: Param::new_no_decay(Tensor::zeros(&[channels])),
-            running_mean: vec![0.0; channels],
-            running_var: vec![1.0; channels],
-            momentum,
-            cache: None,
-        }
-    }
-
-    fn channels(&self) -> usize {
-        self.gamma.value.len()
-    }
-
-    /// Normalises the channel-major batch view `x_cm` (`channels × m`)
-    /// into `ys` (same layout). Channels fan out across the worker pool;
-    /// each channel's statistics are summed over its `m` positions in
-    /// ascending order, and the running-statistics update happens serially
-    /// afterwards in channel order.
-    fn forward_flat(
-        &mut self,
-        x_cm: &[f32],
-        m: usize,
-        train: bool,
-        ys: &mut [f32],
-        ws: &mut Workspace,
-    ) {
+    /// Normalises the row-major batch `x`: batch statistics (and a
+    /// running-statistics update plus the `x̂` cache) in training, the
+    /// running statistics in inference.
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let c = self.channels();
-        assert_eq!(x_cm.len(), c * m, "channel-major view size mismatch");
-        assert_eq!(ys.len(), c * m);
-        assert!(m > 0, "batch norm over zero positions");
-        let gamma = self.gamma.value.data();
-        let beta = self.beta.value.data();
+        let geo = Geom {
+            n: x.dim(0),
+            width: self.width(),
+            s: self.spatial,
+        };
+        let planes = &mut self.planes;
         if train {
-            // Per-channel scratch chunk: [x_hat(m), mean, var, inv_std].
-            let mut work = ws.checkout(c * (m + 3));
-            par::par_chunks_mut2(ys, m, &mut work, m + 3, |ch, yrow, wrow| {
-                let xs = &x_cm[ch * m..(ch + 1) * m];
-                let mean = xs.iter().sum::<f32>() / m as f32;
-                let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / m as f32;
-                let inv_std = 1.0 / (var + EPS).sqrt();
-                let (xh, stats) = wrow.split_at_mut(m);
-                for ((y, &x), out_xh) in yrow.iter_mut().zip(xs).zip(xh.iter_mut()) {
-                    let v = (x - mean) * inv_std;
-                    *out_xh = v;
-                    *y = gamma[ch] * v + beta[ch];
-                }
-                stats.copy_from_slice(&[mean, var, inv_std]);
+            assert!(geo.n > 0, "batch norm over zero positions");
+            let chunk = geo.stats_chunk(c);
+            par::par_chunks_mut(&mut self.stats, chunk, |k, st| {
+                lane_group(Pass::Moments, x.data(), &[], geo, k * chunk / 3, st);
             });
-            let mut cache = self.cache.take().unwrap_or(BnCache {
-                x_hat: Vec::new(),
-                inv_std: Vec::new(),
-                m: 0,
-            });
-            cache.m = m;
-            cache.x_hat.clear();
-            cache.inv_std.clear();
-            for (ch, wrow) in work.chunks_exact(m + 3).enumerate() {
-                let (mean, var, inv_std) = (wrow[m], wrow[m + 1], wrow[m + 2]);
-                self.running_mean[ch] =
-                    (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                self.running_var[ch] =
-                    (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                cache.x_hat.extend_from_slice(&wrow[..m]);
-                cache.inv_std.push(inv_std);
+            for (ch, st) in self.stats.chunks_exact(3).enumerate() {
+                let (mean, var, inv_std) = (st[0], st[1], st[2]);
+                self.running_mean[ch] = (1.0 - MOMENTUM) * self.running_mean[ch] + MOMENTUM * mean;
+                self.running_var[ch] = (1.0 - MOMENTUM) * self.running_var[ch] + MOMENTUM * var;
+                (planes[ch], planes[c + ch]) = (mean, inv_std);
             }
-            self.cache = Some(cache);
-            ws.give(work);
+            self.x_hat.resize(geo.n * geo.width, 0.0);
+            self.cached_rows = Some(geo.n);
         } else {
-            let rm = &self.running_mean;
-            let rv = &self.running_var;
-            par::par_chunks_mut(ys, m, |ch, yrow| {
-                let xs = &x_cm[ch * m..(ch + 1) * m];
-                let inv_std = 1.0 / (rv[ch] + EPS).sqrt();
-                for (y, &x) in yrow.iter_mut().zip(xs) {
-                    *y = gamma[ch] * ((x - rm[ch]) * inv_std) + beta[ch];
+            for (ch, (&rm, &rv)) in self.running_mean.iter().zip(&self.running_var).enumerate() {
+                (planes[ch], planes[c + ch]) = (rm, 1.0 / (rv + EPS).sqrt());
+            }
+        }
+        let p = [
+            &planes[..c],
+            &planes[c..2 * c],
+            self.gamma.value.data(),
+            self.beta.value.data(),
+        ];
+        let mut out = Tensor::from_vec(scratch::take_stale(geo.n * geo.width), &[geo.n, geo.width]);
+        let (width, chunk) = (geo.width, geo.chunk());
+        // A literal arm for the 2×2 planes, whose runs are shorter than a
+        // vector, lets the per-channel loop vectorise across channels.
+        let row = |r: usize, y: &mut [f32], xh: Option<&mut [f32]>| match geo.s {
+            4 => normalize_row(x.row_slice(r), y, xh, p, 4),
+            s => normalize_row(x.row_slice(r), y, xh, p, s),
+        };
+        if train {
+            par::par_chunks_mut2(
+                out.data_mut(),
+                chunk,
+                &mut self.x_hat,
+                chunk,
+                |k, ys, xhs| {
+                    let rows = ys.chunks_exact_mut(width).zip(xhs.chunks_exact_mut(width));
+                    for (r, (y, xh)) in rows.enumerate() {
+                        row(k * chunk / width + r, y, Some(xh));
+                    }
+                },
+            );
+        } else {
+            par::par_chunks_mut(out.data_mut(), chunk, |k, ys| {
+                for (r, y) in ys.chunks_exact_mut(width).enumerate() {
+                    row(k * chunk / width + r, y, None);
                 }
             });
         }
+        out
     }
 
-    /// Backward over the same channel-major layout: `g_cm` is ∂loss/∂y,
-    /// `dx_cm` receives ∂loss/∂x. Per-channel gradients fan out; the
-    /// dgamma/dbeta accumulations are applied serially in channel order so
-    /// the parameter gradients match the serial loop exactly.
-    fn backward_flat(&mut self, g_cm: &[f32], dx_cm: &mut [f32], ws: &mut Workspace) {
-        let cache = self
-            .cache
-            .as_ref()
+    /// Backward of the last training forward: `grad` is ∂loss/∂y; returns
+    /// ∂loss/∂x and accumulates dγ/dβ serially in channel order.
+    fn backward(&mut self, grad: &Tensor) -> Tensor {
+        let n = self
+            .cached_rows
             .expect("BatchNorm::backward without a training forward");
         let c = self.channels();
-        let m = cache.m;
-        assert_eq!(g_cm.len(), c * m);
-        assert_eq!(dx_cm.len(), c * m);
-        let gamma = self.gamma.value.data();
-        let x_hat = &cache.x_hat;
-        let inv_std = &cache.inv_std;
-        let mut partials = ws.checkout(2 * c);
-        par::par_chunks_mut2(dx_cm, m, &mut partials, 2, |ch, dxs, part| {
-            let gs = &g_cm[ch * m..(ch + 1) * m];
-            let xh = &x_hat[ch * m..(ch + 1) * m];
-            let mut dgamma = 0.0f32;
-            let mut dbeta = 0.0f32;
-            for (g, x) in gs.iter().zip(xh) {
-                dgamma += g * x;
-                dbeta += g;
-            }
-            // dx = gamma * inv_std / m * (m*g - dbeta - x_hat * dgamma)
-            let scale = gamma[ch] * inv_std[ch] / m as f32;
-            for ((dx, g), x) in dxs.iter_mut().zip(gs).zip(xh) {
-                *dx = scale * (m as f32 * g - dbeta - x * dgamma);
-            }
-            part[0] = dgamma;
-            part[1] = dbeta;
+        let geo = Geom {
+            n,
+            width: self.width(),
+            s: self.spatial,
+        };
+        assert_eq!(grad.dims(), &[n, geo.width], "batch-norm gradient shape");
+        let (x_hat, gamma) = (&self.x_hat, self.gamma.value.data());
+        let chunk = geo.stats_chunk(c);
+        par::par_chunks_mut(&mut self.stats, chunk, |k, st| {
+            lane_group(Pass::Grads, grad.data(), x_hat, geo, k * chunk / 3, st);
         });
-        for (ch, part) in partials.chunks_exact(2).enumerate() {
-            self.gamma.grad.data_mut()[ch] += part[0];
-            self.beta.grad.data_mut()[ch] += part[1];
+        let planes = &mut self.planes;
+        let (dg, db) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        for (ch, st) in self.stats.chunks_exact(3).enumerate() {
+            let (dgamma, dbeta, inv_std) = (st[0], st[1], st[2]);
+            let scale = gamma[ch] * inv_std / geo.m();
+            (planes[ch], planes[c + ch], planes[2 * c + ch]) = (dgamma, dbeta, scale);
+            dg[ch] += dgamma;
+            db[ch] += dbeta;
         }
-        ws.give(partials);
+        let p = [&planes[..c], &planes[c..2 * c], &planes[2 * c..]];
+        let mut dx = Tensor::from_vec(scratch::take_stale(n * geo.width), &[n, geo.width]);
+        let (width, chunk) = (geo.width, geo.chunk());
+        par::par_chunks_mut(dx.data_mut(), chunk, |k, dxs| {
+            for (r, dx) in dxs.chunks_exact_mut(width).enumerate() {
+                let r = k * chunk / width + r;
+                let (g, xh) = (grad.row_slice(r), &x_hat[r * width..(r + 1) * width]);
+                match geo.s {
+                    4 => input_grad_row(g, xh, dx, p, geo.m(), 4),
+                    s => input_grad_row(g, xh, dx, p, geo.m(), s),
+                }
+            }
+        });
+        dx
     }
+}
+
+/// One row of the forward: `x̂ = (x − mean)·inv_std`, stored when `xh` is
+/// given, and `y = γ·x̂ + β`. `p` is `[mean, inv_std, γ, β]`, one value
+/// per channel, shared by the channel's run of `s` positions.
+#[inline(always)]
+fn normalize_row(x: &[f32], y: &mut [f32], xh: Option<&mut [f32]>, p: [&[f32]; 4], s: usize) {
+    let [mean, inv_std, gamma, beta] = p;
+    let params = mean.iter().zip(inv_std).zip(gamma.iter().zip(beta));
+    let runs = x.chunks_exact(s).zip(y.chunks_exact_mut(s)).zip(params);
+    match xh {
+        Some(xh) => {
+            for (((xs, ys), ((&mu, &is), (&ga, &be))), hs) in runs.zip(xh.chunks_exact_mut(s)) {
+                for ((y, &xv), h) in ys.iter_mut().zip(xs).zip(hs) {
+                    let v = (xv - mu) * is;
+                    *h = v;
+                    *y = ga * v + be;
+                }
+            }
+        }
+        None => {
+            for ((xs, ys), ((&mu, &is), (&ga, &be))) in runs {
+                for (y, &xv) in ys.iter_mut().zip(xs) {
+                    *y = ga * ((xv - mu) * is) + be;
+                }
+            }
+        }
+    }
+}
+
+/// One row of the backward: `dx = scale·(m·g − dβ − x̂·dγ)`. `p` is
+/// `[dγ, dβ, scale]`, one value per channel, shared by the channel's run
+/// of `s` positions.
+#[inline(always)]
+fn input_grad_row(g: &[f32], xh: &[f32], dx: &mut [f32], p: [&[f32]; 3], m: f32, s: usize) {
+    let [dgamma, dbeta, scale] = p;
+    let params = dgamma.iter().zip(dbeta).zip(scale);
+    let runs = g
+        .chunks_exact(s)
+        .zip(xh.chunks_exact(s))
+        .zip(dx.chunks_exact_mut(s));
+    for (((gs, hs), ds), ((&dga, &dbe), &sc)) in runs.zip(params) {
+        for ((d, &gv), &h) in ds.iter_mut().zip(gs).zip(hs) {
+            *d = sc * (m * gv - dbe - h * dga);
+        }
+    }
+}
+
+/// What a statistics group computes into its `[_, _, _]` triples.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// Forward: `[mean, var, inv_std]` of `a` (the input batch).
+    Moments,
+    /// Backward: `[dγ, dβ, _]` of `a` (∂loss/∂y) against `b` (`x̂`).
+    Grads,
+}
+
+/// One statistics group: channels `c0..`, one triple each in `out`.
+fn lane_group(pass: Pass, a: &[f32], b: &[f32], geo: Geom, c0: usize, out: &mut [f32]) {
+    // A literal arm for the 2×2 planes lets the lane loops work on fixed
+    // offsets.
+    match geo.s {
+        4 => lane_blocks(pass, a, b, Geom { s: 4, ..geo }, c0, out),
+        _ => lane_blocks(pass, a, b, geo, c0, out),
+    }
+}
+
+/// [`lane_group`] split into fixed-width lane blocks (8, 4, 2, 1
+/// channels), so a group whose channel count is not a multiple of
+/// [`LANES`] still runs constant-size bodies. Lane grouping never changes
+/// a channel's own summation order.
+#[inline(always)]
+fn lane_blocks(pass: Pass, a: &[f32], b: &[f32], geo: Geom, c0: usize, out: &mut [f32]) {
+    let lanes = out.len() / 3;
+    let mut done = 0;
+    while done < lanes {
+        let (c, t) = (c0 + done, &mut out[3 * done..]);
+        done += match lanes - done {
+            8.. => lane_block::<8>(pass, a, b, geo, c, t),
+            4..=7 => lane_block::<4>(pass, a, b, geo, c, t),
+            2..=3 => lane_block::<2>(pass, a, b, geo, c, t),
+            _ => lane_block::<1>(pass, a, b, geo, c, t),
+        };
+    }
+}
+
+/// `G` channels from `c0`, one accumulator lane each. Every lane sums its
+/// channel over (image, position) in ascending order — the order of the
+/// channel's values laid end to end — so its chain is the serial one:
+/// the mean and variance sums start at `-0.0` like `Iterator::sum`, and
+/// dγ/dβ at `+0.0`. Returns `G`.
+#[inline(always)]
+fn lane_block<const G: usize>(
+    pass: Pass,
+    a: &[f32],
+    b: &[f32],
+    geo: Geom,
+    c0: usize,
+    out: &mut [f32],
+) -> usize {
+    let (s, m) = (geo.s, geo.m());
+    // Image `i`'s values of the block's channels, channel after channel.
+    let block = |i: usize| {
+        let start = i * geo.width + c0 * s;
+        start..start + G * s
+    };
+    match pass {
+        Pass::Moments => {
+            let mut sum = [-0.0f32; G];
+            for i in 0..geo.n {
+                let xs = &a[block(i)];
+                for p in 0..s {
+                    for g in 0..G {
+                        sum[g] += xs[g * s + p];
+                    }
+                }
+            }
+            let mean = sum.map(|v| v / m);
+            let mut sq = [-0.0f32; G];
+            for i in 0..geo.n {
+                let xs = &a[block(i)];
+                for p in 0..s {
+                    for g in 0..G {
+                        let d = xs[g * s + p] - mean[g];
+                        sq[g] += d * d;
+                    }
+                }
+            }
+            for g in 0..G {
+                let var = sq[g] / m;
+                out[3 * g..3 * g + 3].copy_from_slice(&[mean[g], var, 1.0 / (var + EPS).sqrt()]);
+            }
+        }
+        Pass::Grads => {
+            let mut dgamma = [0.0f32; G];
+            let mut dbeta = [0.0f32; G];
+            for i in 0..geo.n {
+                let (gs, xh) = (&a[block(i)], &b[block(i)]);
+                for p in 0..s {
+                    for g in 0..G {
+                        let (gv, xv) = (gs[g * s + p], xh[g * s + p]);
+                        dgamma[g] += gv * xv;
+                        dbeta[g] += gv;
+                    }
+                }
+            }
+            for g in 0..G {
+                (out[3 * g], out[3 * g + 1]) = (dgamma[g], dbeta[g]);
+            }
+        }
+    }
+    G
+}
+
+/// Implements [`Layer`] for a batch-norm layer by delegating to its core.
+macro_rules! bn_layer {
+    ($layer:ident, $name:literal) => {
+        impl Layer for $layer {
+            fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+                assert_eq!(x.dim(1), self.core.width(), concat!($name, " width"));
+                self.core.forward(x, train)
+            }
+
+            fn backward(&mut self, grad: &Tensor) -> Tensor {
+                self.core.backward(grad)
+            }
+
+            fn params(&mut self) -> Vec<&mut Param> {
+                vec![&mut self.core.gamma, &mut self.core.beta]
+            }
+
+            fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+                f(&mut self.core.gamma);
+                f(&mut self.core.beta);
+            }
+
+            fn out_features(&self, in_features: usize) -> usize {
+                assert_eq!(in_features, self.core.width());
+                in_features
+            }
+
+            fn extra_state(&self) -> Vec<f32> {
+                self.core.extra_state()
+            }
+
+            fn load_extra_state(&mut self, state: &[f32]) {
+                self.core.load_extra_state(state);
+            }
+        }
+    };
 }
 
 /// Batch norm over channels of `C×H×W` volumes flattened into rows.
 pub struct BatchNorm2d {
     core: BnCore,
-    channels: usize,
-    spatial: usize,
 }
 
 impl BatchNorm2d {
     /// Normalises `channels` planes of `spatial = H·W` positions each.
     pub fn new(channels: usize, spatial: usize) -> Self {
-        assert!(channels > 0 && spatial > 0);
         BatchNorm2d {
-            core: BnCore::new(channels, 0.1),
-            channels,
-            spatial,
-        }
-    }
-
-    /// Row-major `(n, C·S)` to channel-major `(C, n·S)`, each channel's
-    /// positions in image-major order.
-    fn group_into(&self, x: &Tensor, out: &mut [f32]) {
-        let n = x.dim(0);
-        let m = n * self.spatial;
-        for i in 0..n {
-            let row = x.row_slice(i);
-            for ch in 0..self.channels {
-                let dst = ch * m + i * self.spatial;
-                out[dst..dst + self.spatial]
-                    .copy_from_slice(&row[ch * self.spatial..(ch + 1) * self.spatial]);
-            }
-        }
-    }
-
-    fn ungroup_into(&self, ys: &[f32], n: usize, out: &mut [f32]) {
-        let m = n * self.spatial;
-        let width = self.channels * self.spatial;
-        for (ch, yrow) in ys.chunks_exact(m).enumerate() {
-            for i in 0..n {
-                let src = &yrow[i * self.spatial..(i + 1) * self.spatial];
-                let dst = i * width + ch * self.spatial;
-                out[dst..dst + self.spatial].copy_from_slice(src);
-            }
+            core: BnCore::new(channels, spatial),
         }
     }
 }
 
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.dim(1), self.channels * self.spatial, "BatchNorm2d width");
-        let n = x.dim(0);
-        let m = n * self.spatial;
-        let mut out = Tensor::zeros(&[n, self.channels * self.spatial]);
-        if !train {
-            // Inference applies a fixed per-channel map, so the
-            // channel-major regrouping (two full transpose passes) buys
-            // nothing: normalise straight over the row-major layout in one
-            // pass. The per-element expression is exactly the one the
-            // channel-major eval path computes, so the output is
-            // bit-identical — this is purely the serving hot path.
-            let spatial = self.spatial;
-            let gamma = self.core.gamma.value.data();
-            let beta = self.core.beta.value.data();
-            let rm = &self.core.running_mean;
-            let rv = &self.core.running_var;
-            let width = self.channels * spatial;
-            par::par_chunks_mut(out.data_mut(), width, |i, yrow| {
-                let row = x.row_slice(i);
-                for ch in 0..self.channels {
-                    let inv_std = 1.0 / (rv[ch] + EPS).sqrt();
-                    let seg = ch * spatial;
-                    for (y, &xv) in yrow[seg..seg + spatial]
-                        .iter_mut()
-                        .zip(&row[seg..seg + spatial])
-                    {
-                        *y = gamma[ch] * ((xv - rm[ch]) * inv_std) + beta[ch];
-                    }
-                }
-            });
-            return out;
-        }
-        workspace::with_local(|ws| {
-            let mut x_cm = ws.checkout(self.channels * m);
-            self.group_into(x, &mut x_cm);
-            let mut ys = ws.checkout(self.channels * m);
-            self.core.forward_flat(&x_cm, m, true, &mut ys, ws);
-            self.ungroup_into(&ys, n, out.data_mut());
-            ws.give(x_cm);
-            ws.give(ys);
-        });
-        out
-    }
+bn_layer!(BatchNorm2d, "BatchNorm2d");
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let n = grad.dim(0);
-        let m = n * self.spatial;
-        let mut dx = Tensor::zeros(&[n, self.channels * self.spatial]);
-        workspace::with_local(|ws| {
-            let mut g_cm = ws.checkout(self.channels * m);
-            self.group_into(grad, &mut g_cm);
-            let mut dx_cm = ws.checkout(self.channels * m);
-            self.core.backward_flat(&g_cm, &mut dx_cm, ws);
-            self.ungroup_into(&dx_cm, n, dx.data_mut());
-            ws.give(g_cm);
-            ws.give(dx_cm);
-        });
-        dx
-    }
-
-    fn params(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.core.gamma, &mut self.core.beta]
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.core.gamma);
-        f(&mut self.core.beta);
-    }
-
-    fn out_features(&self, in_features: usize) -> usize {
-        assert_eq!(in_features, self.channels * self.spatial);
-        in_features
-    }
-
-    fn extra_state(&self) -> Vec<f32> {
-        self.core.extra_state()
-    }
-
-    fn load_extra_state(&mut self, state: &[f32]) {
-        self.core.load_extra_state(state);
-    }
-}
-
-/// Batch norm over plain feature columns — used inside the GAN baselines'
-/// MLP generators.
+/// Batch norm over plain feature columns: the `S = 1` case of the same
+/// core.
 pub struct BatchNorm1d {
     core: BnCore,
-    features: usize,
 }
 
 impl BatchNorm1d {
     /// Normalises each of `features` columns across the batch.
     pub fn new(features: usize) -> Self {
-        assert!(features > 0);
         BatchNorm1d {
-            core: BnCore::new(features, 0.1),
-            features,
-        }
-    }
-
-    /// Row-major `(n, F)` to feature-major `(F, n)`.
-    fn group_into(&self, x: &Tensor, out: &mut [f32]) {
-        let n = x.dim(0);
-        for i in 0..n {
-            for (f, &v) in x.row_slice(i).iter().enumerate() {
-                out[f * n + i] = v;
-            }
-        }
-    }
-
-    fn ungroup_into(&self, ys: &[f32], n: usize, out: &mut [f32]) {
-        for (f, yrow) in ys.chunks_exact(n).enumerate() {
-            for (i, &y) in yrow.iter().enumerate() {
-                out[i * self.features + f] = y;
-            }
+            core: BnCore::new(features, 1),
         }
     }
 }
 
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.dim(1), self.features, "BatchNorm1d width");
-        let n = x.dim(0);
-        let mut out = Tensor::zeros(&[n, self.features]);
-        workspace::with_local(|ws| {
-            let mut x_cm = ws.checkout(self.features * n);
-            self.group_into(x, &mut x_cm);
-            let mut ys = ws.checkout(self.features * n);
-            self.core.forward_flat(&x_cm, n, train, &mut ys, ws);
-            self.ungroup_into(&ys, n, out.data_mut());
-            ws.give(x_cm);
-            ws.give(ys);
-        });
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let n = grad.dim(0);
-        let mut dx = Tensor::zeros(&[n, self.features]);
-        workspace::with_local(|ws| {
-            let mut g_cm = ws.checkout(self.features * n);
-            self.group_into(grad, &mut g_cm);
-            let mut dx_cm = ws.checkout(self.features * n);
-            self.core.backward_flat(&g_cm, &mut dx_cm, ws);
-            self.ungroup_into(&dx_cm, n, dx.data_mut());
-            ws.give(g_cm);
-            ws.give(dx_cm);
-        });
-        dx
-    }
-
-    fn params(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.core.gamma, &mut self.core.beta]
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.core.gamma);
-        f(&mut self.core.beta);
-    }
-
-    fn out_features(&self, in_features: usize) -> usize {
-        assert_eq!(in_features, self.features);
-        in_features
-    }
-
-    fn extra_state(&self) -> Vec<f32> {
-        self.core.extra_state()
-    }
-
-    fn load_extra_state(&mut self, state: &[f32]) {
-        self.core.load_extra_state(state);
-    }
-}
+bn_layer!(BatchNorm1d, "BatchNorm1d");
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batchnorm_bits::ChannelMajorBn;
     use eos_tensor::{central_difference, normal, rel_error, Rng64};
 
     #[test]
@@ -418,19 +496,11 @@ mod tests {
         }
         let x = normal(&[n, c * s], 0.3, 2.0, &mut rng);
         let fast = bn.forward(&x, false);
-        // Reference: the pre-existing grouped eval path.
-        let m = n * s;
-        let mut reference = Tensor::zeros(&[n, c * s]);
-        workspace::with_local(|ws| {
-            let mut x_cm = ws.checkout(c * m);
-            bn.group_into(&x, &mut x_cm);
-            let mut ys = ws.checkout(c * m);
-            bn.core.forward_flat(&x_cm, m, false, &mut ys, ws);
-            bn.ungroup_into(&ys, n, reference.data_mut());
-            ws.give(x_cm);
-            ws.give(ys);
-        });
-        assert_eq!(fast.data(), reference.data());
+        let mut reference = ChannelMajorBn::new(c, s);
+        let state = bn.extra_state();
+        reference.running_mean.copy_from_slice(&state[..c]);
+        reference.running_var.copy_from_slice(&state[c..]);
+        assert_eq!(fast.data(), reference.forward(&x, false).data());
     }
 
     #[test]
@@ -508,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_batches_reuse_workspace_without_stale_values() {
+    fn repeated_batches_reuse_buffers_without_stale_values() {
         // Two different batches through the same layer: the second result
         // must not be contaminated by buffers left over from the first.
         let mut bn = BatchNorm2d::new(2, 4);

@@ -29,6 +29,8 @@
 
 mod activation;
 mod batchnorm;
+#[cfg(test)]
+mod batchnorm_bits;
 mod conv2d;
 mod dropout;
 mod gradcheck;
@@ -42,7 +44,6 @@ mod resnet;
 mod sequential;
 mod serialize;
 mod trainer;
-pub mod workspace;
 
 pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
 pub use batchnorm::{BatchNorm1d, BatchNorm2d};
@@ -67,4 +68,3 @@ pub use trainer::{
     train_epochs, train_with_early_stopping, try_train_epochs, try_train_epochs_resumable,
     Checkpointer, EpochStats, TrainConfig, TrainError, TrainFailure,
 };
-pub use workspace::Workspace;

@@ -194,6 +194,7 @@ pub fn pad_images_into(images: &[f32], geom: &Conv2dGeometry, out: &mut Vec<f32>
             // call per row.
             match (w, p) {
                 (_, 0) => out.extend_from_slice(src),
+                (2, 1) => pad_plane(src, out, 2, 1),
                 (4, 1) => pad_plane(src, out, 4, 1),
                 (8, 1) => pad_plane(src, out, 8, 1),
                 (16, 1) => pad_plane(src, out, 16, 1),

@@ -73,17 +73,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n])
     }
 
-    /// Row sums of a rank-2 tensor: `(m×n) -> (m)`.
-    pub fn sum_cols(&self) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        let m = self.dim(0);
-        let mut out = scratch::take_cleared(m);
-        for i in 0..m {
-            out.push(self.row_slice(i).iter().sum());
-        }
-        Tensor::from_vec(out, &[m])
-    }
-
     /// Per-row argmax of a rank-2 tensor — the predicted class per sample.
     pub fn argmax_rows(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.dim(0));
@@ -161,7 +150,6 @@ mod tests {
     #[test]
     fn row_reductions() {
         let t = m();
-        assert_eq!(t.sum_cols().data(), &[2.0, 3.0]);
         assert_eq!(t.argmax_rows(), vec![2, 1]);
     }
 

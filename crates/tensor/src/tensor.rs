@@ -83,13 +83,6 @@ impl Tensor {
         t
     }
 
-    /// `[0, 1, 2, ..., n-1]` as a rank-1 tensor.
-    pub fn arange(n: usize) -> Self {
-        let mut data = scratch::take_cleared(n);
-        data.extend((0..n).map(|i| i as f32));
-        Tensor::from_vec(data, &[n])
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -170,13 +163,6 @@ impl Tensor {
             data: scratch::take_copy(&self.data),
             shape,
         }
-    }
-
-    /// In-place reshape (no copy). Panics on element-count mismatch.
-    pub fn reshape_(&mut self, dims: &[usize]) {
-        let shape = Shape::new(dims);
-        assert_eq!(shape.len(), self.len());
-        self.shape = shape;
     }
 
     /// Transpose of a rank-2 tensor.
@@ -324,22 +310,6 @@ impl Tensor {
         assert_eq!(self.shape, other.shape, "shape mismatch in add_assign_");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// `self -= other` element-wise.
-    pub fn sub_assign_(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in sub_assign_");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
-    /// `self += alpha * other` element-wise (axpy).
-    pub fn axpy_(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "shape mismatch in axpy_");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
         }
     }
 
@@ -513,11 +483,8 @@ mod tests {
     #[test]
     fn in_place_ops() {
         let mut a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![10.0, 20.0], &[2]);
-        a.axpy_(0.5, &b);
-        assert_eq!(a.data(), &[6.0, 12.0]);
         a.scale_(2.0);
-        assert_eq!(a.data(), &[12.0, 24.0]);
+        assert_eq!(a.data(), &[2.0, 4.0]);
         a.fill_(0.0);
         assert_eq!(a.data(), &[0.0, 0.0]);
     }
