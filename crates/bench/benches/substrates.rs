@@ -30,8 +30,7 @@ fn bench_conv_lowering() {
     // a batch of 32 into reused buffers, as a training conv pass runs it:
     // the forward pads the batch and packs its GEMM's patch tiles straight
     // from the padded planes, and the backward re-packs them for the
-    // weight gradient, and computes the input gradient image by image,
-    // folding each tile of its patch gradient back as it is produced.
+    // weight gradient. The input gradient has rows of its own below.
     let mut rng = Rng64::new(1);
     let (batch, out_channels) = (32usize, 8usize);
     let geom = Conv2dGeometry {
@@ -72,10 +71,41 @@ fn bench_conv_lowering() {
         200,
         || gemm_patches_segmented_acc_into(g.data(), &padded, &geom, &mut dw),
     );
-    let mut dx = vec![0.0f32; batch * in_len];
-    bench("tensor/conv_input_grad_into-b32-8x8x8-k3-o8", 200, || {
-        conv_input_grad_into(g.data(), w.data(), &geom, &mut dx)
-    });
+}
+
+fn bench_conv_input_grad() {
+    // The input gradient of every convolution of the ResNet 1×8 on 3×8×8
+    // images at batch 32 but the stem's, which no training pass computes:
+    // (C, H = W, O, kernel, stride), pad 1 for 3×3 and 0 for the 1×1
+    // projection shortcuts.
+    let mut rng = Rng64::new(6);
+    let batch = 32usize;
+    for (c, hw, o, k, s) in [
+        (8usize, 8usize, 8usize, 3usize, 1usize),
+        (8, 8, 16, 3, 2),
+        (8, 8, 16, 1, 2),
+        (16, 4, 16, 3, 1),
+        (16, 4, 32, 3, 2),
+        (16, 4, 32, 1, 2),
+        (32, 2, 32, 3, 1),
+    ] {
+        let geom = Conv2dGeometry {
+            in_channels: c,
+            height: hw,
+            width: hw,
+            kernel: k,
+            stride: s,
+            pad: k / 2,
+        };
+        let w = normal(&[o * geom.patch_len()], 0.0, 1.0, &mut rng);
+        let g = normal(&[batch * o * geom.patch_count()], 0.0, 1.0, &mut rng);
+        let mut dx = vec![0.0f32; batch * geom.image_len()];
+        bench(
+            &format!("tensor/conv_input_grad_into-b32-{c}x{hw}x{hw}-k{k}s{s}-o{o}"),
+            200,
+            || conv_input_grad_into(g.data(), w.data(), &geom, &mut dx),
+        );
+    }
 }
 
 fn bench_batchnorm() {
@@ -170,6 +200,7 @@ fn bench_tsne() {
 fn main() {
     bench_matmul();
     bench_conv_lowering();
+    bench_conv_input_grad();
     bench_batchnorm();
     bench_knn();
     bench_gap();

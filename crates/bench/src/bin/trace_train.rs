@@ -5,9 +5,10 @@
 //! `results/TRACE_train.json` + `.jsonl`. The gate then re-reads both
 //! files, validates every byte of JSON, and asserts the span/counter shape
 //! the instrumentation promises: exactly three phase spans with epochs and
-//! batches nested under them, GEMM dispatch counts that add up, worker-pool
-//! utilisation, and synthetic-sample accounting. Exits non-zero on any
-//! failure so `scripts/verify.sh` can gate on it.
+//! batches nested under them, GEMM dispatch counts that add up, the
+//! convolutions' input-gradient tier counts, worker-pool utilisation, and
+//! synthetic-sample accounting. Exits non-zero on any failure so
+//! `scripts/verify.sh` can gate on it.
 //!
 //! `--smoke` trims the training budget.
 
@@ -124,6 +125,12 @@ fn main() {
         snap.histogram("gemm.flops").map_or(0, |h| h.count) == gemm,
         "one gemm.flops sample per GEMM call",
     );
+    let input_grad_tiers =
+        ["avx512", "avx2", "scalar"].map(|t| snap.counter(&format!("nn.conv.input_grad.{t}")));
+    g.check(
+        input_grad_tiers.iter().filter(|&&c| c > 0).count() == 1,
+        "conv input gradients counted, all under one instruction tier",
+    );
     g.check(
         snap.counter("pool.jobs.dispatched") >= 1,
         "at least one worker-pool job was dispatched",
@@ -162,6 +169,10 @@ fn main() {
                     && summary.contains("\"eos.phase2\"")
                     && summary.contains("\"eos.phase3\""),
                 "summary names all three phases",
+            );
+            g.check(
+                summary.contains("\"nn.conv.input_grad."),
+                "summary holds the conv input-gradient counter",
             );
             let events = std::fs::read_to_string(&events_path).unwrap_or_default();
             g.check(!events.is_empty(), "event log is non-empty");

@@ -10,19 +10,26 @@
 //! one-thread budget, mirroring the suite scheduler's split) to prove the
 //! process-global scratch pool and each state's layer buffers stay
 //! allocation-free under outer parallelism once the pool is stocked to
-//! the concurrent peak working set. Timing is
-//! then measured at the ambient thread budget — with tracing disabled
-//! (the configuration the acceptance gate compares against the pre-trace
-//! baseline) and again with tracing enabled, reporting the overhead —
-//! and written to `results/BENCH_train_step.json`.
+//! the concurrent peak working set.
 //!
-//! `--smoke` trims the sample counts for `scripts/verify.sh`.
+//! Timing then covers three configurations: one thread, the ambient
+//! thread budget with tracing disabled (the configuration the acceptance
+//! gate compares against the pre-trace baseline), and the ambient budget
+//! with tracing enabled, reporting the overhead. Each configuration runs
+//! for a fixed time — 1.5 s, in six slices of 0.25 s taken in turn with
+//! the other configurations', so a slow spell of the host falls on all
+//! three — and reports the median and 10th percentile of its step times.
+//! Everything is written to `results/BENCH_train_step.json`.
+//!
+//! `--smoke` trims the audit steps and the timed phases for
+//! `scripts/verify.sh`.
 
-use eos_bench::{bench_stats, record_host_facts, JsonRecord};
+use eos_bench::{format_duration, percentile, record_host_facts, JsonRecord};
 use eos_nn::{Architecture, ConvNet, CrossEntropyLoss, Loss, Sgd};
 use eos_tensor::{normal, par, Rng64, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Counts every allocation on every thread; frees are not counted (the
 /// audit is about allocation pressure, not leaks).
@@ -142,9 +149,63 @@ fn make_state(seed: u64) -> StepState {
     }
 }
 
+/// A timed configuration of the step: its thread budget, whether tracing
+/// is on, and the step times its phases collected.
+struct Timed {
+    label: String,
+    threads: usize,
+    traced: bool,
+    steps: Vec<Duration>,
+}
+
+impl Timed {
+    fn new(label: String, threads: usize, traced: bool) -> Self {
+        Timed {
+            label,
+            threads,
+            traced,
+            steps: Vec::new(),
+        }
+    }
+
+    fn p50(&self) -> Duration {
+        percentile(&self.steps, 50.0)
+    }
+
+    fn p10(&self) -> Duration {
+        percentile(&self.steps, 10.0)
+    }
+}
+
+/// Times `configs` in `rounds` rounds; each round gives every
+/// configuration, in turn, one untimed step and then steps for `slice`.
+/// Tracing is left disabled and its registry reset.
+fn time_in_rounds(state: &mut StepState, configs: &mut [Timed], rounds: usize, slice: Duration) {
+    for _ in 0..rounds {
+        for c in configs.iter_mut() {
+            par::set_num_threads(c.threads);
+            eos_trace::set_enabled(c.traced);
+            std::hint::black_box(state.step());
+            let end = Instant::now() + slice;
+            loop {
+                let t0 = Instant::now();
+                std::hint::black_box(state.step());
+                let t1 = Instant::now();
+                c.steps.push(t1 - t0);
+                if t1 >= end {
+                    break;
+                }
+            }
+        }
+    }
+    eos_trace::set_enabled(false);
+    eos_trace::reset();
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (audit_steps, samples) = if smoke { (3, 3) } else { (10, 20) };
+    // Audit steps, then timing rounds and the slice of each round.
+    let (audit_steps, rounds, slice_ms) = if smoke { (3, 3, 100) } else { (10, 6, 250) };
     let warmup = 5;
     let (batch, shape) = (16usize, (3usize, 16usize, 16usize));
     let mut state = make_state(11);
@@ -241,35 +302,36 @@ fn main() {
          ({concurrent_allocs} over {jobs}x{audit_steps} steps)"
     );
 
-    // --- Timing at one thread and at the ambient budget.
-    let serial = bench_stats("train step (1 thread)", samples, || state.step());
+    // --- Timing at one thread and at the ambient budget, untraced and
+    // traced. The audit above ran with tracing disabled (its default), so
+    // the untraced ambient phase is the number the acceptance gate
+    // compares against the pre-trace baseline; the traced phase
+    // quantifies what enabling spans/counters costs on top.
+    let mut timed = [
+        Timed::new("train step (1 thread)".into(), 1, false),
+        Timed::new(format!("train step ({ambient} threads)"), ambient, false),
+        Timed::new(
+            format!("train step ({ambient} threads, traced)"),
+            ambient,
+            true,
+        ),
+    ];
+    let slice = Duration::from_millis(slice_ms);
+    time_in_rounds(&mut state, &mut timed, rounds, slice);
     par::set_num_threads(ambient);
-    for _ in 0..warmup {
-        std::hint::black_box(state.step());
+    for t in &timed {
+        println!(
+            "{:<44} p50 {:>10}  p10 {:>10}  ({} steps)",
+            t.label,
+            format_duration(t.p50()),
+            format_duration(t.p10()),
+            t.steps.len()
+        );
     }
-    let parallel = bench_stats(&format!("train step ({ambient} threads)"), samples, || {
-        state.step()
-    });
-
-    // --- Tracing overhead: the same step with the trace registry live.
-    // The audit and the timings above ran with tracing disabled (its
-    // default), so `parallel` is the number the acceptance gate compares
-    // against the pre-trace baseline; this block quantifies what enabling
-    // spans/counters costs on top.
-    eos_trace::set_enabled(true);
-    for _ in 0..warmup {
-        std::hint::black_box(state.step());
-    }
-    let traced = bench_stats(
-        &format!("train step ({ambient} threads, traced)"),
-        samples,
-        || state.step(),
-    );
-    eos_trace::set_enabled(false);
-    eos_trace::reset();
+    let [serial, parallel, traced] = &timed;
     let overhead_pct =
-        100.0 * (traced.min.as_nanos() as f64 / parallel.min.as_nanos().max(1) as f64 - 1.0);
-    println!("tracing-enabled overhead: {overhead_pct:+.2}% (min-over-min)");
+        100.0 * (traced.p50().as_nanos() as f64 / parallel.p50().as_nanos().max(1) as f64 - 1.0);
+    println!("tracing-enabled overhead: {overhead_pct:+.2}% (p50 over p50)");
 
     let mut rec = JsonRecord::new();
     rec.str("bench", "train_step")
@@ -280,14 +342,18 @@ fn main() {
         .num("allocations_per_step", per_step)
         .int("concurrent_jobs", jobs as u64)
         .num("concurrent_allocations_per_step", concurrent_per_step)
-        .int("samples", samples as u64)
-        .int("serial_mean_ns", serial.mean.as_nanos() as u64)
-        .int("serial_min_ns", serial.min.as_nanos() as u64)
+        .int("timing_rounds", rounds as u64)
+        .int("timing_slice_ms", slice_ms)
+        .int("serial_steps", serial.steps.len() as u64)
+        .int("serial_p50_ns", serial.p50().as_nanos() as u64)
+        .int("serial_p10_ns", serial.p10().as_nanos() as u64)
         .int("threads", ambient as u64)
-        .int("parallel_mean_ns", parallel.mean.as_nanos() as u64)
-        .int("parallel_min_ns", parallel.min.as_nanos() as u64)
-        .int("traced_mean_ns", traced.mean.as_nanos() as u64)
-        .int("traced_min_ns", traced.min.as_nanos() as u64)
+        .int("parallel_steps", parallel.steps.len() as u64)
+        .int("parallel_p50_ns", parallel.p50().as_nanos() as u64)
+        .int("parallel_p10_ns", parallel.p10().as_nanos() as u64)
+        .int("traced_steps", traced.steps.len() as u64)
+        .int("traced_p50_ns", traced.p50().as_nanos() as u64)
+        .int("traced_p10_ns", traced.p10().as_nanos() as u64)
         .num("tracing_overhead_pct", overhead_pct);
     record_host_facts(&mut rec);
     rec.write("BENCH_train_step");

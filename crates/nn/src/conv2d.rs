@@ -164,9 +164,9 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         self.backward_params(grad);
-        // dx_i = col2im(g_iᵀ (H'W'×O) · W (O×CKK)) for every image, each
-        // position tile of the patch gradient folded back as it is
-        // produced; the kernel zeroes and fills every row of `dx`.
+        // dx_i = col2im(g_iᵀ (H'W'×O) · W (O×CKK)) for every image, in one
+        // output-stationary pass that never builds the patch gradient; the
+        // kernel writes every element of `dx`.
         let n = grad.dim(0);
         let mut dx = Tensor::from_vec(scratch::take_stale(n * self.in_len()), &[n, self.in_len()]);
         conv_input_grad_into(
@@ -178,9 +178,9 @@ impl Layer for Conv2d {
         dx
     }
 
-    /// The weight and bias gradients only: no patch gradient, no fold and
-    /// no `dx`. A network's first convolution (the stem) takes this path,
-    /// since nothing reads the gradient with respect to the images.
+    /// The weight and bias gradients only: no input gradient `dx`. A
+    /// network's first convolution (the stem) takes this path, since
+    /// nothing reads the gradient with respect to the images.
     fn backward_params(&mut self, grad: &Tensor) {
         let cache = self
             .cache

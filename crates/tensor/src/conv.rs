@@ -1,18 +1,22 @@
-//! Convolution lowering: patch packers, `col2im`, and the direct kernel.
+//! Convolution lowering: patch packers, the input gradient, `col2im`, and
+//! the direct kernel.
 //!
 //! A convolution over an `N×C×H×W` batch with `K×K` kernels, stride `s` and
 //! padding `p` is a GEMM between the batch's patch matrix (`im2col`) and the
 //! flattened weight matrix. The patch matrix is never built: the batch is
 //! zero-padded once ([`pad_images_into`]) and the GEMM core packs its A
 //! tiles straight from the padded planes ([`pack_patch_rows`] for the
-//! forward, [`pack_patch_cols`] for the weight gradient). `col2im` is the
-//! adjoint (scatter-add); the input gradient folds its patch gradient
-//! tile by tile through [`fold_positions`] as the GEMM produces it
-//! ([`crate::conv_input_grad_into`]). [`im2col_into`] and [`col2im_into`]
-//! stay as the oracles the packers and the fused fold are tested against.
+//! forward, [`pack_patch_cols`] for the weight gradient). The input
+//! gradient is no GEMM at all: [`conv_input_grad_into`] is one
+//! output-stationary pass in which every input pixel sums, in registers,
+//! the products of the (position, tap) pairs that reach it, channels in
+//! the vector lanes. [`im2col_into`] and its adjoint [`col2im_into`]
+//! (scatter-add) stay as the oracles the packers and the input gradient
+//! are tested against.
 
 use crate::matmul::MR;
 use crate::tensor::Tensor;
+use std::cell::RefCell;
 
 /// Static geometry of a 2-D convolution: input size, kernel, stride, pad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -791,6 +795,438 @@ fn conv2d_direct_kernel<const WIDE_ROWS: usize>(
     }
 }
 
+thread_local! {
+    /// Per-thread scratch of [`conv_input_grad_into`]: one channel block
+    /// of one image's input gradient, pixel-major. Grows once per thread
+    /// and is then reused, keeping the steady state allocation-free.
+    static INPUT_GRAD_PIXELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The convolution's input gradient over a whole batch:
+/// `dx_i = col2im(g_iᵀ · w)` for every image `i`. `g` stacks the images'
+/// `O × H'W'` output gradients, `w` is the flattened `O × C·K·K` kernel,
+/// and `dx` (fully overwritten) holds one `C·H·W` row per image.
+///
+/// Neither the patch gradient `g_iᵀ · w` nor a fold of it is built. The
+/// pass is output-stationary: every input pixel walks the (output position
+/// `q`, tap) pairs that reach it, `q` ascending, and for each forms
+/// `s = Σ_o g[o, q] · w[o, c, tap]` from `+0.0` over ascending `o`, then
+/// adds `s` to a register accumulator that started at `+0.0` and is
+/// stored once. The channels `c` sit in the vector lanes, reading `w`
+/// repacked once per call as `[channel block][tap][o][lane]`; each image's
+/// pixel-major result is then transposed into its `C×H×W` row (kernel
+/// width 1 writes the rows directly).
+///
+/// Bit-identical to [`crate::gemm_tn_into`] per image followed by
+/// [`col2im_into`], for every input: `s` is exactly one element of
+/// `g_iᵀ · w` (one ascending accumulator from `+0.0`, separate multiply
+/// and add), and the accumulator repeats the fold's sum for the pixel —
+/// the same valid taps, in the same ascending position order, from the
+/// same `+0.0`. Only the payload of a NaN may differ, where NaNs of two
+/// payloads meet in one add: which one survives depends on the operand
+/// order the compiler emits. Images run in parallel, each written by one
+/// chunk, so the result does not depend on the thread count; the wide
+/// tiers only widen the lanes.
+pub fn conv_input_grad_into(g: &[f32], w: &[f32], geom: &Conv2dGeometry, dx: &mut [f32]) {
+    geom.check();
+    let (c, kk) = (geom.in_channels, geom.kernel * geom.kernel);
+    let (plen, osp, ilen) = (geom.patch_len(), geom.patch_count(), geom.image_len());
+    assert_eq!(w.len() % plen, 0, "weight not whole O×CKK rows");
+    assert_eq!(dx.len() % ilen, 0, "input gradient not whole images");
+    let (oc, n) = (w.len() / plen, dx.len() / ilen);
+    assert_eq!(g.len(), n * oc * osp, "output gradient size mismatch");
+    let tier = InputGradTier::detect();
+    match tier {
+        InputGradTier::Avx512 => eos_trace::count!("nn.conv.input_grad.avx512", 1),
+        InputGradTier::Avx2 => eos_trace::count!("nn.conv.input_grad.avx2", 1),
+        InputGradTier::Scalar => eos_trace::count!("nn.conv.input_grad.scalar", 1),
+    }
+    // Lanes per channel block: the channel count rounded up to a power of
+    // two in 4..=32; wider layers take several blocks. Padding lanes read
+    // zero weights and are never stored.
+    let lanes = c.next_power_of_two().clamp(4, 32);
+    let blocks = c.div_ceil(lanes);
+    // Written in its own order: a scatter from `w`'s order would store
+    // at a stride of `O·lanes` floats, 4 KiB at O = lanes = 32.
+    let mut wr = crate::scratch::take_stale(blocks * kk * oc * lanes);
+    for (bt, dst) in wr.chunks_exact_mut(oc * lanes).enumerate() {
+        let (b, tap) = (bt / kk, bt % kk);
+        let live = (c - b * lanes).min(lanes);
+        for (wo, d) in w.chunks_exact(plen).zip(dst.chunks_exact_mut(lanes)) {
+            let taps = wo[(b * lanes * kk + tap)..].iter().step_by(kk);
+            for (v, &x) in d[..live].iter_mut().zip(taps) {
+                *v = x;
+            }
+            d[live..].fill(0.0);
+        }
+    }
+    let wr_ref = &wr;
+    crate::par::par_chunks_mut(dx, ilen, |i, dxi| {
+        INPUT_GRAD_PIXELS.with(|cell| {
+            let mut pm = cell.borrow_mut();
+            let hwl = geom.height * geom.width * lanes;
+            if pm.len() < hwl {
+                pm.resize(hwl, 0.0);
+            }
+            let gi = &g[i * oc * osp..][..oc * osp];
+            tier.run(lanes, gi, wr_ref, geom, &mut pm[..hwl], dxi);
+        });
+    });
+    crate::scratch::give(wr);
+}
+
+/// The instruction tier [`conv_input_grad_into`] runs: the widest the CPU
+/// supports, or the portable one when
+/// [`set_force_scalar_kernel`](crate::set_force_scalar_kernel) forces it.
+#[derive(Clone, Copy)]
+enum InputGradTier {
+    Avx512,
+    Avx2,
+    Scalar,
+}
+
+impl InputGradTier {
+    fn detect() -> Self {
+        if crate::matmul::avx512_kernel_enabled() {
+            Self::Avx512
+        } else if crate::matmul::wide_kernel_enabled() {
+            Self::Avx2
+        } else {
+            Self::Scalar
+        }
+    }
+
+    /// One image's input gradient `dxi`, in channel blocks of `lanes` (4,
+    /// 8, 16 or 32), each computed pixel-major into `pm` (`H·W·lanes`
+    /// values) and then transposed into place.
+    fn run(
+        self,
+        lanes: usize,
+        gi: &[f32],
+        wr: &[f32],
+        geom: &Conv2dGeometry,
+        pm: &mut [f32],
+        dxi: &mut [f32],
+    ) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the avx512f requirement was checked by `detect`.
+            Self::Avx512 => unsafe { input_grad_avx512(lanes, gi, wr, geom, pm, dxi) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the avx2 requirement was checked by `detect`.
+            Self::Avx2 => unsafe { input_grad_avx2(lanes, gi, wr, geom, pm, dxi) },
+            _ => input_grad_lanes(lanes, gi, wr, geom, pm, dxi),
+        }
+    }
+}
+
+/// [`input_grad_lanes`] compiled with AVX2 enabled — never `fma`, so every
+/// lane keeps its separate `mul` then `add`, as in the GEMM's wide kernel.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn input_grad_avx2(
+    lanes: usize,
+    gi: &[f32],
+    wr: &[f32],
+    geom: &Conv2dGeometry,
+    pm: &mut [f32],
+    dxi: &mut [f32],
+) {
+    input_grad_lanes(lanes, gi, wr, geom, pm, dxi);
+}
+
+/// [`input_grad_lanes`] compiled with AVX-512F enabled (again without
+/// `fma`): a 16-channel block is one register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn input_grad_avx512(
+    lanes: usize,
+    gi: &[f32],
+    wr: &[f32],
+    geom: &Conv2dGeometry,
+    pm: &mut [f32],
+    dxi: &mut [f32],
+) {
+    input_grad_lanes(lanes, gi, wr, geom, pm, dxi);
+}
+
+/// Dispatches on the lane count, block by block.
+#[inline(always)]
+fn input_grad_lanes(
+    lanes: usize,
+    gi: &[f32],
+    wr: &[f32],
+    geom: &Conv2dGeometry,
+    pm: &mut [f32],
+    dxi: &mut [f32],
+) {
+    let (c, hw) = (geom.in_channels, geom.height * geom.width);
+    let blocks = c.div_ceil(lanes);
+    let block = wr.len() / blocks;
+    for b in 0..blocks {
+        let wb = &wr[b * block..][..block];
+        // Lanes past the last channel are dropped.
+        let live = (c - b * lanes).min(lanes);
+        let rows = &mut dxi[b * lanes * hw..][..live * hw];
+        match lanes {
+            4 => input_grad_arms::<4, 2>(gi, wb, geom, pm, rows),
+            8 => input_grad_arms::<8, 2>(gi, wb, geom, pm, rows),
+            16 => input_grad_arms::<16, 2>(gi, wb, geom, pm, rows),
+            _ => input_grad_arms::<32, 1>(gi, wb, geom, pm, rows),
+        }
+    }
+}
+
+/// One channel block into `rows` (its live channels' `H·W` planes):
+/// straight from the positions for kernel width 1, through the
+/// pixel-major `pm` otherwise. Literal arms constant-fold the
+/// kernel/stride pairs the models use.
+#[inline(always)]
+fn input_grad_arms<const L: usize, const P: usize>(
+    gi: &[f32],
+    wb: &[f32],
+    geom: &Conv2dGeometry,
+    pm: &mut [f32],
+    rows: &mut [f32],
+) {
+    match (geom.kernel, geom.stride) {
+        (1, s) => return input_grad_pointwise::<L, P>(gi, wb, geom, s, rows),
+        (3, 1) => input_grad_block::<L, P>(gi, wb, geom, 3, 1, pm),
+        (3, 2) => input_grad_block::<L, P>(gi, wb, geom, 3, 2, pm),
+        (k, s) => input_grad_block::<L, P>(gi, wb, geom, k, s, pm),
+    }
+    let hw = geom.height * geom.width;
+    if rows.len() == L * hw {
+        transpose_into(pm, rows, L);
+    } else {
+        for (l, row) in rows.chunks_exact_mut(hw).enumerate() {
+            for (d, px) in row.iter_mut().zip(pm.chunks_exact(L)) {
+                *d = px[l];
+            }
+        }
+    }
+}
+
+/// [`input_grad_block`] for kernel width 1, stride `s`, written straight
+/// into the block's channel planes `rows`. A pixel is reached by at most
+/// one (position, tap) pair, so each position's sum, added to `+0.0`, is
+/// its pixel's value, and every other pixel is `+0.0`: the position's
+/// pixel is found from the position instead of the other way round.
+/// Consecutive positions are summed `P` at a time.
+#[inline(always)]
+fn input_grad_pointwise<const L: usize, const P: usize>(
+    gi: &[f32],
+    wb: &[f32],
+    geom: &Conv2dGeometry,
+    s: usize,
+    rows: &mut [f32],
+) {
+    let (h, w, p) = (geom.height, geom.width, geom.pad);
+    let hw = h * w;
+    let pass = BlockPass::<L>::new(gi, wb, geom, 1, s);
+    // Positions `o` whose pixel `o·s − p` lies inside `0..n`.
+    let inside = |n: usize, outs: usize| p.div_ceil(s)..((n + p - 1) / s + 1).min(outs);
+    let xs = inside(w, pass.ow);
+    rows.fill(0.0);
+    for oy in inside(h, geom.out_height()) {
+        let plane_row = (oy * s - p) * w;
+        // Position `ox`'s sums, `acc[j]` for `ox + j`, into their pixels.
+        let mut put = |ox: usize, acc: &[[f32; L]]| {
+            for (j, a) in acc.iter().enumerate() {
+                let px = plane_row + (ox + j) * s - p;
+                for (row, &v) in rows.chunks_exact_mut(hw).zip(a) {
+                    row[px] = v;
+                }
+            }
+        };
+        let mut ox = xs.start;
+        while ox < xs.end {
+            let q = oy * pass.ow + ox;
+            if ox + P <= xs.end {
+                let mut acc = [[0.0f32; L]; P];
+                pass.run::<1, P>(q, 0, &mut acc);
+                put(ox, &acc);
+                ox += P;
+            } else {
+                let mut acc = [[0.0f32; L]; 1];
+                pass.run::<1, 1>(q, 0, &mut acc);
+                put(ox, &acc);
+                ox += 1;
+            }
+        }
+    }
+}
+
+/// The output positions along one axis whose window covers input index
+/// `i`: `o` with `0 ≤ i + pad − o·stride < kernel`, clipped to the `n`
+/// output positions (empty when no window reaches `i`).
+#[inline(always)]
+fn reach(i: usize, k: usize, s: usize, p: usize, n: usize) -> std::ops::Range<usize> {
+    (i + p + 1).saturating_sub(k).div_ceil(s)..((i + p) / s + 1).min(n)
+}
+
+/// One channel block of one image's input gradient, into the pixel-major
+/// `pm` (`L` lanes per pixel), for kernel width `k` and stride `s`. `gi`
+/// is the image's `O × H'W'` output gradient and `wb` the block's weights
+/// as `[tap][o][lane]`.
+///
+/// A pixel's (position, tap) pairs in ascending position order are one run
+/// per output row that reaches it: the next pair of a run is the next
+/// position and the tap `s` to the left. Pixel `ix + s` has the same taps
+/// one position further on, so where their runs line up, `P` such pixels
+/// are summed together and share every weight load.
+#[inline(always)]
+fn input_grad_block<const L: usize, const P: usize>(
+    gi: &[f32],
+    wb: &[f32],
+    geom: &Conv2dGeometry,
+    k: usize,
+    s: usize,
+    pm: &mut [f32],
+) {
+    let (h, w, p) = (geom.height, geom.width, geom.pad);
+    let (oh, ow) = (geom.out_height(), geom.out_width());
+    let pass = BlockPass::<L>::new(gi, wb, geom, k, s);
+    for iy in 0..h {
+        let rows = reach(iy, k, s, p, oh);
+        let row_pm = &mut pm[iy * w * L..][..w * L];
+        // Pixels `ix, ix + s, …` in turn, one residue of `ix` mod `s` at
+        // a time.
+        for r in 0..s.min(w) {
+            let mut ix = r;
+            while ix < w {
+                let cols = reach(ix, k, s, p, ow);
+                let lined_up = P > 1
+                    && ix + (P - 1) * s < w
+                    && (1..P).all(|j| {
+                        let next = reach(ix + j * s, k, s, p, ow);
+                        next.start == cols.start + j && next.len() == cols.len()
+                    });
+                if lined_up {
+                    let mut acc = [[0.0f32; L]; P];
+                    pass.pixels(iy, ix, rows.clone(), cols, &mut acc);
+                    for (j, a) in acc.iter().enumerate() {
+                        row_pm[(ix + j * s) * L..][..L].copy_from_slice(a);
+                    }
+                    ix += P * s;
+                } else {
+                    let mut acc = [[0.0f32; L]; 1];
+                    pass.pixels(iy, ix, rows.clone(), cols, &mut acc);
+                    row_pm[ix * L..][..L].copy_from_slice(&acc[0]);
+                    ix += s;
+                }
+            }
+        }
+    }
+}
+
+/// What [`input_grad_block`]'s pixels read: `gi` and `wb` as there, `oc`
+/// output channels, `osp` output positions in `ow` columns, kernel width
+/// `k`, stride `s` and pad `p`.
+#[derive(Clone, Copy)]
+struct BlockPass<'a, const L: usize> {
+    gi: &'a [f32],
+    wb: &'a [f32],
+    oc: usize,
+    osp: usize,
+    ow: usize,
+    k: usize,
+    s: usize,
+    p: usize,
+}
+
+impl<'a, const L: usize> BlockPass<'a, L> {
+    #[inline(always)]
+    fn new(gi: &'a [f32], wb: &'a [f32], geom: &Conv2dGeometry, k: usize, s: usize) -> Self {
+        let (ow, osp) = (geom.out_width(), geom.patch_count());
+        BlockPass {
+            gi,
+            wb,
+            oc: gi.len() / osp,
+            osp,
+            ow,
+            k,
+            s,
+            p: geom.pad,
+        }
+    }
+
+    /// Every run of pixel `(iy, ix)` into `acc[0]`, output row by output
+    /// row, and for `P > 1` the same for pixels `ix + j·s`, whose runs are
+    /// pixel `ix`'s `j` positions on, into `acc[j]`. `rows` and `cols` are
+    /// the output rows and columns that reach pixel `(iy, ix)`.
+    #[inline(always)]
+    fn pixels<const P: usize>(
+        &self,
+        iy: usize,
+        ix: usize,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+        acc: &mut [[f32; L]; P],
+    ) {
+        let (k, s, p) = (self.k, self.s, self.p);
+        if cols.is_empty() {
+            return;
+        }
+        for oy in rows {
+            // The run's first position and its tap.
+            let q = oy * self.ow + cols.start;
+            let tap = (iy + p - oy * s) * k + ix + p - cols.start * s;
+            match cols.len() {
+                1 => self.run::<1, P>(q, tap, acc),
+                2 => self.run::<2, P>(q, tap, acc),
+                3 => self.run::<3, P>(q, tap, acc),
+                n => {
+                    for j in 0..n {
+                        self.run::<1, P>(q + j, tap - j * s, acc);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A run of `N` pairs starting at position `q` and tap `tap`, for each
+    /// of `P` pixels (pixel `j` starting at position `q + j`): every pair
+    /// forms `Σ_o g[o, q] · w[o, ·, tap]` from `+0.0` over ascending `o`,
+    /// separate multiply and add, all `N·P` sums side by side; then each
+    /// pixel's sums are added to its accumulator in pair order.
+    #[inline(always)]
+    fn run<const N: usize, const P: usize>(&self, q: usize, tap: usize, acc: &mut [[f32; L]; P]) {
+        let (gi, wb, oc, osp) = (self.gi, self.wb, self.oc, self.osp);
+        let (w0, wstep) = (tap * oc * L, self.s * oc * L);
+        assert!(
+            q + N + P - 1 <= osp
+                && oc * osp <= gi.len()
+                && w0 + oc * L <= wb.len()
+                && (N - 1) * wstep <= w0,
+            "run out of range"
+        );
+        let mut sums = [[[0.0f32; L]; N]; P];
+        for o in 0..oc {
+            for j in 0..N {
+                // SAFETY: `o < oc` and `j < N`: inside the range checked
+                // above.
+                let wrow = unsafe { &*wb.as_ptr().add(w0 - j * wstep + o * L).cast::<[f32; L]>() };
+                for (pi, psums) in sums.iter_mut().enumerate() {
+                    // SAFETY: `q + pi + j < q + N + P − 1 ≤ osp` and
+                    // `o < oc`: inside the range checked above.
+                    let gv = unsafe { *gi.get_unchecked(o * osp + q + pi + j) };
+                    for (sv, &wv) in psums[j].iter_mut().zip(wrow) {
+                        *sv += gv * wv;
+                    }
+                }
+            }
+        }
+        for (a, psums) in acc.iter_mut().zip(&sums) {
+            for sum in psums {
+                for (av, &sv) in a.iter_mut().zip(sum) {
+                    *av += sv;
+                }
+            }
+        }
+    }
+}
+
 /// Adjoint of [`im2col`]: scatter-adds a `(out_h*out_w) × (C*K*K)` patch
 /// gradient back into a `C×H×W` image gradient buffer.
 pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
@@ -800,6 +1236,10 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
 }
 
 /// [`col2im`] into a caller-owned `C×H×W` buffer (fully overwritten).
+///
+/// No training pass calls it — [`conv_input_grad_into`] never builds the
+/// patch gradient — but it is the oracle the input gradient is checked
+/// against.
 pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
     geom.check();
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
@@ -810,25 +1250,14 @@ pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
     );
     assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
     image.fill(0.0);
-    fold_positions(cols, geom, image, 0);
-}
-
-/// Scatter-adds the patch-gradient rows `cols` of the consecutive output
-/// positions `q0 ..` (one `C·K·K` row each) into `image`, on top of what
-/// it holds. Folding every position of an image into a zeroed buffer,
-/// in ascending runs, is [`col2im_into`] bit for bit: a pixel's sum is
-/// fixed by the order of the positions that reach it (see [`fold_rows`]),
-/// and the runs keep that order.
-pub(crate) fn fold_positions(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], q0: usize) {
-    debug_assert!(cols.len() / geom.patch_len() + q0 <= geom.patch_count());
     match geom.kernel {
-        1 => fold_rows(cols, geom, image, q0, 1),
-        3 => fold_rows(cols, geom, image, q0, 3),
-        k => fold_rows(cols, geom, image, q0, k),
+        1 => fold_rows(cols, geom, image, 1),
+        3 => fold_rows(cols, geom, image, 3),
+        k => fold_rows(cols, geom, image, k),
     }
 }
 
-/// Body of [`fold_positions`] for kernel width `k`: the traversal of
+/// Body of [`col2im_into`] for kernel width `k`: the traversal of
 /// [`unfold_rows`] with each in-row run scatter-added instead of copied.
 ///
 /// Bit-identical to the per-tap loop it replaces. Within one output
@@ -837,11 +1266,11 @@ pub(crate) fn fold_positions(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f
 /// before, from the same `+0.0`. A tap-outer traversal would visit those
 /// positions in descending order and change the rounding.
 #[inline(always)]
-fn fold_rows(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], q0: usize, k: usize) {
+fn fold_rows(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], k: usize) {
     let (h, w) = (geom.height, geom.width);
     let ow = geom.out_width();
     let (s, p) = (geom.stride, geom.pad);
-    for (q, patch) in (q0..).zip(cols.chunks_exact(geom.in_channels * k * k)) {
+    for (q, patch) in cols.chunks_exact(geom.in_channels * k * k).enumerate() {
         let (oy, ox) = (q / ow, q % ow);
         let (ix0, lo, hi) = window_span(ox, geom, k);
         let interior = lo == 0 && hi == k;

@@ -46,14 +46,14 @@ mod tensor;
 mod patch_packer_tests;
 
 pub use conv::{
-    col2im, col2im_into, conv2d_direct_fits, conv2d_direct_into, im2col, im2col_into,
-    pad_images_into, Conv2dGeometry,
+    col2im, col2im_into, conv2d_direct_fits, conv2d_direct_into, conv_input_grad_into, im2col,
+    im2col_into, pad_images_into, Conv2dGeometry,
 };
 pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
-    avx512_kernel_enabled, conv_input_grad_into, gemm_nt_into, gemm_patches_nt_into,
-    gemm_patches_segmented_acc_into, gemm_tn_into, set_force_scalar_kernel, wide_kernel_enabled,
+    avx512_kernel_enabled, gemm_nt_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into,
+    gemm_tn_into, set_force_scalar_kernel, wide_kernel_enabled,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

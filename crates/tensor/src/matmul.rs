@@ -12,9 +12,10 @@
 //! for convolutions, [`pack_patch_rows`]/[`pack_patch_cols`], which read
 //! the tiles of a patch matrix straight from the images. Edge tiles
 //! (m or n not multiples of `MR`/`NR`) fall back to masked scalar tails.
-//! The convolution's input gradient ([`conv_input_grad_into`]) runs the
-//! same core one position tile at a time and folds each tile back into
-//! the image gradient as it is produced.
+//! The convolution's input gradient is not a GEMM: its reduction over the
+//! output channels is too short to fill a tile, so it runs as one
+//! output-stationary pass of its own
+//! ([`conv_input_grad_into`](crate::conv_input_grad_into)).
 //!
 //! Every output element is still accumulated over the reduction index in
 //! ascending order with a single carried accumulator — the same sequence
@@ -25,9 +26,7 @@
 //! adds the segment sums in order. See DESIGN.md for the layout and the
 //! determinism argument.
 
-use crate::conv::{
-    fold_positions, pack_patch_cols, pack_patch_rows, transpose_into, Conv2dGeometry,
-};
+use crate::conv::{pack_patch_cols, pack_patch_rows, transpose_into, Conv2dGeometry};
 use crate::par;
 use crate::scratch;
 use crate::tensor::Tensor;
@@ -69,10 +68,6 @@ thread_local! {
     /// side. Grows to `k * MR` once per thread and is then reused by every
     /// subsequent GEMM, keeping the hot path allocation-free.
     static A_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread scratch for one position tile of an image's patch
-    /// gradient in [`conv_input_grad_into`]; grows once per thread, like
-    /// [`A_PACK`].
-    static FOLD_TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Packs the logical right-hand side `B̂ (k×n)` into `NR`-wide column
@@ -598,68 +593,6 @@ pub fn gemm_patches_segmented_acc_into(
     let (plen, osp) = (geom.patch_len(), geom.patch_count());
     let n = padded.len() / geom.padded_len();
     gemm_segmented_acc_with(&pack_patch_cols(padded, geom), g, dw, osp, plen, n * osp);
-}
-
-/// Floats one position tile of [`conv_input_grad_into`]'s patch gradient
-/// holds (32 KiB): a whole image at every layer of the 8×8 ResNets.
-const FOLD_TILE_FLOATS: usize = 8192;
-
-/// The convolution's input gradient over a whole batch:
-/// `dx_i = col2im(g_iᵀ · w)` for every image `i`. `g` stacks the images'
-/// `O × H'W'` output gradients, `w` is the flattened `O × C·K·K` kernel,
-/// and `dx` (fully overwritten) holds one `C·H·W` row per image.
-///
-/// The `n·H'W' × C·K·K` patch gradient is never built. `w` is packed once
-/// per call; then, image by image in parallel, the patch-gradient rows
-/// `g_iᵀ · w` are computed one tile of output positions at a time into a
-/// per-thread buffer, and each tile is folded into the image's zeroed
-/// `dx_i` at once, tiles in ascending position order. Bit-identical to
-/// [`gemm_tn_into`] per image followed by [`col2im_into`]: each element of
-/// the product is one ascending accumulator whatever the tiling, and the
-/// fold keeps each pixel's position order.
-///
-/// [`col2im_into`]: crate::col2im_into
-pub fn conv_input_grad_into(g: &[f32], w: &[f32], geom: &Conv2dGeometry, dx: &mut [f32]) {
-    let plen = geom.patch_len();
-    let tile = (FOLD_TILE_FLOATS / plen).max(MR) / MR * MR;
-    conv_input_grad_tiled(g, w, geom, dx, tile);
-}
-
-/// [`conv_input_grad_into`] with `tile` output positions per tile.
-pub(crate) fn conv_input_grad_tiled(
-    g: &[f32],
-    w: &[f32],
-    geom: &Conv2dGeometry,
-    dx: &mut [f32],
-    tile: usize,
-) {
-    let (plen, osp, ilen) = (geom.patch_len(), geom.patch_count(), geom.image_len());
-    assert_eq!(w.len() % plen, 0, "weight not whole O×CKK rows");
-    assert_eq!(dx.len() % ilen, 0, "input gradient not whole images");
-    let (oc, n) = (w.len() / plen, dx.len() / ilen);
-    assert_eq!(g.len(), n * oc * osp, "output gradient size mismatch");
-    assert!(tile > 0, "empty position tile");
-    trace_gemm(n * osp, oc, plen);
-    let packed_w = pack_b(|o, j| w[o * plen + j], oc, plen);
-    let pw = &packed_w[..];
-    par::par_chunks_mut(dx, ilen, |i, dxi| {
-        // Row `q` of g_iᵀ is column `q` of the image's `O × H'W'` block.
-        let pack_a = pack_cols(&g[i * oc * osp..][..oc * osp], osp);
-        dxi.fill(0.0);
-        FOLD_TILE.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            let need = tile.min(osp) * plen;
-            if buf.len() < need {
-                buf.resize(need, 0.0);
-            }
-            for q0 in (0..osp).step_by(tile) {
-                let rows = &mut buf[..tile.min(osp - q0) * plen];
-                packed_gemm_rows(&pack_a, pw, rows, q0, oc, oc, plen, false);
-                fold_positions(rows, geom, dxi, q0);
-            }
-        });
-    });
-    scratch::give(packed_w);
 }
 
 /// `out += Σ_s a_s · b_s` into a caller-owned `m×n` buffer, with the

@@ -17,15 +17,17 @@
 //! `C·K·K` patch indices that is not a multiple of `MR` ends in an edge
 //! tile with `h < MR`.
 //!
-//! The fused input gradient is checked over the same geometries against
-//! the unfused pair it replaces: `matmul_tn` per image, then `col2im_into`.
+//! The input gradient is checked against the pair it replaced, per image
+//! `gemm_tn_into` then `col2im_into`, over its own generated geometries:
+//! channel counts that fill one or two lane blocks, with NaN, ±∞ and
+//! `-0.0` among the values.
 
 use crate::conv::{pack_patch_cols, pack_patch_rows, transpose_into};
-use crate::matmul::{conv_input_grad_tiled, pack_cols, pack_rows, MR};
+use crate::matmul::{pack_cols, pack_rows, MR};
 use crate::{
     col2im_into, conv_input_grad_into, gemm_nt_into, gemm_patches_nt_into,
-    gemm_patches_segmented_acc_into, im2col_into, pad_images_into, par, set_force_scalar_kernel,
-    Conv2dGeometry, Rng64, Tensor,
+    gemm_patches_segmented_acc_into, gemm_tn_into, im2col_into, pad_images_into, par,
+    set_force_scalar_kernel, Conv2dGeometry, Rng64,
 };
 
 fn geom(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> Conv2dGeometry {
@@ -222,58 +224,119 @@ fn patch_gemms_match_the_gemms_over_the_unfolded_matrix() {
     par::set_num_threads(restore);
 }
 
-/// Weights whose patch gradients fold to order-sensitive sums: ±1e8
-/// swamps 1.0 in `f32`, so a pixel that received its contributions in
-/// another position order would round differently.
-fn order_sensitive(len: usize, rng: &mut Rng64) -> Vec<f32> {
+/// Values whose sums are order-sensitive — ±1e8 swamps 1.0 in `f32`, so a
+/// pixel that received its contributions in another order would round
+/// differently — with `-0.0` among them, and, when `specials` is set,
+/// NaNs of two payloads and ±∞ as well (one value in twenty).
+fn grad_values(len: usize, specials: bool, rng: &mut Rng64) -> Vec<f32> {
     (0..len)
-        .map(|_| match rng.below(4) {
-            0 => 1e8,
-            1 => -1e8,
-            2 => 1.0,
+        .map(|_| match rng.below(if specials { 20 } else { 16 }) {
+            0..=3 => 1e8,
+            4..=7 => -1e8,
+            8..=10 => 1.0,
+            11 => -0.0,
+            16 => f32::NAN,
+            17 => f32::from_bits(0xffc0_1234),
+            18 => f32::INFINITY,
+            19 => f32::NEG_INFINITY,
             _ => rng.range_f32(-2.0, 2.0),
         })
         .collect()
 }
 
-#[test]
-fn fused_input_grad_matches_gemm_tn_then_col2im() {
-    // Every geometry at batch 1, 2 and 3, against each image's patch
-    // gradient `g_iᵀ · w` from `matmul_tn` folded by `col2im_into`. The
-    // kernel runs at its own tile length and at tiles of 1, 3, MR and
-    // 2·MR + 1 positions, so images straddle tiles at every offset; the
-    // wide and the portable GEMM kernels both run.
-    let mut rng = Rng64::new(8);
-    let mut straddled = 0;
-    for (gi, g) in geometries().into_iter().enumerate() {
-        let (plen, osp, ilen, oc) = (g.patch_len(), g.patch_count(), g.image_len(), 1 + gi % 5);
-        let w = order_sensitive(oc * plen, &mut rng);
-        let wt = Tensor::from_vec(w.clone(), &[oc, plen]);
-        for n in 1..=3 {
-            let grad: Vec<f32> = (0..n * oc * osp)
-                .map(|_| rng.range_f32(-1.0, 1.0))
-                .collect();
-            let mut want = vec![0.0f32; n * ilen];
-            for (gi, dxi) in grad.chunks_exact(oc * osp).zip(want.chunks_exact_mut(ilen)) {
-                let dcols = Tensor::from_vec(gi.to_vec(), &[oc, osp]).matmul_tn(&wt);
-                col2im_into(dcols.data(), &g, dxi);
+/// Input-gradient geometries: every channel count in {1, 3, 4, 5, 8, 12,
+/// 16, 32, 40} (one block of 4, 8, 16 or 32 lanes, and at 40 a full block
+/// of 32 and a part-filled one) with every kernel in {1, 3, 5}, stride
+/// 1–3 and pad 0–2, each on two seeded non-square planes the kernel fits.
+fn input_grad_geometries(rng: &mut Rng64) -> Vec<Conv2dGeometry> {
+    let mut out = Vec::new();
+    for c in [1, 3, 4, 5, 8, 12, 16, 32, 40] {
+        for k in [1, 3, 5] {
+            for s in 1..=3 {
+                for p in 0..=2 {
+                    let mut planes = 0;
+                    while planes < 2 {
+                        let (h, w) = (1 + rng.below(9), 1 + rng.below(9));
+                        if h != w && h + 2 * p >= k && w + 2 * p >= k {
+                            out.push(geom(c, h, w, k, s, p));
+                            planes += 1;
+                        }
+                    }
+                }
             }
-            let force_scalar = (gi + n) % 2 == 1;
-            set_force_scalar_kernel(force_scalar);
-            let mut got = vec![f32::NAN; n * ilen];
-            conv_input_grad_into(&grad, &w, &g, &mut got);
-            let label = format!("dx {g:?} n={n} scalar={force_scalar}");
-            assert_bits(&got, &want, &label);
-            for tile in [1, 3, MR, 2 * MR + 1] {
-                straddled += usize::from(tile < osp);
-                let mut got = vec![f32::NAN; n * ilen];
-                conv_input_grad_tiled(&grad, &w, &g, &mut got, tile);
-                assert_bits(&got, &want, &format!("dx {g:?} n={n} tile={tile}"));
-            }
-            set_force_scalar_kernel(false);
         }
     }
-    assert!(straddled > 10_000, "only {straddled} straddling runs");
+    out
+}
+
+/// [`assert_bits`], except that a NaN matches any NaN. When NaNs of two
+/// payloads meet in one sum, which payload the result carries depends on
+/// the operand order the compiler emits for the add, and Rust leaves it
+/// unspecified; every other value, `-0.0` and ±∞ included, must match bit
+/// for bit.
+fn assert_bits_or_nan(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        let same = a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        assert!(
+            same,
+            "{what}: element {i}: {a} ({:#x}) vs {b} ({:#x})",
+            a.to_bits(),
+            b.to_bits()
+        );
+    }
+}
+
+#[test]
+fn input_grad_matches_gemm_tn_then_col2im() {
+    // Every generated geometry at a seeded batch of 1–5 images and a
+    // seeded output-channel count, with finite order-sensitive values and
+    // again with NaN/±∞ among them, against each image's patch gradient
+    // `g_iᵀ · w` from `gemm_tn_into` folded by `col2im_into`: at thread
+    // budgets 1 and 2, with the wide tiers and with the portable one.
+    let restore = par::num_threads();
+    let mut rng = Rng64::new(8);
+    let gs = input_grad_geometries(&mut rng);
+    assert_eq!(gs.len(), 9 * 3 * 3 * 3 * 2);
+    // Pixels that no window reaches, and windows wider than the plane.
+    assert!(gs.iter().any(|g| g.stride > g.kernel));
+    assert!(gs.iter().any(|g| g.kernel > g.width.min(g.height)));
+    // Finite, NaN and infinite results of the runs with specials.
+    let mut kinds = [0usize; 3];
+    for g in gs {
+        let (plen, osp, ilen) = (g.patch_len(), g.patch_count(), g.image_len());
+        let oc = [1, 2, 3, 8, 16, 32][rng.below(6)];
+        let n = 1 + rng.below(5);
+        for specials in [false, true] {
+            let w = grad_values(oc * plen, specials, &mut rng);
+            let grad = grad_values(n * oc * osp, specials, &mut rng);
+            let mut want = vec![0.0f32; n * ilen];
+            let mut dcols = vec![0.0f32; osp * plen];
+            for (gi, dxi) in grad.chunks_exact(oc * osp).zip(want.chunks_exact_mut(ilen)) {
+                gemm_tn_into(gi, &w, &mut dcols, oc, osp, plen);
+                col2im_into(&dcols, &g, dxi);
+            }
+            if specials {
+                for v in &want {
+                    kinds[usize::from(v.is_nan()) + 2 * usize::from(v.is_infinite())] += 1;
+                }
+            }
+            for (threads, force_scalar) in [(1, false), (2, false), (1, true), (2, true)] {
+                par::set_num_threads(threads);
+                set_force_scalar_kernel(force_scalar);
+                let mut got = vec![f32::NAN; n * ilen];
+                conv_input_grad_into(&grad, &w, &g, &mut got);
+                set_force_scalar_kernel(false);
+                let label = format!(
+                    "dx {g:?} o={oc} n={n} specials={specials} t={threads} scalar={force_scalar}"
+                );
+                assert_bits_or_nan(&got, &want, &label);
+            }
+        }
+    }
+    let total: usize = kinds.iter().sum();
+    assert!(kinds.iter().all(|&k| 20 * k > total), "{kinds:?}");
+    par::set_num_threads(restore);
 }
 
 #[test]
