@@ -17,10 +17,10 @@
 //! wins. The winner holds a [`ClaimGuard`] whose heartbeat thread rewrites
 //! the lock file periodically (refreshing its mtime); losers poll until
 //! the entry appears (entries land atomically via temp + rename) or the
-//! lock goes stale — a heartbeat older than [`ArtifactCache::stale_after`]
-//! means the owner died, and any waiter may take the lock over. Takeover
-//! races are safe: removal is idempotent and re-claiming goes through the
-//! same exclusive create.
+//! lock goes stale — a heartbeat older than the threshold set by
+//! [`ArtifactCache::with_stale_after`] means the owner died, and any
+//! waiter may take the lock over. Takeover races are safe: removal is
+//! idempotent and re-claiming goes through the same exclusive create.
 //!
 //! # Hygiene
 //!
@@ -99,11 +99,6 @@ impl ArtifactCache {
         self
     }
 
-    /// The current stale-lock threshold.
-    pub fn stale_after(&self) -> Duration {
-        self.stale_after
-    }
-
     /// The directory entries live in.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -131,7 +126,7 @@ impl ArtifactCache {
 
     /// Path of the claim lock guarding the entry with the given
     /// fingerprint.
-    pub fn lock_path(&self, fp: u64) -> PathBuf {
+    fn lock_path(&self, fp: u64) -> PathBuf {
         self.dir.join(format!("bb_{fp:016x}.lock"))
     }
 

@@ -134,7 +134,6 @@ pub struct Engine {
     journal: Option<Journal>,
     faults: Arc<FaultPlan>,
     lock_timeout: Duration,
-    ckpt_every: usize,
     datasets: Mutex<HashMap<&'static str, Arc<(Dataset, Dataset)>>>,
 }
 
@@ -151,21 +150,10 @@ impl Engine {
                 std::process::exit(2);
             }
         };
-        let ckpt_every = match std::env::var("EOS_CKPT_EVERY") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("error: bad EOS_CKPT_EVERY '{v}' (expected a non-negative integer)");
-                    std::process::exit(2);
-                }
-            },
-            Err(_) => 1,
-        };
         let cache = (!args.no_cache).then(ArtifactCache::at_default);
         Engine::with_cache(args.scale, args.seed, cache)
             .with_jobs(args.jobs)
             .with_faults(faults)
-            .with_ckpt_every(ckpt_every)
     }
 
     /// Engine with an explicit cache (or `None` to always train fresh),
@@ -182,7 +170,6 @@ impl Engine {
             journal,
             faults: Arc::new(FaultPlan::empty()),
             lock_timeout: DEFAULT_LOCK_TIMEOUT,
-            ckpt_every: 1,
             datasets: Mutex::new(HashMap::new()),
         }
     }
@@ -207,15 +194,6 @@ impl Engine {
     /// claim before failing with [`EngineError::LockTimeout`].
     pub fn with_lock_timeout(mut self, timeout: Duration) -> Self {
         self.lock_timeout = timeout.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Sets the training-checkpoint cadence: a backbone training saves an
-    /// EOST checkpoint every `n` completed epochs (plus always at the
-    /// final epoch). `0` disables mid-training checkpoints entirely; the
-    /// default is 1. Overridable at the CLI via `$EOS_CKPT_EVERY`.
-    pub fn with_ckpt_every(mut self, every: usize) -> Self {
-        self.ckpt_every = every;
         self
     }
 
@@ -349,24 +327,20 @@ impl Engine {
     }
 
     /// The checkpointer a backbone training runs under, or `None` when
-    /// the engine is cache-less or checkpoints are disabled. Checkpoints
-    /// live in the cache's `ckpt/` subdirectory, stemmed by the backbone
-    /// fingerprint, so a killed training resumes from its last completed
-    /// epoch when the same fingerprint trains again. The after-epoch hook
-    /// arms the `train.epoch` fault point: an abort/panic fires *after*
-    /// that epoch's checkpoint is on disk — exactly the mid-training kill
-    /// the crash-resume gate stages.
+    /// the engine is cache-less. It saves an EOST checkpoint after every
+    /// completed epoch into the cache's `ckpt/` subdirectory, stemmed by
+    /// the backbone fingerprint, so a killed training resumes from its
+    /// last completed epoch when the same fingerprint trains again. The
+    /// after-epoch hook arms the `train.epoch` fault point: an abort/panic
+    /// fires *after* that epoch's checkpoint is on disk — exactly the
+    /// mid-training kill the crash-resume gate stages.
     fn checkpointer(&self, fp: u64) -> Option<Checkpointer> {
         let cache = self.cache.as_ref()?;
-        if self.ckpt_every == 0 {
-            return None;
-        }
         let faults = Arc::clone(&self.faults);
         let label = format!("backbone {fp:016x}");
         Some(
-            Checkpointer::new(cache.ckpt_dir(), format!("bb_{fp:016x}"))
-                .every(self.ckpt_every)
-                .after_epoch(move |epochs_done| {
+            Checkpointer::new(cache.ckpt_dir(), format!("bb_{fp:016x}")).after_epoch(
+                move |epochs_done| {
                     match faults.fire("train.epoch", &label) {
                         None => {}
                         Some(FaultKind::Panic) => {
@@ -385,7 +359,8 @@ impl Engine {
                              only panic/abort apply at epoch boundaries"
                         ),
                     }
-                }),
+                },
+            ),
         )
     }
 

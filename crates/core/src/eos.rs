@@ -78,16 +78,6 @@ impl Eos {
         }
     }
 
-    /// EOS with an explicit interpolation-coefficient scale:
-    /// `r ~ U[0, r_scale]`. Use 1.0 for Algorithm 2's literal `R ∈ [0, 1]`.
-    pub fn with_r_scale(k: usize, r_scale: f32) -> Self {
-        assert!(r_scale > 0.0 && r_scale <= 1.0, "r_scale must be in (0, 1]");
-        Eos {
-            r_scale,
-            ..Self::new(k)
-        }
-    }
-
     /// Finds, for each sample of `class`, the enemy members of its
     /// K-neighbourhood, `hits_per_row`, given in the order of
     /// `class_rows`. Returns `(base_row, enemy_rows)` pairs for samples
@@ -246,24 +236,14 @@ mod tests {
     fn every_constructor_pins_its_fields() {
         // `with_direction` must vary *only* the direction — it used to
         // reset `r_scale` to 1.0, so direction ablations also un-capped
-        // `r` and measured two changes at once. `with_r_scale` is the
-        // explicit opt-out.
+        // `r` and measured two changes at once. Setting the public
+        // `r_scale` field is the explicit opt-out.
         for dir in [Direction::TowardEnemy, Direction::AwayFromEnemy] {
             let e = Eos::with_direction(7, dir);
             assert_eq!(e.k, 7);
             assert_eq!(e.direction, dir);
             assert!((e.r_scale - 0.5).abs() < 1e-6, "calibrated cap preserved");
         }
-        let e = Eos::with_r_scale(3, 1.0);
-        assert_eq!(e.k, 3);
-        assert_eq!(e.direction, Direction::TowardEnemy);
-        assert!((e.r_scale - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "r_scale must be in (0, 1]")]
-    fn with_r_scale_rejects_zero() {
-        let _ = Eos::with_r_scale(3, 0.0);
     }
 
     #[test]

@@ -131,35 +131,26 @@ impl ThreePhase {
     /// Phase one: trains the backbone end-to-end on the (imbalanced)
     /// training set under the given loss, then extracts embeddings.
     ///
-    /// Convenience wrapper over [`ThreePhase::try_train`] that panics
-    /// (with the [`TrainFailure`] diagnostics) if phase one diverges.
+    /// Convenience wrapper over [`ThreePhase::try_train_ckpt`], without
+    /// checkpoints, that panics (with the [`TrainFailure`] diagnostics) if
+    /// phase one diverges.
     pub fn train(
         train: &Dataset,
         loss_kind: LossKind,
         cfg: &PipelineConfig,
         rng: &mut Rng64,
     ) -> Self {
-        Self::try_train(train, loss_kind, cfg, rng).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_train_ckpt(train, loss_kind, cfg, rng, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Phase one, with divergence surfaced as a structured
     /// [`TrainFailure`] (diagnosis plus completed-epoch history) instead
     /// of a panic — the entry point the experiment engine's
-    /// fault-tolerant path goes through.
-    pub fn try_train(
-        train: &Dataset,
-        loss_kind: LossKind,
-        cfg: &PipelineConfig,
-        rng: &mut Rng64,
-    ) -> Result<Self, TrainFailure> {
-        Self::try_train_ckpt(train, loss_kind, cfg, rng, None)
-    }
-
-    /// [`ThreePhase::try_train`] with epoch-granular crash safety: when a
-    /// [`Checkpointer`] is supplied, phase one resumes from its newest
-    /// valid `EOST` checkpoint and saves one at every due epoch boundary,
-    /// so a killed backbone training re-pays only the epochs since the
-    /// last checkpoint — and ends with byte-identical weights.
+    /// fault-tolerant path goes through — and with epoch-granular crash
+    /// safety: when a [`Checkpointer`] is supplied, phase one resumes from
+    /// its newest valid `EOST` checkpoint and saves one at every due epoch
+    /// boundary, so a killed backbone training re-pays only the epochs
+    /// since the last checkpoint — and ends with byte-identical weights.
     pub fn try_train_ckpt(
         train: &Dataset,
         loss_kind: LossKind,

@@ -54,7 +54,7 @@ impl ConfusionMatrix {
     }
 
     /// Per-class precision; 0 for classes never predicted.
-    pub fn precisions(&self) -> Vec<f64> {
+    fn precisions(&self) -> Vec<f64> {
         (0..self.classes)
             .map(|c| {
                 let col: usize = (0..self.classes).map(|t| self.at(t, c)).sum();

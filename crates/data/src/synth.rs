@@ -76,7 +76,7 @@ impl SynthSpec {
     /// classes; the reproduction uses 20 to stay CPU-trainable while
     /// preserving the many-class / few-samples-per-class regime (the
     /// property Table III's CGAN-cost argument needs).
-    pub fn cifar100_like(scale: usize) -> Self {
+    fn cifar100_like(scale: usize) -> Self {
         SynthSpec {
             name: "cifar100",
             classes: 20,

@@ -208,11 +208,6 @@ impl LdamLoss {
             weights: None,
         }
     }
-
-    /// The per-class margins Δ_c.
-    pub fn margins(&self) -> &[f32] {
-        &self.margins
-    }
 }
 
 impl Loss for LdamLoss {
@@ -603,7 +598,7 @@ mod tests {
     #[test]
     fn ldam_minority_gets_largest_margin() {
         let l = LdamLoss::new(&[1000, 100, 10], 0.5, 30.0);
-        let m = l.margins();
+        let m = &l.margins;
         assert!(m[2] > m[1] && m[1] > m[0]);
         assert!((m[2] - 0.5).abs() < 1e-6, "largest margin rescaled to 0.5");
     }

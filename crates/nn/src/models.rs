@@ -47,7 +47,7 @@ impl Architecture {
 
     /// Builds the feature extractor for `in_shape = (C, H, W)` and returns
     /// it with its embedding width.
-    pub fn build_features(
+    fn build_features(
         &self,
         in_shape: (usize, usize, usize),
         rng: &mut Rng64,

@@ -20,14 +20,6 @@ impl RandomUndersampler {
         RandomUndersampler { target: None }
     }
 
-    /// Undersample all classes to at most `target` samples.
-    pub fn to_target(target: usize) -> Self {
-        assert!(target > 0);
-        RandomUndersampler {
-            target: Some(target),
-        }
-    }
-
     /// Returns the balanced subset `(x, y)`.
     pub fn undersample(
         &self,
@@ -79,7 +71,8 @@ mod tests {
     fn explicit_target_caps_classes() {
         let x = Tensor::from_vec((0..10).map(|i| i as f32).collect(), &[10, 1]);
         let y = vec![0, 0, 0, 0, 0, 0, 1, 1, 1, 2];
-        let (_, by) = RandomUndersampler::to_target(2).undersample(&x, &y, 3, &mut Rng64::new(0));
+        let capped = RandomUndersampler { target: Some(2) };
+        let (_, by) = capped.undersample(&x, &y, 3, &mut Rng64::new(0));
         assert_eq!(class_counts(&by, 3), vec![2, 2, 1]);
     }
 

@@ -7,7 +7,6 @@
 //! dropout is the identity, and nothing the forward touches survives the
 //! call, so serving the same bytes twice produces the same bits twice.
 
-use crate::error::ServeError;
 use eos_nn::{load_weights, Layer};
 use eos_tensor::Tensor;
 use std::io;
@@ -48,16 +47,6 @@ impl InferenceModel {
         Ok(InferenceModel::new(net, in_features))
     }
 
-    /// [`InferenceModel::from_eosw_bytes`] reading the blob from a file.
-    pub fn from_eosw_file(
-        net: Box<dyn Layer>,
-        in_features: usize,
-        path: &std::path::Path,
-    ) -> io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        InferenceModel::from_eosw_bytes(net, in_features, &bytes)
-    }
-
     /// Flat width of one request's feature vector.
     pub fn in_features(&self) -> usize {
         self.in_features
@@ -66,18 +55,6 @@ impl InferenceModel {
     /// Number of classes the model scores.
     pub fn classes(&self) -> usize {
         self.classes
-    }
-
-    /// Validates one request's feature width against the model.
-    pub fn check_input(&self, len: usize) -> Result<(), ServeError> {
-        if len == self.in_features {
-            Ok(())
-        } else {
-            Err(ServeError::BadInput {
-                expected: self.in_features,
-                got: len,
-            })
-        }
     }
 
     /// Snapshot of the network's inference-critical non-trainable state
@@ -134,19 +111,6 @@ mod tests {
         let mut b = InferenceModel::from_eosw_bytes(net(3), 6, &blob).unwrap();
         assert_eq!(a.forward(&x).data(), expected.data());
         assert_eq!(b.forward(&x).data(), expected.data());
-    }
-
-    #[test]
-    fn check_input_flags_width_mismatches() {
-        let m = InferenceModel::new(net(0), 6);
-        assert_eq!(m.check_input(6), Ok(()));
-        assert_eq!(
-            m.check_input(5),
-            Err(ServeError::BadInput {
-                expected: 6,
-                got: 5
-            })
-        );
     }
 
     #[test]

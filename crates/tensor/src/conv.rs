@@ -1,5 +1,5 @@
-//! Convolution lowering: patch packers, the input gradient, `col2im`, and
-//! the direct kernel.
+//! Convolution lowering: patch packers, the input gradient, the direct
+//! kernel, and the plain unfold/fold oracles.
 //!
 //! A convolution over an `N×C×H×W` batch with `K×K` kernels, stride `s` and
 //! padding `p` is a GEMM between the batch's patch matrix (`im2col`) and the
@@ -11,11 +11,10 @@
 //! output-stationary pass in which every input pixel sums, in registers,
 //! the products of the (position, tap) pairs that reach it, channels in
 //! the vector lanes. [`im2col_into`] and its adjoint [`col2im_into`]
-//! (scatter-add) stay as the oracles the packers and the input gradient
-//! are tested against.
+//! (scatter-add) are plain per-tap loops, kept as the oracles the packers
+//! and the input gradient are tested against.
 
 use crate::matmul::MR;
-use crate::tensor::Tensor;
 use std::cell::RefCell;
 
 /// Static geometry of a 2-D convolution: input size, kernel, stride, pad.
@@ -76,88 +75,47 @@ impl Conv2dGeometry {
     }
 }
 
-/// Unfolds one image (`C×H×W`, flattened) into a `(out_h*out_w) × (C*K*K)`
-/// patch matrix.
-pub fn im2col(image: &[f32], geom: &Conv2dGeometry) -> Tensor {
-    geom.check();
-    let mut out = vec![0.0f32; geom.patch_count() * geom.patch_len()];
-    im2col_into(image, geom, &mut out);
-    Tensor::from_vec(out, &[geom.patch_count(), geom.patch_len()])
-}
-
-/// [`im2col`] into a caller-owned buffer of `patch_count() × patch_len()`
-/// elements. The buffer is fully overwritten: every element is written
-/// exactly once, padding taps included, so no zero pre-fill is needed.
+/// Unfolds one image (`C×H×W`, flattened) into its `(out_h*out_w) ×
+/// (C*K*K)` patch matrix, in a caller-owned buffer of `patch_count() ×
+/// patch_len()` elements that is fully overwritten (padding taps are
+/// `0.0`).
 ///
-/// No convolution pass calls it any more — the GEMMs pack their tiles
-/// straight from the padded images — but it is the reference the patch
+/// No convolution pass calls it — the GEMMs pack their tiles straight
+/// from the padded images — but it is the plain per-tap oracle the patch
 /// packers are checked against (the crate's `patch_packer_tests` and
 /// `crates/nn/tests/conv_batched_bits.rs`).
 pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     geom.check();
-    let (c, h, w) = (geom.in_channels, geom.height, geom.width);
-    assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
+    assert_eq!(image.len(), geom.image_len(), "image buffer size mismatch");
     assert_eq!(
         out.len(),
         geom.patch_count() * geom.patch_len(),
         "im2col buffer size"
     );
-    // Literal arms give the kernel widths the models use constant-folded
-    // copies of the row runs; the last arm serves every other width.
-    match geom.kernel {
-        1 => unfold_rows(image, geom, out, 1),
-        3 => unfold_rows(image, geom, out, 3),
-        k => unfold_rows(image, geom, out, k),
-    }
+    out.fill(0.0);
+    for_each_tap(geom, |col, pixel| out[col] = image[pixel]);
 }
 
-/// The horizontal extent of output column `ox`'s window: its first input
-/// column `ix0` (may be negative), and the tap range `lo..hi` of `0..k`
-/// that lands inside the `w`-wide input row. `lo == 0 && hi == k` is an
-/// interior window.
-#[inline(always)]
-fn window_span(ox: usize, geom: &Conv2dGeometry, k: usize) -> (isize, usize, usize) {
-    let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
-    let lo = (-ix0).clamp(0, k as isize);
-    let hi = (geom.width as isize - ix0).clamp(lo, k as isize);
-    (ix0, lo as usize, hi as usize)
-}
-
-/// Body of [`im2col_into`] for kernel width `k`. Output positions are
-/// walked in patch-matrix row order; each `(channel, ky)` run of `k` taps
-/// is one zero fill when its input row is padding, one slice copy when
-/// the window lies inside the row, and a per-tap clipped copy only at the
-/// left and right borders.
-#[inline(always)]
-fn unfold_rows(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32], k: usize) {
+/// Visits every tap of every output position that lands inside the
+/// image, as `(patch-matrix index, image index)`: positions ascending,
+/// then channel, `ky` and `kx`, with two bounds tests per tap.
+fn for_each_tap(geom: &Conv2dGeometry, mut f: impl FnMut(usize, usize)) {
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
-    let (oh, ow) = (geom.out_height(), geom.out_width());
-    let (s, p) = (geom.stride, geom.pad);
-    let mut patches = out.chunks_exact_mut(c * k * k);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let patch = patches.next().unwrap();
-            let (ix0, lo, hi) = window_span(ox, geom, k);
-            let interior = lo == 0 && hi == k;
-            for (ch, cpatch) in patch.chunks_exact_mut(k * k).enumerate() {
-                let plane = &image[ch * h * w..][..h * w];
-                for (ky, dst) in cpatch.chunks_exact_mut(k).enumerate() {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    if iy < 0 || iy >= h as isize {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src = &plane[iy as usize * w..][..w];
-                    if interior {
-                        dst.copy_from_slice(&src[ix0 as usize..][..k]);
-                    } else {
-                        for (kx, d) in dst.iter_mut().enumerate() {
-                            *d = if (lo..hi).contains(&kx) {
-                                src[(ix0 + kx as isize) as usize]
-                            } else {
-                                0.0
-                            };
-                        }
+    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
+    let ow = geom.out_width();
+    for q in 0..geom.patch_count() {
+        let iy0 = ((q / ow) * s) as isize - p as isize;
+        let ix0 = ((q % ow) * s) as isize - p as isize;
+        for ch in 0..c {
+            for ky in 0..k {
+                let iy = iy0 + ky as isize;
+                for kx in 0..k {
+                    let ix = ix0 + kx as isize;
+                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                        f(
+                            q * c * k * k + (ch * k + ky) * k + kx,
+                            (ch * h + iy as usize) * w + ix as usize,
+                        );
                     }
                 }
             }
@@ -555,8 +513,8 @@ unsafe fn transpose8x8_avx2(src: *const f32, lds: usize, dst: *mut f32, ldd: usi
 ///
 /// `weight` is the flattened `O × (C·K·K)` kernel, `out` the `O ×
 /// (H'·W')` channel-major output (fully overwritten). **Bit-identical**
-/// to unfolding with [`im2col`] and multiplying with
-/// [`crate::gemm_nt_into`]: the input is first copied into an explicitly
+/// to unfolding with [`im2col_into`] and multiplying with
+/// `gemm_nt_into`: the input is first copied into an explicitly
 /// zero-padded plane (so padding taps contribute the same `w · 0.0`
 /// products the zero-filled patch matrix feeds the GEMM), and every
 /// output element is one register accumulator starting from `+0.0` that
@@ -817,7 +775,7 @@ thread_local! {
 /// pixel-major result is then transposed into its `C×H×W` row (kernel
 /// width 1 writes the rows directly).
 ///
-/// Bit-identical to [`crate::gemm_tn_into`] per image followed by
+/// Bit-identical to `gemm_tn_into` per image followed by
 /// [`col2im_into`], for every input: `s` is exactly one element of
 /// `g_iᵀ · w` (one ascending accumulator from `+0.0`, separate multiply
 /// and add), and the accumulator repeats the fold's sum for the pixel —
@@ -1227,72 +1185,24 @@ impl<'a, const L: usize> BlockPass<'a, L> {
     }
 }
 
-/// Adjoint of [`im2col`]: scatter-adds a `(out_h*out_w) × (C*K*K)` patch
-/// gradient back into a `C×H×W` image gradient buffer.
-pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
-    let mut image = vec![0.0f32; geom.in_channels * geom.height * geom.width];
-    col2im_into(cols.data(), geom, &mut image);
-    image
-}
-
-/// [`col2im`] into a caller-owned `C×H×W` buffer (fully overwritten).
+/// Adjoint of [`im2col_into`]: scatter-adds a `(out_h*out_w) × (C*K*K)`
+/// patch gradient back into a caller-owned `C×H×W` image gradient buffer
+/// (fully overwritten). Each pixel sums the taps that reach it from
+/// `+0.0`, in ascending output position.
 ///
 /// No training pass calls it — [`conv_input_grad_into`] never builds the
 /// patch gradient — but it is the oracle the input gradient is checked
 /// against.
 pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
     geom.check();
-    let (c, h, w) = (geom.in_channels, geom.height, geom.width);
     assert_eq!(
         cols.len(),
         geom.patch_count() * geom.patch_len(),
         "cols size mismatch"
     );
-    assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
+    assert_eq!(image.len(), geom.image_len(), "image buffer size mismatch");
     image.fill(0.0);
-    match geom.kernel {
-        1 => fold_rows(cols, geom, image, 1),
-        3 => fold_rows(cols, geom, image, 3),
-        k => fold_rows(cols, geom, image, k),
-    }
-}
-
-/// Body of [`col2im_into`] for kernel width `k`: the traversal of
-/// [`unfold_rows`] with each in-row run scatter-added instead of copied.
-///
-/// Bit-identical to the per-tap loop it replaces. Within one output
-/// position the taps hit distinct pixels, so a pixel's sum is fixed by
-/// the order of the positions that reach it — ascending here, exactly as
-/// before, from the same `+0.0`. A tap-outer traversal would visit those
-/// positions in descending order and change the rounding.
-#[inline(always)]
-fn fold_rows(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32], k: usize) {
-    let (h, w) = (geom.height, geom.width);
-    let ow = geom.out_width();
-    let (s, p) = (geom.stride, geom.pad);
-    for (q, patch) in cols.chunks_exact(geom.in_channels * k * k).enumerate() {
-        let (oy, ox) = (q / ow, q % ow);
-        let (ix0, lo, hi) = window_span(ox, geom, k);
-        let interior = lo == 0 && hi == k;
-        for (plane, cpatch) in image.chunks_exact_mut(h * w).zip(patch.chunks_exact(k * k)) {
-            for (ky, src) in cpatch.chunks_exact(k).enumerate() {
-                let iy = (oy * s + ky) as isize - p as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let dst = &mut plane[iy as usize * w..][..w];
-                if interior {
-                    for (d, &v) in dst[ix0 as usize..][..k].iter_mut().zip(src) {
-                        *d += v;
-                    }
-                } else {
-                    for kx in lo..hi {
-                        dst[(ix0 + kx as isize) as usize] += src[kx];
-                    }
-                }
-            }
-        }
-    }
+    for_each_tap(geom, |col, pixel| image[pixel] += cols[col]);
 }
 
 #[cfg(test)]
@@ -1320,62 +1230,52 @@ mod tests {
         assert_eq!((g.out_height(), g.out_width()), (1, 1));
     }
 
+    fn unfold(img: &[f32], g: &Conv2dGeometry) -> Vec<f32> {
+        let mut cols = vec![0.0f32; g.patch_count() * g.patch_len()];
+        im2col_into(img, g, &mut cols);
+        cols
+    }
+
     #[test]
     fn identity_kernel_extracts_pixels() {
         // 1x1 kernel, stride 1, no pad: patch matrix is the image itself.
         let img: Vec<f32> = (0..9).map(|x| x as f32).collect();
-        let g = geom(1, 3, 3, 1, 1, 0);
-        let cols = im2col(&img, &g);
-        assert_eq!(cols.dims(), &[9, 1]);
-        assert_eq!(cols.data(), img.as_slice());
+        assert_eq!(unfold(&img, &geom(1, 3, 3, 1, 1, 0)), img);
     }
 
     #[test]
     fn patches_are_correct_with_padding() {
         // 2x2 image, 3x3 kernel, pad 1 -> 4 patches centred on each pixel.
         let img = vec![1.0, 2.0, 3.0, 4.0];
-        let g = geom(1, 2, 2, 3, 1, 1);
-        let cols = im2col(&img, &g);
-        assert_eq!(cols.dims(), &[4, 9]);
+        let cols = unfold(&img, &geom(1, 2, 2, 3, 1, 1));
+        assert_eq!(cols.len(), 4 * 9);
         // Patch at output (0,0): padded neighbourhood of pixel (0,0).
-        assert_eq!(
-            cols.row_slice(0),
-            &[0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 4.0]
-        );
+        assert_eq!(cols[..9], [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 4.0]);
         // Patch at output (1,1): neighbourhood of pixel (1,1).
-        assert_eq!(
-            cols.row_slice(3),
-            &[1.0, 2.0, 0.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]
-        );
+        assert_eq!(cols[27..], [1.0, 2.0, 0.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn multi_channel_layout() {
         // Two channels: patch columns are channel-major then ky, kx.
         let img = vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0];
-        let g = geom(2, 2, 2, 2, 1, 0);
-        let cols = im2col(&img, &g);
-        assert_eq!(cols.dims(), &[1, 8]);
-        assert_eq!(
-            cols.row_slice(0),
-            &[1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]
-        );
+        assert_eq!(unfold(&img, &geom(2, 2, 2, 2, 1, 0)), img);
     }
 
     #[test]
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.
         let g = geom(2, 5, 4, 3, 2, 1);
-        let n = g.in_channels * g.height * g.width;
-        let x: Vec<f32> = (0..n).map(|i| ((i * 7 + 3) % 11) as f32 - 5.0).collect();
-        let cols = im2col(&x, &g);
-        let ylen = cols.len();
-        let y = Tensor::from_vec(
-            (0..ylen).map(|i| ((i * 5 + 1) % 13) as f32 - 6.0).collect(),
-            cols.dims(),
-        );
-        let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let back = col2im(&y, &g);
+        let x: Vec<f32> = (0..g.image_len())
+            .map(|i| ((i * 7 + 3) % 11) as f32 - 5.0)
+            .collect();
+        let cols = unfold(&x, &g);
+        let y: Vec<f32> = (0..cols.len())
+            .map(|i| ((i * 5 + 1) % 13) as f32 - 6.0)
+            .collect();
+        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
+        let mut back = vec![f32::NAN; g.image_len()];
+        col2im_into(&y, &g, &mut back);
         let rhs: f32 = x.iter().zip(&back).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -1384,16 +1284,15 @@ mod tests {
     fn im2col_into_overwrites_stale_scratch() {
         let img = vec![1.0, 2.0, 3.0, 4.0];
         let g = geom(1, 2, 2, 3, 1, 1);
-        let fresh = im2col(&img, &g);
-        let mut scratch = vec![9.9f32; fresh.len()];
+        let mut scratch = vec![9.9f32; g.patch_count() * g.patch_len()];
         im2col_into(&img, &g, &mut scratch);
-        assert_eq!(scratch.as_slice(), fresh.data());
+        assert_eq!(scratch, unfold(&img, &g));
     }
 
     #[test]
     #[should_panic(expected = "kernel larger")]
     fn rejects_kernel_larger_than_input() {
-        im2col(&[0.0; 4], &geom(1, 2, 2, 5, 1, 0));
+        im2col_into(&[0.0; 4], &geom(1, 2, 2, 5, 1, 0), &mut []);
     }
 
     #[test]
@@ -1431,9 +1330,9 @@ mod tests {
                 .map(|i| (i as f32 * 0.53).cos())
                 .collect();
             let osp = g.patch_count();
-            let cols = im2col(&img, &g);
+            let cols = unfold(&img, &g);
             let mut want = vec![0.0f32; out_ch * osp];
-            crate::matmul::gemm_nt_into(&wts, cols.data(), &mut want, plen, osp);
+            crate::matmul::gemm_nt_into(&wts, &cols, &mut want, plen, osp);
             for force_scalar in [false, true] {
                 crate::matmul::set_force_scalar_kernel(force_scalar);
                 let mut got = vec![7.7f32; out_ch * osp];

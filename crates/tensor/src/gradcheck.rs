@@ -29,16 +29,6 @@ pub fn central_difference(
     grad
 }
 
-/// Largest absolute element-wise difference between two same-shape tensors.
-pub fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "shape mismatch in max_abs_diff");
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| (x - y).abs())
-        .fold(0.0, f32::max)
-}
-
 /// Scale-invariant relative error between an analytic and a numeric
 /// gradient: `|a - b| / max(1, |a|, |b|)`, maximised over elements.
 pub fn rel_error(analytic: &Tensor, numeric: &Tensor) -> f32 {
@@ -81,12 +71,5 @@ mod tests {
     fn rel_error_is_zero_for_identical() {
         let t = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         assert_eq!(rel_error(&t, &t.clone()), 0.0);
-    }
-
-    #[test]
-    fn max_abs_diff_finds_worst_element() {
-        let a = Tensor::from_vec(vec![1.0, 5.0], &[2]);
-        let b = Tensor::from_vec(vec![1.5, 2.0], &[2]);
-        assert_eq!(max_abs_diff(&a, &b), 3.0);
     }
 }

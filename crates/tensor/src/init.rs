@@ -123,19 +123,6 @@ impl Rng64 {
         &slice[self.below(slice.len())]
     }
 
-    /// `k` distinct indices drawn uniformly from `0..n` (partial
-    /// Fisher–Yates). Panics when `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct from {n}");
-        let mut pool: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = i + self.below(n - i);
-            pool.swap(i, j);
-        }
-        pool.truncate(k);
-        pool
-    }
-
     /// Index drawn according to non-negative weights (need not be
     /// normalised). Panics when all weights are zero or the slice is empty.
     pub fn weighted_choice(&mut self, weights: &[f32]) -> usize {
@@ -268,18 +255,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut rng = Rng64::new(9);
-        let s = rng.sample_indices(10, 7);
-        assert_eq!(s.len(), 7);
-        let mut u = s.clone();
-        u.sort_unstable();
-        u.dedup();
-        assert_eq!(u.len(), 7, "duplicates in sample");
-        assert!(u.iter().all(|&i| i < 10));
     }
 
     #[test]

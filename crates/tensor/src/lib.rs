@@ -10,8 +10,8 @@
 //! * element-wise and broadcasting arithmetic ([`Tensor`] methods),
 //! * blocked matrix multiplication ([`matmul`]),
 //! * convolution lowering: patch-matrix GEMMs whose tiles are packed
-//!   straight from the images, an input gradient folded back tile by tile
-//!   as its GEMM produces it, and a direct kernel ([`conv`]),
+//!   straight from the images, an input gradient computed in one
+//!   output-stationary pass, and a direct kernel ([`conv`]),
 //! * axis reductions ([`reduce`]),
 //! * finite-difference gradient checking ([`gradcheck`]),
 //! * a zero-dependency data-parallel execution layer ([`par`]) that the
@@ -46,14 +46,14 @@ mod tensor;
 mod patch_packer_tests;
 
 pub use conv::{
-    col2im, col2im_into, conv2d_direct_fits, conv2d_direct_into, conv_input_grad_into, im2col,
-    im2col_into, pad_images_into, Conv2dGeometry,
+    col2im_into, conv2d_direct_fits, conv2d_direct_into, conv_input_grad_into, im2col_into,
+    pad_images_into, Conv2dGeometry,
 };
-pub use gradcheck::{central_difference, max_abs_diff, rel_error};
+pub use gradcheck::{central_difference, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
 pub use matmul::{
-    avx512_kernel_enabled, gemm_nt_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into,
-    gemm_tn_into, set_force_scalar_kernel, wide_kernel_enabled,
+    avx512_kernel_enabled, gemm_patches_nt_into, gemm_patches_segmented_acc_into,
+    set_force_scalar_kernel, wide_kernel_enabled,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

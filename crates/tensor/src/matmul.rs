@@ -33,8 +33,6 @@ use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-const BLOCK_K: usize = 64;
-
 /// Rows of the output tile held in registers by the micro-kernel, and so
 /// the rows of every packed A tile.
 pub(crate) const MR: usize = 4;
@@ -473,27 +471,13 @@ impl Tensor {
         gemm_tn_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[k, n])
     }
-
-    /// Matrix–vector product `self (m×k) · v (k) -> (m)`.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2);
-        let (m, k) = (self.dim(0), self.dim(1));
-        assert_eq!(v.len(), k, "matvec length mismatch");
-        let mut out = scratch::take_zeroed(m);
-        let (a, vv) = (self.data(), v.data());
-        let chunk = tile_rows_per_chunk(m, k);
-        par::par_chunks_mut(&mut out, chunk, |ci, rows| {
-            matvec_rows(a, vv, rows, ci * chunk, k);
-        });
-        Tensor::from_vec(out, &[m])
-    }
 }
 
 /// `out = a (m×k) · bᵀ (n×k)` into a caller-owned `m×n` buffer, without
 /// allocating a `Tensor`. Row-parallel over shape-only chunks, so the
 /// result is the same at every thread count; [`Tensor::matmul_nt`] is this
 /// call into a pooled buffer.
-pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+pub(crate) fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
     let m = out.len() / n.max(1);
     assert_eq!(a.len(), m * k, "lhs size mismatch");
@@ -554,7 +538,7 @@ where
 /// `m×k` and `b` is `m×n`, without materialising the transpose.
 /// Row-parallel over shape-only chunks, so the result is the same at every
 /// thread count; [`Tensor::matmul_tn`] is this call into a pooled buffer.
-pub fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "lhs size mismatch");
     assert_eq!(out.len(), k * n, "output size mismatch");
     assert_eq!(b.len(), m * n, "rhs size mismatch");
@@ -676,41 +660,6 @@ fn pack_segments(a: &[f32], seg: usize, k: usize, m: usize) -> Vec<f32> {
     packed
 }
 
-/// `rows = a[row0.., :] · v` for a chunk of output rows, `MR` rows register
-/// blocked and the reduction `BLOCK_K`-blocked so the vector block stays
-/// cache-hot across the chunk. Accumulators are carried through `rows`
-/// across blocks, so each element sums over `p = 0..k` ascending with a
-/// single accumulator — bit-identical to an unblocked dot product.
-fn matvec_rows(a: &[f32], v: &[f32], rows: &mut [f32], row0: usize, k: usize) {
-    let nrows = rows.len();
-    for kb in (0..k).step_by(BLOCK_K) {
-        let kend = (kb + BLOCK_K).min(k);
-        let vb = &v[kb..kend];
-        let mut it = 0;
-        while it + MR <= nrows {
-            let tile: [&[f32]; MR] = std::array::from_fn(|ir| {
-                &a[(row0 + it + ir) * k + kb..(row0 + it + ir) * k + kend]
-            });
-            let mut acc: [f32; MR] = std::array::from_fn(|ir| rows[it + ir]);
-            for (p, &vp) in vb.iter().enumerate() {
-                for ir in 0..MR {
-                    acc[ir] += tile[ir][p] * vp;
-                }
-            }
-            rows[it..it + MR].copy_from_slice(&acc);
-            it += MR;
-        }
-        for i in it..nrows {
-            let arow = &a[(row0 + i) * k + kb..(row0 + i) * k + kend];
-            let mut acc = rows[i];
-            for (&x, &y) in arow.iter().zip(vb) {
-                acc += x * y;
-            }
-            rows[i] = acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,7 +732,7 @@ mod tests {
 
     #[test]
     fn matmul_nt_blocked_k_matches_transpose() {
-        // k > BLOCK_K so the blocked path actually splits the reduction.
+        // A long reduction (k = 150).
         let a = seq(&[9, 150]);
         let b = seq(&[11, 150]);
         assert_close(&a.matmul_nt(&b), &a.matmul(&b.transpose()), 1e-3);
@@ -798,7 +747,7 @@ mod tests {
 
     #[test]
     fn matmul_tn_blocked_reduction_matches_transpose() {
-        // m > BLOCK_K so the blocked path splits the i reduction.
+        // A long reduction over the rows: m = 170.
         let a = seq(&[170, 6]);
         let b = seq(&[170, 8]);
         assert_close(&a.matmul_tn(&b), &a.transpose().matmul(&b), 1e-3);
@@ -810,33 +759,6 @@ mod tests {
         let a = seq(&[96, 96]);
         let b = seq(&[96, 96]);
         assert_close(&a.matmul(&b), &naive(&a, &b), 1e-3);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = seq(&[4, 6]);
-        let v = seq(&[6]);
-        let mv = a.matvec(&v);
-        let mm = a.matmul(&v.reshape(&[6, 1]));
-        assert_close(&mv, &mm.reshape(&[4]), 1e-5);
-    }
-
-    #[test]
-    fn matvec_blocked_k_is_bit_identical_to_plain_dots() {
-        // k > BLOCK_K and m not a multiple of MR: exercises both the block
-        // carry and the scalar row tail.
-        let a = seq(&[7, 150]);
-        let v = seq(&[150]);
-        let got = a.matvec(&v);
-        for i in 0..7 {
-            let want: f32 = a
-                .row_slice(i)
-                .iter()
-                .zip(v.data())
-                .map(|(&x, &y)| x * y)
-                .sum();
-            assert_eq!(got.data()[i].to_bits(), want.to_bits());
-        }
     }
 
     #[test]

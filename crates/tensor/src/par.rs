@@ -327,11 +327,6 @@ pub fn with_thread_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// True when `par_*` helpers may dispatch to the pool.
-pub fn parallel_enabled() -> bool {
-    num_threads() > 1
-}
-
 /// Sendable raw pointer for carving disjoint `&mut` chunks inside `run`.
 #[derive(Clone, Copy)]
 struct SendPtr<T>(*mut T);
@@ -427,16 +422,6 @@ where
         .collect()
 }
 
-/// Maps `f(index, item)` over a slice in parallel, preserving order.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_range(items.len(), |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,13 +458,6 @@ mod tests {
         let out = par_map_range(257, |i| 3 * i + 1);
         assert_eq!(out.len(), 257);
         assert!(out.iter().enumerate().all(|(i, &v)| v == 3 * i + 1));
-    }
-
-    #[test]
-    fn par_map_over_slice() {
-        let items: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let out = par_map(&items, |i, &x| x + i as f32);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == 2.0 * i as f32));
     }
 
     #[test]
@@ -541,7 +519,6 @@ mod tests {
         let expected: Vec<u64> = (0..500).map(|i| i * i).collect();
         with_thread_budget(1, || {
             assert_eq!(num_threads(), 1);
-            assert!(!parallel_enabled());
             // Nested scopes stack and clamp.
             with_thread_budget(0, || assert_eq!(num_threads(), 1));
             with_thread_budget(3, || assert_eq!(num_threads(), 3));
@@ -584,7 +561,6 @@ mod tests {
         let _guard = lock(&THREAD_TEST_LOCK);
         set_num_threads(0);
         assert_eq!(num_threads(), 1);
-        assert!(!parallel_enabled());
         set_num_threads(env_threads());
     }
 }

@@ -10,9 +10,9 @@
 //! padding tap that reads anything but the written zeros, shows up as a
 //! NaN.
 //!
-//! Geometries are generated as in `unfold_bits.rs` (kernel 1/2/3/5,
-//! stride 1–3, pad 0–2, h, w ∈ 1..=9, windows wider than the row), each
-//! at batch sizes 1, 2 and 3: with `H'W'` not a multiple of `MR`, tiles
+//! Geometries are generated over kernel 1/2/3/5, stride 1–3, pad 0–2
+//! and h, w ∈ 1..=9, windows wider than the row among them, each at
+//! batch sizes 1, 2 and 3: with `H'W'` not a multiple of `MR`, tiles
 //! straddle output rows and images, and a batch of `n·H'W'` positions or
 //! `C·K·K` patch indices that is not a multiple of `MR` ends in an edge
 //! tile with `h < MR`.
@@ -23,11 +23,10 @@
 //! `-0.0` among the values.
 
 use crate::conv::{pack_patch_cols, pack_patch_rows, transpose_into};
-use crate::matmul::{pack_cols, pack_rows, MR};
+use crate::matmul::{gemm_nt_into, gemm_tn_into, pack_cols, pack_rows, MR};
 use crate::{
-    col2im_into, conv_input_grad_into, gemm_nt_into, gemm_patches_nt_into,
-    gemm_patches_segmented_acc_into, gemm_tn_into, im2col_into, pad_images_into, par,
-    set_force_scalar_kernel, Conv2dGeometry, Rng64,
+    col2im_into, conv_input_grad_into, gemm_patches_nt_into, gemm_patches_segmented_acc_into,
+    im2col_into, pad_images_into, par, set_force_scalar_kernel, Conv2dGeometry, Rng64,
 };
 
 fn geom(c: usize, h: usize, w: usize, k: usize, s: usize, p: usize) -> Conv2dGeometry {

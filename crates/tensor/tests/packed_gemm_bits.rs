@@ -120,13 +120,3 @@ fn matmul_tn_is_bit_identical_to_seed_reference() {
         assert_bits(&a.matmul_tn(&b), &want, "matmul_tn");
     });
 }
-
-#[test]
-fn matvec_is_bit_identical_to_seed_reference() {
-    for_each_shape_and_thread_count(|m, k, _n| {
-        let a = seq(&[m, k], 0.6);
-        let v = seq(&[k], 0.5);
-        let want = reference_dot(|i, p| a.data()[i * k + p], |p, _| v.data()[p], m, k, 1);
-        assert_bits(&a.matvec(&v), &want, "matvec");
-    });
-}

@@ -12,12 +12,10 @@
 //!   distributions with exact count/sum/min/max.
 //!
 //! Tracing is **off by default**. Enable at runtime with
-//! [`set_enabled`]`(true)` or the `EOS_TRACE=1` environment variable;
-//! compile it out entirely with the `off` cargo feature (every recording
-//! path becomes a constant-false branch). When disabled, the only cost
-//! on a hot path is one relaxed atomic load — no allocation, no locking,
-//! no clock reads — which is what keeps the training step's
-//! zero-allocation audit intact.
+//! [`set_enabled`]`(true)` or the `EOS_TRACE=1` environment variable.
+//! When disabled, the only cost on a hot path is one relaxed atomic
+//! load — no allocation, no locking, no clock reads — which is what
+//! keeps the training step's zero-allocation audit intact.
 //!
 //! Results are exported by [`write_trace`] as `results/TRACE_<tag>.json`
 //! (summary: span tree, counters, histograms) plus a `.jsonl` event log
@@ -48,19 +46,14 @@ fn enabled_flag() -> &'static AtomicBool {
     })
 }
 
-/// Is tracing currently recording? With the `off` feature this is a
-/// compile-time `false`, so the optimiser deletes guarded call sites.
+/// Is tracing currently recording?
 #[inline(always)]
 pub fn enabled() -> bool {
-    if cfg!(feature = "off") {
-        return false;
-    }
     enabled_flag().load(Ordering::Relaxed)
 }
 
-/// Turns recording on or off at runtime. A no-op under the `off`
-/// feature. Flipping the switch does not clear prior aggregates — call
-/// [`reset`] for a clean slate.
+/// Turns recording on or off at runtime. Flipping the switch does not
+/// clear prior aggregates — call [`reset`] for a clean slate.
 pub fn set_enabled(on: bool) {
     enabled_flag().store(on, Ordering::Relaxed);
 }

@@ -21,7 +21,7 @@ cargo build --release
 cargo test -q
 
 # Every member crate's suites — the bit-identity suites (blocked_kernel,
-# conv_batched_bits, unfold_bits, packed_gemm_bits, patch_packer_tests,
+# conv_batched_bits, packed_gemm_bits, patch_packer_tests,
 # trace_counters) and eos-serve's differential and batcher suites among
 # them — and the benchmark harness's own tests.
 cargo test --workspace -q
